@@ -8,10 +8,8 @@ come out right without any extra bookkeeping.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -19,6 +17,10 @@ import scipy.sparse as sp
 
 
 class ShapeMismatch(ValueError):
+    pass
+
+
+class EmptySet(ValueError):
     pass
 
 
@@ -210,18 +212,6 @@ def _record_hinge(pre: np.ndarray) -> None:
         _hinge_trace.append(pre.copy())
 
 
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    _record_hinge(x.data)
-    out = _result(np.maximum(x.data, 0.0), (x,))
-    if out._parents:
-        mask = x.data > 0.0
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, g * mask)
-        out._backward_fn = backward
-    return out
-
-
 def leaky_relu(x, slope: float = 0.1) -> Tensor:
     x = _as_tensor(x)
     _record_hinge(x.data)
@@ -257,17 +247,6 @@ def square(x) -> Tensor:
     return out
 
 
-def sqrt(x) -> Tensor:
-    x = _as_tensor(x)
-    root = np.sqrt(x.data)
-    out = _result(root, (x,))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, g * 0.5 / root)
-        out._backward_fn = backward
-    return out
-
-
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
     out = _result(x.data.reshape(shape), (x,))
@@ -296,21 +275,6 @@ def concat_channels(parts: Sequence) -> Tensor:
             for t, c in zip(tensors, sizes):
                 _accumulate(t, g[start : start + c])
                 start += c
-        out._backward_fn = backward
-    return out
-
-
-def index_select(x, index: int, axis: int) -> Tensor:
-    """Select one slice along an axis, dropping that axis."""
-    x = _as_tensor(x)
-    out = _result(np.take(x.data, index, axis=axis), (x,))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(x.data)
-            slicer = [slice(None)] * x.data.ndim
-            slicer[axis] = index
-            full[tuple(slicer)] = g
-            _accumulate(x, full)
         out._backward_fn = backward
     return out
 
@@ -482,35 +446,3 @@ def adam_step(
         v_hat = v / (1.0 - beta2**t)
         p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return state
-
-
-def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Single-file container: JSON header (names, shapes, byte offsets) then
-    a little-endian float64 payload."""
-    entries = []
-    offset = 0
-    blobs = []
-    for name, arr in arrays.items():
-        blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        entries.append({"name": name, "shape": list(np.shape(arr)), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
-    header = json.dumps({"meta": meta or {}, "entries": entries})
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii") + b"\n")
-        for blob in blobs:
-            f.write(blob)
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("ascii"))
-        payload = f.read()
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["entries"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        arrays[entry["name"]] = arr.astype(np.float64).reshape(shape)
-    return arrays, header.get("meta", {})

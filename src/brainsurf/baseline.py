@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ShapeMismatch
+from .autodiff import EmptySet, ShapeMismatch
 from .icosphere import Icosphere
 
 RIDGE_JITTER = 1e-8
-
-
-class EmptySet(ValueError):
-    pass
 
 
 class RankDeficientWarning(UserWarning):

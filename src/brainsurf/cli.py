@@ -1,29 +1,23 @@
 """Command-line interface: data generation, training, prediction, evaluation,
 and gradient verification, each deterministic given its config.
 
-Exit codes are a stable contract: 0 success, 2 bad config, 3 numeric failure
-(NaN loss; the last good checkpoint is retained), 4 unknown subject,
-5 subject-set mismatch.  ``gradcheck`` exits 1 when the gradient check fails.
+Exit codes are a stable contract: 0 success, 2 bad config or unreadable input
+(missing, truncated or corrupt file), 3 numeric failure (NaN loss; the last
+good checkpoint is retained), 4 unknown subject, 5 subject-set mismatch.
+``gradcheck`` exits 1 when the gradient check fails.
 """
 
 from __future__ import annotations
 
-import os
-
-if "MESHNET_THREADS" in os.environ:
-    # Cap BLAS parallelism before numpy initializes its thread pools.
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["MESHNET_THREADS"])
-
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import grad_check, load_checkpoint, save_checkpoint
+from .autodiff import grad_check
 from .baseline import (
     Parcellation,
     average_regressors,
@@ -43,9 +37,19 @@ from .connectome import (
     save_dataset,
 )
 from .evaluate import SubjectMismatch, ablation_report, correlation_matrix, save_corr_matrix_txt, write_report_csv, write_report_json
-from .fileio import git_blob_sha1, hash_file, read_tensor, write_tensor
+from .fileio import (
+    ConfigError,
+    CorruptFile,
+    JsonConfig,
+    git_blob_sha1,
+    hash_file,
+    load_checkpoint,
+    read_tensor,
+    save_checkpoint,
+    write_tensor,
+)
 from .icosphere import build_hierarchy, icosphere
-from .model import BrainSurfCNN, ConfigError, ModelConfig, build_model, predict_ensemble
+from .model import BrainSurfCNN, ModelConfig, build_model, predict_ensemble
 from .rcloss import BatchTooSmall, Margins, rc_loss
 from .training import (
     NaNLossError,
@@ -69,7 +73,7 @@ class MissingSubjects(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(JsonConfig):
     seed: int = 0
     generator: GeneratorConfig = GeneratorConfig()
     model: ModelConfig | None = None  # derived from the generator when absent
@@ -122,39 +126,19 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "generator": self.generator.to_dict(),
-            "model": self.resolved_model().to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "phase2_lr": self.phase2_lr,
-            "phase1_epochs": self.phase1_epochs,
-            "phase2_epochs": self.phase2_epochs,
-            "batch_size": self.batch_size,
-            "n_train_subjects": self.n_train_subjects,
-            "n_test_subjects": self.n_test_subjects,
-            "val_fraction": self.val_fraction,
-            "baseline_parcels": self.baseline_parcels,
-        }
+        return {**super().to_dict(), "model": self.resolved_model().to_dict()}
 
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        known = {
-            "seed", "generator", "model", "optimizer", "phase2_lr", "phase1_epochs",
-            "phase2_epochs", "batch_size", "n_train_subjects", "n_test_subjects",
-            "val_fraction", "baseline_parcels",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "generator" in kwargs:
-            kwargs["generator"] = GeneratorConfig.from_dict(kwargs["generator"])
-        if "model" in kwargs and kwargs["model"] is not None:
-            kwargs["model"] = ModelConfig.from_dict(kwargs["model"])
-        if "optimizer" in kwargs:
-            kwargs["optimizer"] = OptimizerConfig.from_dict(kwargs["optimizer"])
-        cfg = RunConfig(**kwargs)
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunConfig":
+        cfg = super().from_dict(d)
+        nested = {}
+        if "generator" in d:
+            nested["generator"] = GeneratorConfig.from_dict(d["generator"])
+        if d.get("model") is not None:
+            nested["model"] = ModelConfig.from_dict(d["model"])
+        if "optimizer" in d:
+            nested["optimizer"] = OptimizerConfig.from_dict(d["optimizer"])
+        cfg = replace(cfg, **nested)
         cfg.validate()
         return cfg
 
@@ -229,6 +213,12 @@ def _fit_baseline(
     return average_regressors(fits)
 
 
+def _group_average(dataset: Dataset) -> np.ndarray:
+    # Over every training subject, validation ones included: the lower bound
+    # `train` saves is the one `evaluate` reports.
+    return group_average_baseline([dataset.target(sid) for sid in dataset.train_ids])
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     dataset = load_dataset(args.data)
@@ -286,10 +276,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         {"coeffs": regressor.coeffs, "labels": regressor.labels.astype(np.float64)},
         meta={"n_parcels": parcellation.n_parcels, "rank_warnings": regressor.rank_warnings},
     )
-    write_tensor(
-        out / "group_average.bin",
-        group_average_baseline([dataset.target(sid) for sid in fit_ids]),
-    )
+    write_tensor(out / "group_average.bin", _group_average(dataset))
     _write_manifest(out, cfg, inputs={"cohort.json": hash_file(Path(args.data) / "cohort.json")})
     print(f"trained {cfg.phase1_epochs}+{cfg.phase2_epochs} epochs on {len(fit_ids)} subjects -> {out}")
     return EXIT_OK
@@ -372,8 +359,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         name, pred_dir = spec_arg.split("=", 1)
         variants[name] = _stack_variant(Path(pred_dir), subjects, name)
 
-    group_avg = group_average_baseline([dataset.target(sid) for sid in dataset.train_ids])
-    variants["group_average"] = np.broadcast_to(group_avg, targets.shape).copy()
+    variants["group_average"] = np.broadcast_to(_group_average(dataset), targets.shape).copy()
 
     report = ablation_report(variants, targets, retest)
 
@@ -475,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CorruptFile as exc:
+        print(f"corrupt input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NaNLossError as exc:
         print(f"numeric failure: {exc} (last good checkpoint retained)", file=sys.stderr)

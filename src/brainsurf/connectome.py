@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import ShapeMismatch
-from .fileio import read_tensor, write_tensor
-from .icosphere import Icosphere, icosphere, n_vertices_at_level
+from .fileio import JsonConfig, read_tensor, write_tensor
+from .icosphere import closed_ring_mean, icosphere, n_vertices_at_level
 
 SEGMENTS_PER_SUBJECT = 8  # 4 runs x 2 halves
 
@@ -35,7 +35,7 @@ class OddLength(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(JsonConfig):
     mesh_level: int = 2
     n_rois: int = 5
     n_contrasts: int = 4
@@ -63,37 +63,6 @@ class GeneratorConfig:
                 f"contrast_noise_std needs {self.n_contrasts} entries, got {noise.shape}"
             )
         return noise
-
-    def to_dict(self) -> dict:
-        d = {
-            "mesh_level": self.mesh_level,
-            "n_rois": self.n_rois,
-            "n_contrasts": self.n_contrasts,
-            "n_runs": self.n_runs,
-            "t_per_run": self.t_per_run,
-            "ar_coeff": self.ar_coeff,
-            "timeseries_noise_std": self.timeseries_noise_std,
-            "roi_deviation": self.roi_deviation,
-            "contrast_deviation": self.contrast_deviation,
-            "nonlinear_mix": self.nonlinear_mix,
-            "contrast_noise_std": self.contrast_noise_std,
-            "latent_candidates": self.latent_candidates,
-            "smooth_steps": self.smooth_steps,
-        }
-        if isinstance(self.contrast_noise_std, tuple):
-            d["contrast_noise_std"] = list(self.contrast_noise_std)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneratorConfig":
-        known = set(GeneratorConfig().to_dict())
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
-        d = dict(d)
-        if isinstance(d.get("contrast_noise_std"), list):
-            d["contrast_noise_std"] = tuple(d["contrast_noise_std"])
-        return GeneratorConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -135,8 +104,11 @@ def pearson(x, y) -> float:
     return float(np.clip((xc * yc).sum() / (sx * sy), -1.0, 1.0))
 
 
-def _standardized_rows(ts: np.ndarray, label: str) -> np.ndarray:
-    centered = ts - ts.mean(axis=1, keepdims=True)
+def standardized_rows(rows: np.ndarray, label: str) -> np.ndarray:
+    """Center each row and scale it to unit norm, so that inner products of
+    standardized rows are Pearson correlations."""
+    rows = np.asarray(rows, dtype=np.float64)
+    centered = rows - rows.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered * centered).sum(axis=1))
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
@@ -163,13 +135,13 @@ def compute_connectome(
             f"compute_connectome: vertex {vertex_ts.shape}, roi {roi_ts.shape}, "
             f"right {right.shape}"
         )
-    z_roi = _standardized_rows(roi_ts, "roi")
-    z_left = _standardized_rows(vertex_ts, "vertex")
+    z_roi = standardized_rows(roi_ts, "roi")
+    z_left = standardized_rows(vertex_ts, "vertex")
     corr_left = z_roi @ z_left.T  # [M, V]
     if vertex_ts_right is None:
         corr_right = corr_left
     else:
-        corr_right = z_roi @ _standardized_rows(right, "vertex").T
+        corr_right = z_roi @ standardized_rows(right, "vertex").T
     return np.clip(np.concatenate([corr_left, corr_right], axis=0), -1.0, 1.0)
 
 
@@ -193,19 +165,6 @@ def split_runs(record: SubjectRecord) -> list[ConnectomeSample]:
                 )
             )
     return samples
-
-
-def _smoothing_matrix(mesh: Icosphere) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for i, nbrs in enumerate(mesh.adjacency):
-        contrib = np.concatenate([[i], nbrs])
-        rows.append(np.full(contrib.shape[0], i))
-        cols.append(contrib)
-        vals.append(np.full(contrib.shape[0], 1.0 / contrib.shape[0]))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    ).tocsr()
 
 
 def _smooth_fields(rng: np.random.Generator, smoother: sp.csr_matrix, n_fields: int, steps: int) -> np.ndarray:
@@ -241,7 +200,7 @@ def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[Su
     rng = np.random.default_rng(seed)
     mesh = icosphere(cfg.mesh_level)
     v, m, k = cfg.n_vertices, cfg.n_rois, cfg.n_contrasts
-    smoother = _smoothing_matrix(mesh)
+    smoother = closed_ring_mean(mesh, mesh.n_vertices)
 
     roi_profiles = _smooth_fields(rng, smoother, m, cfg.smooth_steps)  # [M, V]
     roi_deviation_basis = _smooth_fields(rng, smoother, m, cfg.smooth_steps)  # [M, V]

@@ -17,10 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeMismatch
-
-
-class ZeroVariance(ValueError):
-    pass
+from .connectome import ZeroVariance, standardized_rows  # noqa: F401 (ZeroVariance: re-export)
 
 
 class SubjectMismatch(ValueError):
@@ -50,16 +47,6 @@ class EvalReport:
     aggregates: dict[str, dict[str, float]]  # variant -> metric means over reliable contrasts
 
 
-def _standardized(maps: np.ndarray, label: str) -> np.ndarray:
-    maps = np.asarray(maps, dtype=np.float64)
-    centered = maps - maps.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=1))
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise ZeroVariance(f"{label} map {bad[0]} has zero variance")
-    return centered / norms[:, None]
-
-
 def correlation_matrix(preds: np.ndarray, targets: np.ndarray, contrast_id: int = 0) -> CorrMatrix:
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -67,8 +54,8 @@ def correlation_matrix(preds: np.ndarray, targets: np.ndarray, contrast_id: int 
         raise ShapeMismatch(f"correlation_matrix: preds {preds.shape}, targets {targets.shape}")
     if preds.shape[0] < 2:
         raise ValueError(f"correlation_matrix needs >= 2 subjects, got {preds.shape[0]}")
-    z_t = _standardized(targets, "target")
-    z_p = _standardized(preds, "prediction")
+    z_t = standardized_rows(targets, "target")
+    z_p = standardized_rows(preds, "prediction")
     return CorrMatrix(contrast_id=contrast_id, matrix=np.clip(z_t @ z_p.T, -1.0, 1.0))
 
 
@@ -104,8 +91,8 @@ def reliable_contrasts(test: np.ndarray, retest: np.ndarray) -> np.ndarray:
     n_subjects, n_contrasts, _ = test.shape
     per = np.zeros((n_subjects, n_contrasts))
     for s in range(n_subjects):
-        z_a = _standardized(test[s], "test")
-        z_b = _standardized(retest[s], "retest")
+        z_a = standardized_rows(test[s], "test")
+        z_b = standardized_rows(retest[s], "retest")
         per[s] = (z_a * z_b).sum(axis=1)
     mean_per_contrast = per.mean(axis=0)
     return mean_per_contrast > per.mean()

@@ -1,39 +1,129 @@
-"""Binary tensor files: one JSON header line followed by a float64 payload.
+"""On-disk formats: framed binary files, config dicts, content hashes.
 
-All multi-dimensional arrays written to disk by this package use the same
-framing so that external tools can read them with a dozen lines of code:
-the first line of the file is a JSON object with at least a ``shape`` key,
-terminated by ``\\n``; the rest of the file is the row-major array data as
-little-endian float64.
+Every array this package writes, a single tensor or a named checkpoint,
+uses one framing so that external tools can read it with a dozen lines of
+code: the first line of the file is a JSON object terminated by ``\\n``;
+the rest of the file is row-major little-endian float64 data.  A tensor's
+header holds its ``shape``; a checkpoint's holds ``entries`` (name, shape,
+byte offset per array) and free-form ``meta``.  Files are written to a
+sibling temporary file and renamed into place, so a process killed
+mid-write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
+import os
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
 
+class CorruptFile(ValueError):
+    """A framed file whose header is malformed or whose payload length
+    disagrees with its header (e.g. a truncated write)."""
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _size(shape) -> int:
+    if not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise ValueError(f"invalid shape {shape!r}")
+    return math.prod(shape)
+
+
+def _write_framed(path: str | Path, header: dict, blobs: Iterable[bytes]) -> None:
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header).encode("ascii") + b"\n")
+            for blob in blobs:
+                f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_framed(path: str | Path, n_values: Callable[[dict], int]) -> tuple[dict, np.ndarray]:
+    """The header and the float64 payload of a framed file, which must hold
+    exactly ``n_values(header)`` values."""
+    with open(path, "rb") as f:
+        line = f.readline()
+        payload = f.read()
+    try:
+        if not line.endswith(b"\n"):
+            raise ValueError("header line is not terminated")
+        header = json.loads(line.decode("ascii"))
+        expected = 8 * n_values(header)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CorruptFile(f"{path}: malformed header: {exc}") from exc
+    if len(payload) != expected:
+        raise CorruptFile(f"{path}: payload holds {len(payload)} bytes, header promises {expected}")
+    return header, np.frombuffer(payload, dtype="<f8").astype(np.float64)
+
+
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f8")
-    header = json.dumps({"shape": list(arr.shape), "dtype": "<f8"})
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii") + b"\n")
-        f.write(arr.tobytes())
+    arr = np.asarray(array, dtype="<f8")  # not ascontiguousarray: it turns 0-d into [1]
+    _write_framed(path, {"shape": list(arr.shape), "dtype": "<f8"}, [arr.tobytes()])
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("ascii"))
-        payload = f.read()
-    shape = tuple(header["shape"])
-    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    expected = int(np.prod(shape)) if shape else 1
-    if arr.size != expected:
-        raise ValueError(f"{path}: payload holds {arr.size} values, header promises {expected}")
-    return arr.reshape(shape)
+    header, values = _read_framed(path, lambda h: _size(h["shape"]))
+    return values.reshape(tuple(header["shape"]))
+
+
+def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Named arrays in one file: entries (name, shape, byte offset) and
+    ``meta`` in the header, the arrays concatenated in the payload."""
+    entries = []
+    offset = 0
+    blobs = []
+    for name, arr in arrays.items():
+        blob = np.asarray(arr, dtype="<f8").tobytes()
+        entries.append({"name": name, "shape": list(np.shape(arr)), "offset": offset})
+        blobs.append(blob)
+        offset += len(blob)
+    _write_framed(path, {"meta": meta or {}, "entries": entries}, blobs)
+
+
+def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    header, values = _read_framed(
+        path, lambda h: sum(_size(e["shape"]) for e in h["entries"])
+    )
+    arrays: dict[str, np.ndarray] = {}
+    start = 0
+    for entry in header["entries"]:
+        shape = tuple(entry["shape"])
+        n = _size(shape)
+        arrays[entry["name"]] = values[start : start + n].reshape(shape)
+        start += n
+    return arrays, header.get("meta", {})
+
+
+class JsonConfig:
+    """Mixin for frozen dataclass configs: ``to_dict`` gives the JSON-ready
+    field dict, ``from_dict`` rebuilds the config from one."""
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(d) - known
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def git_blob_sha1(data: bytes) -> str:

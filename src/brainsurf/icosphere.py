@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,28 +87,21 @@ class MeshOperators:
     laplacian: sp.csr_matrix
     grad_ew: sp.csr_matrix
     grad_ns: sp.csr_matrix
-    stacked: sp.csr_matrix  # the four operators stacked row-wise, [4V x V]
-
-    def as_tuple(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        # Fixed operator order used by mesh convolution weights.
-        return (self.identity, self.grad_ew, self.grad_ns, self.laplacian)
+    stacked: sp.csr_matrix  # [identity; grad_ew; grad_ns; laplacian], [4V x V]
 
 
 @dataclass(frozen=True)
 class PoolMap:
-    """Mean pooling over the closed fine 1-ring of each coarse vertex.
+    """Pooling and unpooling between adjacent levels, as sparse matrices.
 
-    ``indices[i]``/``weights[i]`` list the fine vertices contributing to
-    coarse vertex i (always including i itself, weights summing to 1).
-    ``pool_matrix`` and ``unpool_matrix`` are the same maps in sparse form;
-    unpooling copies coarse values and assigns each new fine vertex the mean
+    Row i of ``pool_matrix`` averages coarse vertex i over its closed fine
+    1-ring (i itself plus its fine neighbors, equal weights summing to 1).
+    Unpooling copies coarse values and assigns each new fine vertex the mean
     of its two parent edge endpoints.
     """
 
     fine_level: int
     coarse_level: int
-    indices: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
     pool_matrix: sp.csr_matrix
     unpool_matrix: sp.csr_matrix
 
@@ -275,6 +267,21 @@ def operators(level: int) -> MeshOperators:
     return build_operators(icosphere(level))
 
 
+def closed_ring_mean(mesh: Icosphere, n_rows: int) -> sp.csr_matrix:
+    """[n_rows, V] matrix whose row i is the mean over vertex i and its
+    1-ring neighbors in ``mesh``."""
+    rows, cols, vals = [], [], []
+    for i in range(n_rows):
+        contrib = np.concatenate([[i], mesh.adjacency[i]])
+        rows.append(np.full(contrib.shape[0], i))
+        cols.append(contrib)
+        vals.append(np.full(contrib.shape[0], 1.0 / contrib.shape[0]))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_rows, mesh.n_vertices),
+    ).tocsr()
+
+
 def build_pool_map(fine: Icosphere, coarse: Icosphere) -> PoolMap:
     """Mean pooling over each coarse vertex's closed fine neighborhood."""
     if coarse.level != fine.level - 1:
@@ -283,21 +290,7 @@ def build_pool_map(fine: Icosphere, coarse: Icosphere) -> PoolMap:
         )
     n_coarse = coarse.n_vertices
     n_fine = fine.n_vertices
-
-    indices, weights = [], []
-    rows, cols, vals = [], [], []
-    for i in range(n_coarse):
-        contrib = np.concatenate([[i], fine.adjacency[i]])
-        w = np.full(contrib.shape[0], 1.0 / contrib.shape[0])
-        indices.append(contrib)
-        weights.append(w)
-        rows.append(np.full(contrib.shape[0], i))
-        cols.append(contrib)
-        vals.append(w)
-    pool = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_coarse, n_fine),
-    ).tocsr()
+    pool = closed_ring_mean(fine, n_coarse)
 
     parents = fine.parent_edges
     assert parents is not None and parents.shape[0] == n_fine - n_coarse
@@ -309,8 +302,6 @@ def build_pool_map(fine: Icosphere, coarse: Icosphere) -> PoolMap:
     return PoolMap(
         fine_level=fine.level,
         coarse_level=coarse.level,
-        indices=tuple(indices),
-        weights=tuple(weights),
         pool_matrix=pool,
         unpool_matrix=unpool,
     )
@@ -352,10 +343,6 @@ def mesh_to_obj(mesh: Icosphere) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_obj(mesh: Icosphere, path: str | Path) -> None:
-    Path(path).write_text(mesh_to_obj(mesh))
-
-
 def operator_to_coo_text(matrix: sp.spmatrix) -> str:
     coo = matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
@@ -363,7 +350,3 @@ def operator_to_coo_text(matrix: sp.spmatrix) -> str:
         f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}" for k in order
     ]
     return "\n".join(lines) + "\n"
-
-
-def save_operator(matrix: sp.spmatrix, path: str | Path) -> None:
-    Path(path).write_text(operator_to_coo_text(matrix))

@@ -22,21 +22,6 @@ N_OPERATORS = 4
 
 
 @dataclass(frozen=True)
-class LevelSchedule:
-    """Descending encoder mesh levels with one channel width per level."""
-
-    levels: tuple[int, ...]
-    widths: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.levels) != len(self.widths):
-            raise ValueError("levels and widths must align")
-        for a, b in zip(self.levels, self.levels[1:]):
-            if b != a - 1:
-                raise ValueError(f"consecutive levels must differ by 1, got {self.levels}")
-
-
-@dataclass(frozen=True)
 class MeshConvLayer:
     in_channels: int
     out_channels: int

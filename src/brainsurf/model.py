@@ -16,11 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from . import meshlayers as ml
 from .autodiff import Param, ShapeMismatch, Tensor
+from .fileio import ConfigError, JsonConfig
 from .icosphere import MeshHierarchy, n_vertices_at_level
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class EmptyEnsemble(ValueError):
@@ -28,7 +25,7 @@ class EmptyEnsemble(ValueError):
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonConfig):
     """Desk-scale defaults: level-2 mesh (162 vertices), 10 input channels
     (two hemisphere banks of 5 ROI correlations), 4 contrasts.  Wider /
     deeper settings are reached by config only."""
@@ -56,36 +53,10 @@ class ModelConfig:
                 "cannot pool below level 0"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "input_channels": self.input_channels,
-            "output_channels": self.output_channels,
-            "mesh_level": self.mesh_level,
-            "encoder_widths": list(self.encoder_widths),
-            "bottleneck_width": self.bottleneck_width,
-            "leaky_slope": self.leaky_slope,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        known = {
-            "input_channels", "output_channels", "mesh_level", "encoder_widths",
-            "bottleneck_width", "leaky_slope", "seed",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "encoder_widths" in d:
-            d["encoder_widths"] = tuple(d["encoder_widths"])
-        return ModelConfig(**d)
-
 
 @dataclass
 class BrainSurfCNN:
     config: ModelConfig
-    schedule: ml.LevelSchedule
     encoder: list[tuple[ml.MeshConvLayer, ml.MeshConvLayer]]
     bottleneck: tuple[ml.MeshConvLayer, ml.MeshConvLayer]
     decoder: list[tuple[ml.MeshConvLayer, ml.MeshConvLayer]]
@@ -160,9 +131,6 @@ def build_model(config: ModelConfig, hierarchy: MeshHierarchy) -> BrainSurfCNN:
     widths = config.encoder_widths
     depth = len(widths)
     level = config.mesh_level
-    schedule = ml.LevelSchedule(
-        levels=tuple(level - d for d in range(depth)), widths=tuple(widths)
-    )
 
     encoder = []
     in_ch = config.input_channels
@@ -200,7 +168,6 @@ def build_model(config: ModelConfig, hierarchy: MeshHierarchy) -> BrainSurfCNN:
 
     return BrainSurfCNN(
         config=config,
-        schedule=schedule,
         encoder=encoder,
         bottleneck=bottleneck,
         decoder=decoder,

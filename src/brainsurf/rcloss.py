@@ -19,15 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeMismatch, Tensor
+from .autodiff import EmptySet, ShapeMismatch, Tensor
 from .model import BrainSurfCNN, predict_ensemble
 
 
 class BatchTooSmall(ValueError):
-    pass
-
-
-class EmptySet(ValueError):
     pass
 
 

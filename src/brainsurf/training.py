@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import adam_step, backward, save_checkpoint
+from .autodiff import adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
+from .fileio import JsonConfig, save_checkpoint
 from .model import BrainSurfCNN
 from .rcloss import BatchLoss, Margins, distance, init_margins, rc_loss, schedule_margins
 
@@ -29,22 +30,11 @@ class NaNLossError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(JsonConfig):
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-
-    def to_dict(self) -> dict:
-        return {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
-
-    @staticmethod
-    def from_dict(d: dict) -> "OptimizerConfig":
-        known = {"lr", "beta1", "beta2", "eps"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown optimizer config keys: {sorted(unknown)}")
-        return OptimizerConfig(**d)
 
 
 @dataclass

@@ -11,9 +11,8 @@ from brainsurf.autodiff import (
     adam_step,
     backward,
     grad_check,
-    load_checkpoint,
-    save_checkpoint,
 )
+from brainsurf.fileio import load_checkpoint, save_checkpoint
 
 
 def trainable(arr):
@@ -59,11 +58,6 @@ class TestForwardOps:
         b = Tensor(np.zeros((3, 4)))
         out = ad.concat_channels([a, b])
         assert out.shape == (5, 4)
-
-    def test_index_select_drops_axis(self):
-        x = Tensor(np.arange(24.0).reshape(2, 3, 4))
-        out = ad.index_select(x, 2, axis=1)
-        assert np.array_equal(out.data, x.data[:, 2, :])
 
     def test_leaky_relu_values(self):
         x = Tensor(np.array([-2.0, 3.0]))

@@ -104,6 +104,19 @@ class TestTrain:
         expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
         assert np.allclose(read_tensor(tiny_run / "run" / "group_average.bin"), expected, atol=1e-15)
 
+    def test_group_average_covers_validation_subjects(self, tmp_path):
+        from brainsurf.connectome import load_dataset
+
+        # val_fraction 0.2 of 5 subjects -> 1 held out for validation; the
+        # saved map still averages all 5, the set `evaluate` reports on.
+        cfg = write_config(tmp_path, n_train_subjects=5, phase2_epochs=0)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        assert cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        ds = load_dataset(tmp_path / "data")
+        assert (tmp_path / "run" / "val_log.csv").exists()
+        expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
+        assert np.array_equal(read_tensor(tmp_path / "run" / "group_average.bin"), expected)
+
     def test_single_training_subject_phase2_aborts(self, tmp_path):
         cfg = write_config(tmp_path, n_train_subjects=1, n_test_subjects=1)
         assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d1")]) == 0
@@ -156,6 +169,26 @@ class TestPredict:
         assert rc == 4
         err = capsys.readouterr().err
         assert "nope1" in err and "nope2" in err
+
+    def test_truncated_checkpoint_exit_2(self, tiny_run, capsys):
+        full = (tiny_run / "run" / "checkpoint_final.bin").read_bytes()
+        cut = tiny_run / "cut.bin"
+        cut.write_bytes(full[:-100])
+        rc = cli.main([
+            "predict", "--model", str(cut), "--data", str(tiny_run / "data"), "--out", str(tiny_run / "pc"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and err.count("\n") == 1
+
+    def test_truncated_sample_exit_2(self, tiny_run):
+        sample = tiny_run / "data" / "subjects" / "sub004" / "sample_3.bin"
+        sample.write_bytes(sample.read_bytes()[:-8])
+        rc = cli.main([
+            "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
+            "--data", str(tiny_run / "data"), "--out", str(tiny_run / "ps"),
+        ])
+        assert rc == 2
 
     def test_baseline_predictions_written(self, tiny_run):
         assert cli.main([

@@ -1,0 +1,206 @@
+import json
+from dataclasses import asdict, fields, replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from brainsurf import fileio
+from brainsurf.cli import RunConfig
+from brainsurf.connectome import GeneratorConfig
+from brainsurf.fileio import (
+    ConfigError,
+    CorruptFile,
+    load_checkpoint,
+    read_tensor,
+    save_checkpoint,
+    write_tensor,
+)
+from brainsurf.model import ModelConfig
+from brainsurf.training import OptimizerConfig
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+    elements=st.floats(width=64),  # includes NaN, infinities and -0.0
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+checkpoints = st.dictionaries(st.text(max_size=8), arrays, max_size=4)
+metas = st.dictionaries(st.text(max_size=6), json_values, max_size=4)
+
+
+def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFraming:
+    @PROPERTY
+    @given(arr=arrays)
+    def test_tensor_roundtrip(self, tmp_path_factory, arr):
+        path = tmp_path_factory.mktemp("t") / "f.bin"
+        write_tensor(path, arr)
+        assert bit_equal(read_tensor(path), arr)
+
+    @PROPERTY
+    @given(named=checkpoints, meta=metas)
+    def test_checkpoint_roundtrip(self, tmp_path_factory, named, meta):
+        path = tmp_path_factory.mktemp("c") / "f.bin"
+        save_checkpoint(path, named, meta=meta)
+        loaded, loaded_meta = load_checkpoint(path)
+        assert list(loaded) == list(named)
+        assert all(bit_equal(loaded[k], v) for k, v in named.items())
+        assert loaded_meta == meta
+
+    @PROPERTY
+    @given(arr=arrays, data=st.data())
+    def test_tensor_strict_prefix_rejected(self, tmp_path_factory, arr, data):
+        path = tmp_path_factory.mktemp("t") / "f.bin"
+        write_tensor(path, arr)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(CorruptFile):
+            read_tensor(path)
+
+    @PROPERTY
+    @given(named=checkpoints, meta=metas, data=st.data())
+    def test_checkpoint_strict_prefix_rejected(self, tmp_path_factory, named, meta, data):
+        path = tmp_path_factory.mktemp("c") / "f.bin"
+        save_checkpoint(path, named, meta=meta)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(CorruptFile):
+            load_checkpoint(path)
+
+    def test_tensor_and_checkpoint_share_framing(self, tmp_path):
+        arr = np.arange(6.0).reshape(2, 3)
+        write_tensor(tmp_path / "t.bin", arr)
+        save_checkpoint(tmp_path / "c.bin", {"a": arr})
+        t_header, t_payload = (tmp_path / "t.bin").read_bytes().split(b"\n", 1)
+        c_header, c_payload = (tmp_path / "c.bin").read_bytes().split(b"\n", 1)
+        assert json.loads(t_header) == {"shape": [2, 3], "dtype": "<f8"}
+        assert json.loads(c_header) == {"meta": {}, "entries": [{"name": "a", "shape": [2, 3], "offset": 0}]}
+        assert t_payload == c_payload == arr.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("header", [
+        b"\xff not json", b"[1, 2]", b'{"shape": "ab"}', b'{"shape": [-1, -1]}',
+        b'{"entries": [{"name": "x", "shape": [2.5]}]}',
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "g.bin"
+        path.write_bytes(header + b"\n" + bytes(8))
+        with pytest.raises(CorruptFile):
+            read_tensor(path)
+        with pytest.raises(CorruptFile):
+            load_checkpoint(path)
+
+
+class _FailingPayload:
+    """File stand-in that writes the header, then half of the first payload
+    blob, then fails as a full disk would."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls == 1:
+            return self.f.write(data)
+        self.f.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint_last.bin"
+        rng = np.random.default_rng(0)
+        good = {"w": rng.standard_normal((4, 5)), "b": rng.standard_normal(5)}
+        save_checkpoint(path, good, meta={"epoch": 1})
+        before = path.read_bytes()
+
+        real_open = open
+        monkeypatch.setattr(fileio, "open", lambda *a, **k: _FailingPayload(real_open(*a, **k)), raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, {k: v + 1.0 for k, v in good.items()}, meta={"epoch": 2})
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"epoch": 1}
+        assert all(bit_equal(loaded[k], v) for k, v in good.items())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_last.bin"]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+small = st.integers(0, 1000)
+optimizer_configs = st.builds(OptimizerConfig, lr=finite, beta1=finite, beta2=finite, eps=finite)
+model_configs = st.builds(
+    ModelConfig,
+    input_channels=small, output_channels=small, mesh_level=small,
+    encoder_widths=st.lists(small, max_size=4).map(tuple),
+    bottleneck_width=small, leaky_slope=finite, seed=small,
+)
+generator_configs = st.builds(
+    GeneratorConfig,
+    # Levels, ROI and contrast counts that the default model widths accept,
+    # so that run configs built on them validate.
+    mesh_level=st.integers(2, 6), n_rois=st.integers(1, 100), n_contrasts=st.integers(1, 100),
+    n_runs=small, t_per_run=small, ar_coeff=finite, timeseries_noise_std=finite,
+    roi_deviation=finite, contrast_deviation=finite, nonlinear_mix=finite,
+    contrast_noise_std=finite | st.lists(finite, max_size=4).map(tuple),
+    latent_candidates=small, smooth_steps=small,
+)
+run_configs = st.builds(
+    RunConfig,
+    seed=small, generator=generator_configs, model=st.none(), optimizer=optimizer_configs,
+    phase2_lr=st.none() | finite, phase1_epochs=small, phase2_epochs=small,
+    batch_size=st.integers(2, 64), n_train_subjects=st.integers(1, 100),
+    n_test_subjects=small, val_fraction=st.floats(0.0, 0.99), baseline_parcels=st.integers(1, 64),
+)
+any_config = st.one_of(optimizer_configs, model_configs, generator_configs, run_configs)
+
+
+def via_json(d: dict) -> dict:
+    return json.loads(json.dumps(d))
+
+
+class TestConfigCodec:
+    @PROPERTY
+    @given(any_config)
+    def test_from_dict_inverts_asdict(self, cfg):
+        assert type(cfg).from_dict(via_json(asdict(cfg))) == cfg
+
+    @PROPERTY
+    @given(run_configs)
+    def test_run_config_to_dict_resolves_model(self, cfg):
+        assert RunConfig.from_dict(via_json(cfg.to_dict())) == replace(cfg, model=cfg.resolved_model())
+
+    @PROPERTY
+    @given(any_config, st.data())
+    def test_unknown_key_rejected(self, cfg, data):
+        names = {f.name for f in fields(cfg)}
+        key = data.draw(st.text(max_size=10).filter(lambda k: k not in names))
+        with pytest.raises(ConfigError):
+            type(cfg).from_dict({**via_json(asdict(cfg)), key: 1})
+
+    def test_dict_keys_in_field_order(self):
+        # Checkpoint headers dump the model config without sorting keys.
+        assert json.dumps(ModelConfig().to_dict()) == (
+            '{"input_channels": 10, "output_channels": 4, "mesh_level": 2, '
+            '"encoder_widths": [32, 64], "bottleneck_width": 128, "leaky_slope": 0.1, "seed": 0}'
+        )

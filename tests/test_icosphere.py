@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brainsurf.icosphere import (
     DegenerateFrame,
@@ -10,6 +12,7 @@ from brainsurf.icosphere import (
     build_hierarchy,
     build_operators,
     build_pool_map,
+    closed_ring_mean,
     icosphere,
     mesh_to_obj,
     n_vertices_at_level,
@@ -127,7 +130,7 @@ class TestOperators:
         rng = np.random.default_rng(0)
         f, g = rng.standard_normal((2, 162))
         a, b = 1.7, -0.3
-        for op in ops.as_tuple():
+        for op in (ops.identity, ops.grad_ew, ops.grad_ns, ops.laplacian):
             assert np.abs(op @ (a * f + b * g) - (a * (op @ f) + b * (op @ g))).max() < 1e-12
 
     def test_sparsity_within_closed_one_ring(self):
@@ -146,11 +149,12 @@ class TestOperators:
 class TestPoolMap:
     def test_level1_to_0_rows(self):
         pm = build_pool_map(icosphere(1), icosphere(0))
-        assert len(pm.indices) == 12
-        for i, (idx, w) in enumerate(zip(pm.indices, pm.weights)):
-            assert idx.size == 6  # self + 5 fine neighbors
-            assert idx[0] == i
-            assert abs(w.sum() - 1.0) < 1e-12
+        assert pm.pool_matrix.shape == (12, 42)
+        for i in range(12):
+            row = pm.pool_matrix.getrow(i)
+            assert row.nnz == 6  # self + 5 fine neighbors
+            assert row[0, i] > 0.0
+            assert abs(row.sum() - 1.0) < 1e-12
 
     def test_pool_preserves_constants(self):
         pm = build_pool_map(icosphere(2), icosphere(1))
@@ -173,7 +177,25 @@ class TestPoolMap:
         pm = build_pool_map(fine, icosphere(0))
         for i in range(12):
             deg = len(fine.adjacency[i])
-            assert np.allclose(pm.weights[i], 1.0 / (1 + deg))
+            assert np.allclose(pm.pool_matrix.getrow(i).data, 1.0 / (1 + deg))
+
+
+class TestClosedRingMean:
+    @settings(max_examples=40, deadline=None)
+    @given(level=st.integers(0, 4), c=st.floats(-1e6, 1e6), data=st.data())
+    def test_preserves_constants(self, level, c, data):
+        mesh = icosphere(level)
+        n_rows = data.draw(st.integers(1, mesh.n_vertices))
+        out = closed_ring_mean(mesh, n_rows) @ np.full(mesh.n_vertices, c)
+        assert out.shape == (n_rows,)
+        assert np.abs(out - c).max() <= 1e-12 * max(1.0, abs(c))
+
+    def test_pool_matrix_is_ring_mean_of_fine_mesh(self):
+        fine = icosphere(2)
+        pool = build_pool_map(fine, icosphere(1)).pool_matrix
+        ring = closed_ring_mean(fine, 42)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(pool, attr), getattr(ring, attr))
 
 
 class TestHierarchy:

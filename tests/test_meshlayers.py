@@ -5,7 +5,6 @@ from brainsurf import autodiff as ad
 from brainsurf.autodiff import Param, ShapeMismatch, Tensor, backward, grad_check
 from brainsurf.icosphere import build_pool_map, icosphere, operators
 from brainsurf.meshlayers import (
-    LevelSchedule,
     init_conv_layer,
     mesh_conv,
     mesh_pool,
@@ -50,7 +49,8 @@ class TestMeshConv:
         layer = make_layer(3, 2, level, seed=7)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 162))
-        dense_ops = [op.toarray() for op in layer.operators.as_tuple()]
+        ops = layer.operators
+        dense_ops = [op.toarray() for op in (ops.identity, ops.grad_ew, ops.grad_ns, ops.laplacian)]
         w = layer.weights.tensor.data
         b = layer.bias.tensor.data
         expected = np.zeros((2, 162))
@@ -97,17 +97,19 @@ class TestMeshPool:
         assert np.abs(out.data - 5.5).max() < 1e-12
 
     def test_one_hot_mass_matches_map_weight(self):
-        pm = build_pool_map(icosphere(1), icosphere(0))
+        fine = icosphere(1)
+        pm = build_pool_map(fine, icosphere(0))
         coarse_vertex = 4
-        fine_neighbor = int(pm.indices[coarse_vertex][1])
-        weight = float(pm.weights[coarse_vertex][1])
+        row = pm.pool_matrix.getrow(coarse_vertex)
+        fine_neighbor = int(row.indices[row.indices != coarse_vertex][0])
+        weight = row[0, fine_neighbor]
         x = np.zeros((1, 42))
         x[0, fine_neighbor] = 1.0
         out = mesh_pool(pm, x).data[0]
         assert abs(out[coarse_vertex] - weight) < 1e-14
         # Mass lands only at coarse vertices adjacent to the fine neighbor.
         for i in range(12):
-            if fine_neighbor not in pm.indices[i]:
+            if fine_neighbor not in fine.adjacency[i]:
                 assert out[i] == 0.0
 
     def test_level1_to_0_matches_bruteforce_mean(self):
@@ -168,11 +170,3 @@ class TestPermutationConsistency:
         # must reproduce the original pooling (up to summation-order rounding).
         assert np.abs(original - relabeled).max() < 1e-12
 
-
-class TestLevelSchedule:
-    def test_valid(self):
-        LevelSchedule(levels=(4, 3, 2), widths=(8, 16, 32))
-
-    def test_non_consecutive_rejected(self):
-        with pytest.raises(ValueError):
-            LevelSchedule(levels=(4, 2), widths=(8, 16))

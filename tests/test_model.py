@@ -82,7 +82,7 @@ class TestForward:
         assert np.abs(a - b).max() > 1e-6
 
     def test_checkpoint_roundtrip_preserves_outputs(self, hierarchy, tmp_path):
-        from brainsurf.autodiff import load_checkpoint, save_checkpoint
+        from brainsurf.fileio import load_checkpoint, save_checkpoint
 
         model = build_model(ModelConfig(seed=9), hierarchy)
         rng = np.random.default_rng(9)

@@ -111,7 +111,7 @@ class TestTrainPhase:
                 rng=np.random.default_rng(2), opt=OptimizerConfig(lr=1e120),
                 use_rc_loss=False, start_epoch=2, checkpoint_path=ckpt,
             )
-        from brainsurf.autodiff import load_checkpoint
+        from brainsurf.fileio import load_checkpoint
 
         arrays, _ = load_checkpoint(ckpt)
         for name in good:
