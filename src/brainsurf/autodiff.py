@@ -192,17 +192,24 @@ def matmul(a, b) -> Tensor:
     return out
 
 
+def _along_axis0(matrix: sp.spmatrix, a: np.ndarray) -> np.ndarray:
+    # A C-contiguous a is viewed as [rows, rest] and back: no copy either way.
+    out = matrix @ a.reshape(a.shape[0], -1)
+    return out.reshape((matrix.shape[0],) + a.shape[1:])
+
+
 def sparse_matmul(matrix: sp.spmatrix, x) -> Tensor:
-    """Apply a constant sparse operator along the vertex axis of [C, V] data."""
+    """Apply a constant sparse operator along axis 0 (the vertex axis) of x,
+    whatever its trailing shape."""
     x = _as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != matrix.shape[1]:
+    if x.data.ndim == 0 or x.data.shape[0] != matrix.shape[1]:
         raise ShapeMismatch(
             f"sparse_matmul: operator {matrix.shape} against data {x.data.shape}"
         )
-    out = _result((matrix @ x.data.T).T, (x,))
+    out = _result(_along_axis0(matrix, x.data), (x,))
     if out._parents:
         def backward(g: np.ndarray) -> None:
-            _accumulate(x, (matrix.T @ g.T).T)
+            _accumulate(x, _along_axis0(matrix.T, g))
         out._backward_fn = backward
     return out
 
@@ -247,48 +254,69 @@ def square(x) -> Tensor:
     return out
 
 
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
+def transpose(x, axes: Sequence[int], shape: tuple[int, ...] | None = None) -> Tensor:
+    """Permute the axes of x into a fresh C-contiguous array, then view it in
+    ``shape`` when given (a view: the permuted buffer is not copied again)."""
     x = _as_tensor(x)
-    out = _result(x.data.reshape(shape), (x,))
+    permuted = np.ascontiguousarray(x.data.transpose(axes))
+    out = _result(permuted if shape is None else permuted.reshape(shape), (x,))
+    if out._parents:
+        inverse = np.argsort(axes)
+        def backward(g: np.ndarray) -> None:
+            _accumulate(x, g.reshape(permuted.shape).transpose(inverse))
+        out._backward_fn = backward
+    return out
+
+
+def stack(parts: Sequence) -> Tensor:
+    """Stack same-shape tensors along a new leading axis (a batch)."""
+    tensors = [_as_tensor(p) for p in parts]
+    if not tensors:
+        raise ShapeMismatch("stack: no inputs")
+    if len({t.data.shape for t in tensors}) != 1:
+        raise ShapeMismatch(f"stack: shapes {[t.data.shape for t in tensors]} differ")
+    out = _result(np.stack([t.data for t in tensors]), tuple(tensors))
     if out._parents:
         def backward(g: np.ndarray) -> None:
-            _accumulate(x, g.reshape(x.data.shape))
+            for t, gi in zip(tensors, g):
+                _accumulate(t, gi)
         out._backward_fn = backward
     return out
 
 
 def concat_channels(parts: Sequence) -> Tensor:
+    """Concatenate along the last (channel) axis; leading axes must agree."""
     tensors = [_as_tensor(p) for p in parts]
     if not tensors:
         raise ShapeMismatch("concat_channels: no inputs")
-    v = tensors[0].data.shape[-1]
+    lead = tensors[0].data.shape[:-1]
     for t in tensors:
-        if t.data.ndim != 2 or t.data.shape[1] != v:
+        if t.data.ndim == 0 or t.data.shape[:-1] != lead:
             raise ShapeMismatch(
                 f"concat_channels: shapes {[t.data.shape for t in tensors]} incompatible"
             )
-    out = _result(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors))
+    out = _result(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors))
     if out._parents:
-        sizes = [t.data.shape[0] for t in tensors]
+        sizes = [t.data.shape[-1] for t in tensors]
         def backward(g: np.ndarray) -> None:
             start = 0
             for t, c in zip(tensors, sizes):
-                _accumulate(t, g[start : start + c])
+                _accumulate(t, g[..., start : start + c])
                 start += c
         out._backward_fn = backward
     return out
 
 
 def add_bias(x, b) -> Tensor:
-    """x: [C, V] plus per-channel bias b: [C]."""
+    """x: [..., C] plus per-channel bias b: [C]."""
     x, b = _as_tensor(x), _as_tensor(b)
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[0] != b.data.shape[0]:
+    if x.data.ndim == 0 or b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
         raise ShapeMismatch(f"add_bias: shapes {x.data.shape} and {b.data.shape} incompatible")
-    out = _result(x.data + b.data[:, None], (x, b))
+    out = _result(x.data + b.data, (x, b))
     if out._parents:
         def backward(g: np.ndarray) -> None:
             _accumulate(x, g)
-            _accumulate(b, g.sum(axis=1))
+            _accumulate(b, g.reshape(-1, b.data.shape[0]).sum(axis=0))
         out._backward_fn = backward
     return out
 

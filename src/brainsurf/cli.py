@@ -2,8 +2,9 @@
 and gradient verification, each deterministic given its config.
 
 Exit codes are a stable contract: 0 success, 2 bad config or unreadable input
-(missing, truncated or corrupt file), 3 numeric failure (NaN loss; the last
-good checkpoint is retained), 4 unknown subject, 5 subject-set mismatch.
+(missing, truncated or corrupt file; a constant target or retest map), 3
+numeric failure (NaN loss; the last good checkpoint is retained), 4 unknown
+subject, 5 subject-set mismatch.
 ``gradcheck`` exits 1 when the gradient check fails.
 """
 
@@ -36,7 +37,7 @@ from .connectome import (
     load_dataset,
     save_dataset,
 )
-from .evaluate import SubjectMismatch, ablation_report, correlation_matrix, save_corr_matrix_txt, write_report_csv, write_report_json
+from .evaluate import SubjectMismatch, ZeroVariance, ablation_report, correlation_matrix, save_corr_matrix_txt, write_report_csv, write_report_json
 from .fileio import (
     ConfigError,
     CorruptFile,
@@ -49,7 +50,7 @@ from .fileio import (
     write_tensor,
 )
 from .icosphere import build_hierarchy, icosphere
-from .model import BrainSurfCNN, ModelConfig, build_model, predict_ensemble
+from .model import BrainSurfCNN, ModelConfig, build_model, predict_variants
 from .rcloss import BatchTooSmall, Margins, rc_loss
 from .training import (
     NaNLossError,
@@ -317,10 +318,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     for sid in requested:
         samples = dataset.samples(sid)
-        write_tensor(out / f"{sid}.bin", predict_ensemble(model, samples))
+        maps = predict_variants(model, samples)
+        write_tensor(out / f"{sid}.bin", maps.mean(axis=0))  # the ensemble: see predict_ensemble
         if args.dump_samples:
-            for k, sample in enumerate(samples):
-                write_tensor(out / f"{sid}_sample_{k}.bin", model.predict(sample))
+            for k, sample_map in enumerate(maps):
+                write_tensor(out / f"{sid}_sample_{k}.bin", sample_map)
         if baseline is not None:
             regressor, parcellation = baseline
             features = bank_averaged_features(ensemble_mean_features(samples))
@@ -362,6 +364,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     variants["group_average"] = np.broadcast_to(_group_average(dataset), targets.shape).copy()
 
     report = ablation_report(variants, targets, retest)
+    undefined: dict[str, list[str]] = {}
+    for r in report.rows:
+        if np.isnan(r.self_corr_mean):
+            undefined.setdefault(r.variant, []).append(str(r.contrast))
+    for name, contrasts in undefined.items():
+        print(
+            f"warning: variant {name!r}, contrast {', '.join(contrasts)}: a prediction map is "
+            "constant or non-finite, so its correlations are NaN",
+            file=sys.stderr,
+        )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -387,13 +399,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     model_cfg = ModelConfig(mesh_level=args.level, seed=args.seed)
     model = build_model(model_cfg, build_hierarchy(model_cfg.mesh_level))
     n_vertices = 10 * 4**args.level + 2
-    x = [rng.standard_normal((model_cfg.input_channels, n_vertices)) for _ in range(2)]
-    targets = [rng.standard_normal((model_cfg.output_channels, n_vertices)) for _ in range(2)]
+    x = np.stack([rng.standard_normal((model_cfg.input_channels, n_vertices)) for _ in range(2)])
+    targets = np.stack([rng.standard_normal((model_cfg.output_channels, n_vertices)) for _ in range(2)])
     margins = Margins(alpha=0.0, beta=1.0)  # both hinges active: gradients flow everywhere
 
     def f():
-        preds = [model.forward(xi) for xi in x]
-        return rc_loss(preds, targets, margins).l_rc
+        return rc_loss(model.forward(x), targets, margins).l_rc
 
     worst: dict = {}
     err = grad_check(f, model.parameters(), eps=1e-5, max_coords=args.coords, seed=args.seed, worst_out=worst)
@@ -464,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except CorruptFile as exc:
         print(f"corrupt input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ZeroVariance as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NaNLossError as exc:
         print(f"numeric failure: {exc} (last good checkpoint retained)", file=sys.stderr)

@@ -104,15 +104,24 @@ def pearson(x, y) -> float:
     return float(np.clip((xc * yc).sum() / (sx * sy), -1.0, 1.0))
 
 
-def standardized_rows(rows: np.ndarray, label: str) -> np.ndarray:
+def standardized_rows(rows: np.ndarray, label: str, constant_rows_nan: bool = False) -> np.ndarray:
     """Center each row and scale it to unit norm, so that inner products of
-    standardized rows are Pearson correlations."""
+    standardized rows are Pearson correlations.
+
+    A constant row has no correlation: it raises ZeroVariance, or becomes a
+    row of NaN when ``constant_rows_nan``."""
     rows = np.asarray(rows, dtype=np.float64)
-    centered = rows - rows.mean(axis=1, keepdims=True)
+    mean = rows.mean(axis=1, keepdims=True)
+    centered = rows - mean
     norms = np.sqrt((centered * centered).sum(axis=1))
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise ZeroVariance(f"{label} row {bad[0]} has zero variance")
+    # The computed mean of a constant row can miss its value by a few ulp,
+    # which leaves a tiny nonzero norm: test rows with such norms exactly.
+    constant = norms <= 1e-12 * np.sqrt(rows.shape[1]) * np.abs(mean[:, 0])
+    if constant.any():
+        constant[constant] = rows[constant].max(axis=1) == rows[constant].min(axis=1)
+        if constant.any() and not constant_rows_nan:
+            raise ZeroVariance(f"{label} row {np.flatnonzero(constant)[0]} has zero variance")
+        norms[constant] = np.nan
     return centered / norms[:, None]
 
 

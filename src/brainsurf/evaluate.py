@@ -55,14 +55,19 @@ def correlation_matrix(preds: np.ndarray, targets: np.ndarray, contrast_id: int 
     if preds.shape[0] < 2:
         raise ValueError(f"correlation_matrix needs >= 2 subjects, got {preds.shape[0]}")
     z_t = standardized_rows(targets, "target")
-    z_p = standardized_rows(preds, "prediction")
+    # A constant prediction (a collapsed model) is a result, not an input
+    # error: its column of correlations is NaN.
+    z_p = standardized_rows(preds, "prediction", constant_rows_nan=True)
     return CorrMatrix(contrast_id=contrast_id, matrix=np.clip(z_t @ z_p.T, -1.0, 1.0))
 
 
 def subject_id_accuracy(m: CorrMatrix, by_column: bool = False) -> float:
     """Fraction of subjects whose row (or column) maximum is on the diagonal.
-    Ties count as identification failure."""
+    Ties count as identification failure; NaN when any correlation is
+    undefined."""
     mat = m.matrix if not by_column else m.matrix.T
+    if np.isnan(mat).any():
+        return float("nan")
     n = mat.shape[0]
     hits = 0
     for i in range(n):
@@ -91,8 +96,8 @@ def reliable_contrasts(test: np.ndarray, retest: np.ndarray) -> np.ndarray:
     n_subjects, n_contrasts, _ = test.shape
     per = np.zeros((n_subjects, n_contrasts))
     for s in range(n_subjects):
-        z_a = standardized_rows(test[s], "test")
-        z_b = standardized_rows(retest[s], "retest")
+        z_a = standardized_rows(test[s], f"target (subject {s})")
+        z_b = standardized_rows(retest[s], f"retest (subject {s})")
         per[s] = (z_a * z_b).sum(axis=1)
     mean_per_contrast = per.mean(axis=0)
     return mean_per_contrast > per.mean()
@@ -184,23 +189,25 @@ def write_report_csv(report: EvalReport, path: str | Path) -> None:
             )
 
 
+def _json_number(x: float) -> float | None:
+    return None if np.isnan(x) else x  # strict JSON has no NaN
+
+
 def write_report_json(report: EvalReport, path: str | Path) -> None:
+    metrics = ("self_corr_mean", "self_corr_sd", "diag_gap", "id_accuracy")
     payload = {
         "reliable_mask": [bool(b) for b in report.reliable_mask],
-        "aggregates": report.aggregates,
+        "aggregates": {
+            name: {k: _json_number(v) for k, v in agg.items()}
+            for name, agg in report.aggregates.items()
+        },
         "rows": [
-            {
-                "variant": r.variant,
-                "contrast": r.contrast,
-                "self_corr_mean": r.self_corr_mean,
-                "self_corr_sd": r.self_corr_sd,
-                "diag_gap": r.diag_gap,
-                "id_accuracy": r.id_accuracy,
-            }
+            {"variant": r.variant, "contrast": r.contrast}
+            | {k: _json_number(getattr(r, k)) for k in metrics}
             for r in report.rows
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def save_corr_matrix_txt(m: CorrMatrix, path: str | Path, zscore: bool = False) -> None:

@@ -87,7 +87,8 @@ class MeshOperators:
     laplacian: sp.csr_matrix
     grad_ew: sp.csr_matrix
     grad_ns: sp.csr_matrix
-    stacked: sp.csr_matrix  # [identity; grad_ew; grad_ns; laplacian], [4V x V]
+    conv: sp.csr_matrix  # [identity | grad_ew | grad_ns | laplacian], [V x 4V]
+    conv_t: sp.csr_matrix  # conv transposed, [4V x V]: the mesh conv's backward pass
 
 
 @dataclass(frozen=True)
@@ -252,13 +253,15 @@ def build_operators(mesh: Icosphere) -> MeshOperators:
     laplacian = assemble(lap_rows, lap_cols, lap_vals)
     grad_ew = assemble(ew_rows, ew_cols, ew_vals)
     grad_ns = assemble(ns_rows, ns_cols, ns_vals)
+    conv = sp.hstack([identity, grad_ew, grad_ns, laplacian]).tocsr()
     return MeshOperators(
         level=mesh.level,
         identity=identity,
         laplacian=laplacian,
         grad_ew=grad_ew,
         grad_ns=grad_ns,
-        stacked=sp.vstack([identity, grad_ew, grad_ns, laplacian]).tocsr(),
+        conv=conv,
+        conv_t=conv.T.tocsr(),
     )
 
 

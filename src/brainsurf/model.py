@@ -85,16 +85,20 @@ class BrainSurfCNN:
         for p in self._params:
             p.tensor.zero_grad()
 
-    def forward(self, connectome) -> Tensor:
+    def forward(self, x) -> Tensor:
+        """Contrast maps [K, V] for one connectome [2M, V], or [B, K, V] for a
+        batch [B, 2M, V]; inside, activations are vertex-major [V, B, C]."""
         cfg = self.config
-        x = connectome if isinstance(connectome, Tensor) else Tensor(connectome)
+        x = x if isinstance(x, Tensor) else Tensor(x)
         expected = (cfg.input_channels, n_vertices_at_level(cfg.mesh_level))
-        if x.data.shape != expected:
-            raise ShapeMismatch(f"forward: input {x.data.shape}, model expects {expected}")
+        if x.data.ndim not in (2, 3) or x.data.shape[-2:] != expected:
+            raise ShapeMismatch(
+                f"forward: input {x.data.shape}, model expects {expected} or (B, *{expected})"
+            )
 
         slope = cfg.leaky_slope
         skips = []
-        h = x
+        h = ml.to_vertex_major(x)
         for depth, (conv_a, conv_b) in enumerate(self.encoder):
             h = ad.leaky_relu(ml.mesh_conv(conv_a, h), slope)
             h = ad.leaky_relu(ml.mesh_conv(conv_b, h), slope)
@@ -112,7 +116,8 @@ class BrainSurfCNN:
             h = ad.leaky_relu(ml.mesh_conv(conv_a, h), slope)
             h = ad.leaky_relu(ml.mesh_conv(conv_b, h), slope)
 
-        return ml.mesh_conv(self.output_layer, h)  # output is linear: contrasts are signed
+        out = ml.mesh_conv(self.output_layer, h)  # linear: contrasts are signed
+        return ml.from_vertex_major(out, single=x.data.ndim == 2)
 
     def predict(self, connectome) -> np.ndarray:
         with ad.no_grad():
@@ -177,16 +182,16 @@ def build_model(config: ModelConfig, hierarchy: MeshHierarchy) -> BrainSurfCNN:
     )
 
 
-def predict_ensemble(model: BrainSurfCNN, samples) -> np.ndarray:
-    """Elementwise mean over the forward passes of a subject's connectome
-    variants (the test-time ensemble)."""
+def predict_variants(model: BrainSurfCNN, samples) -> np.ndarray:
+    """Predictions [S, K, V] for a subject's S connectome variants, from one
+    batched no-grad forward."""
     samples = list(samples)
     if not samples:
-        raise EmptyEnsemble("predict_ensemble needs at least one connectome sample")
-    with ad.no_grad():
-        acc = np.zeros(
-            (model.config.output_channels, n_vertices_at_level(model.config.mesh_level))
-        )
-        for s in samples:
-            acc += model.forward(s).data
-    return acc / len(samples)
+        raise EmptyEnsemble("an ensemble needs at least one connectome sample")
+    return model.predict(np.stack(samples))
+
+
+def predict_ensemble(model: BrainSurfCNN, samples) -> np.ndarray:
+    """Elementwise mean over the predictions for a subject's connectome
+    variants (the test-time ensemble)."""
+    return predict_variants(model, samples).mean(axis=0)

@@ -9,7 +9,15 @@ For a batch of N subjects with predictions x_hat and targets x:
 d is the mean squared difference over all channel-vertex entries, which
 keeps the margins comparable across mesh resolutions.  L_C averages over
 all N*(N-1) ordered pairs; d is asymmetric in its arguments, so ordered
-pairs give a true average.
+pairs give a true average.  It is computed in closed form from batch sums,
+centred on the mean target t_bar:
+
+    sum_{i != j} |x_hat_i - x_j|^2 = N sum_i |x_hat_i - t_bar|^2
+                                   + N sum_j |x_j - t_bar|^2
+                                   - sum_i |x_hat_i - x_i|^2
+
+Centring avoids the cancellation of the |p|^2 - 2 p.t + |t|^2 expansion
+when the maps sit far from zero.
 """
 
 from __future__ import annotations
@@ -54,35 +62,53 @@ def distance(a, b) -> Tensor:
     return ad.square(ad.sub(a, b)).mean()
 
 
+def _batch(x) -> Tensor:
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(x, np.ndarray):
+        return Tensor(x)
+    return ad.stack(list(x))
+
+
 def rc_loss(preds, targets, margins: Margins) -> BatchLoss:
-    preds = list(preds)
-    targets = list(targets)
-    n = len(preds)
-    if n != len(targets):
-        raise ShapeMismatch(f"rc_loss: {n} predictions vs {len(targets)} targets")
+    """``preds``: an [N, ...] tensor, or a list of N per-subject tensors or
+    arrays (stacked once); ``targets``: the same, constant."""
+    p = _batch(preds)
+    t = _batch(targets)
+    n = len(p.data)
+    if n != len(t.data):
+        raise ShapeMismatch(f"rc_loss: {n} predictions vs {len(t.data)} targets")
     if n < 2:
         raise BatchTooSmall(f"contrastive term needs at least 2 subjects, got {n}")
+    if p.data.shape != t.data.shape:
+        raise ShapeMismatch(f"rc_loss: predictions {p.data.shape} vs targets {t.data.shape}")
+    if t.requires_grad:
+        raise ValueError("rc_loss: targets must be constants")
+    entries = p.data[0].size
 
-    own = [distance(preds[i], targets[i]) for i in range(n)]
-    l_r = own[0]
-    for d in own[1:]:
-        l_r = ad.add(l_r, d)
-    l_r = ad.mul_scalar(l_r, 1.0 / n)
+    own = ad.square(ad.sub(p, t))
+    own_sum = own.sum()
+    l_r = ad.mul_scalar(own_sum, 1.0 / (n * entries))
 
-    l_c = None
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = distance(preds[i], targets[j])
-            l_c = d if l_c is None else ad.add(l_c, d)
-    l_c = ad.mul_scalar(l_c, 1.0 / (n * (n - 1)))
+    # Centre on the mean target in two parts: the first-pass mean, then the
+    # (tiny) mean of the residuals about it.  Subtracting them one after the
+    # other keeps the targets' sum about the centre at zero to full precision
+    # even when the maps sit far from zero; their rounded sum would not.
+    centre = t.data.mean(axis=0)
+    residual = (t.data - centre).mean(axis=0)
+    shape = p.data.shape
+    dev_p = ad.sub(ad.sub(p, np.broadcast_to(centre, shape)), np.broadcast_to(residual, shape))
+    spread_p = ad.square(dev_p).sum()
+    spread_t = float(np.square(t.data - centre - residual).sum())
+    cross = ad.sub(ad.add_scalar(ad.mul_scalar(spread_p, n), n * spread_t), own_sum)
+    l_c = ad.mul_scalar(cross, 1.0 / (n * (n - 1) * entries))
 
     hinge_r = ad.clamp_min_zero(ad.add_scalar(l_r, -margins.alpha))
     hinge_c = ad.clamp_min_zero(ad.add_scalar(ad.sub(l_r, l_c), margins.beta))
     l_rc = ad.add(hinge_r, hinge_c)
 
-    return BatchLoss(l_r=l_r, l_c=l_c, l_rc=l_rc, per_subject=[d.item() for d in own])
+    per_subject = own.data.reshape(n, -1).mean(axis=1)
+    return BatchLoss(l_r=l_r, l_c=l_c, l_rc=l_rc, per_subject=[float(d) for d in per_subject])
 
 
 def init_margins(model: BrainSurfCNN, training_set) -> Margins:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
 from .fileio import JsonConfig, save_checkpoint
@@ -123,12 +122,12 @@ def train_phase(
                 segment = rng.integers(0, SEGMENTS_PER_SUBJECT, size=batch.size)
             else:
                 segment = np.zeros(batch.size, dtype=int)
-            preds = [
-                model.forward(subjects[i].samples[int(k)]) for i, k in zip(batch, segment)
-            ]
-            targets = [subjects[i].target for i in batch]
+            preds = model.forward(
+                np.stack([subjects[i].samples[int(k)] for i, k in zip(batch, segment)])
+            )
+            targets = np.stack([subjects[i].target for i in batch])
 
-            if use_rc_loss or len(preds) >= 2:
+            if use_rc_loss or batch.size >= 2:
                 # rc_loss raises BatchTooSmall for singleton phase-2 batches.
                 batch_loss: BatchLoss = rc_loss(
                     preds, targets, margins if margins is not None else Margins(0.0, 0.0)
@@ -138,7 +137,7 @@ def train_phase(
                 sums["l_c"] += batch_loss.l_c.item()
                 sums["l_rc"] += batch_loss.l_rc.item()
             else:
-                loss = distance(preds[0], targets[0])
+                loss = distance(preds, targets)
                 sums["l_r"] += loss.item()
 
             model.zero_grad()
@@ -240,11 +239,9 @@ def validation_hook(val_subjects: list[TrainSubject], out_path: str | Path):
     path = Path(out_path)
 
     def hook(epoch: int, model: BrainSurfCNN) -> None:
-        with ad.no_grad():
-            losses = [
-                float(np.mean((model.forward(s.samples[0]).data - s.target) ** 2))
-                for s in val_subjects
-            ]
+        preds = model.predict(np.stack([s.samples[0] for s in val_subjects]))
+        targets = np.stack([s.target for s in val_subjects])
+        losses = np.mean((preds - targets) ** 2, axis=(1, 2))
         rows.append((epoch, float(np.mean(losses))))
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)

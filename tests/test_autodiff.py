@@ -45,19 +45,29 @@ class TestForwardOps:
         assert "(2, 3)" in str(exc.value) and "(3, 2)" in str(exc.value)
 
     def test_sparse_matmul_matches_dense(self):
+        # The operator acts along axis 0, whatever the trailing shape.
         rng = np.random.default_rng(0)
         dense = rng.standard_normal((5, 5))
         dense[np.abs(dense) < 0.7] = 0.0
         s = sp.csr_matrix(dense)
-        x = rng.standard_normal((3, 5))
+        x = rng.standard_normal((5, 3))
         out = ad.sparse_matmul(s, Tensor(x))
-        assert np.allclose(out.data, (dense @ x.T).T, atol=1e-14)
+        assert np.allclose(out.data, dense @ x, atol=1e-14)
+        x3 = rng.standard_normal((5, 2, 3))
+        out3 = ad.sparse_matmul(s, Tensor(x3))
+        assert np.allclose(out3.data, np.einsum("uv,vbc->ubc", dense, x3), atol=1e-14)
+        with pytest.raises(ShapeMismatch):
+            ad.sparse_matmul(s, Tensor(x.T))
 
     def test_concat_channels(self):
-        a = Tensor(np.ones((2, 4)))
-        b = Tensor(np.zeros((3, 4)))
+        # Channels are the last axis; the leading (vertex, batch) axes must agree.
+        a = Tensor(np.ones((4, 2, 2)))
+        b = Tensor(np.zeros((4, 2, 3)))
         out = ad.concat_channels([a, b])
-        assert out.shape == (5, 4)
+        assert out.shape == (4, 2, 5)
+        assert np.array_equal(out.data[..., :2], a.data)
+        with pytest.raises(ShapeMismatch):
+            ad.concat_channels([a, Tensor(np.zeros((4, 3, 3)))])
 
     def test_leaky_relu_values(self):
         x = Tensor(np.array([-2.0, 3.0]))
@@ -120,12 +130,12 @@ class TestGradCheck:
 
     def test_linear_layer(self):
         rng = np.random.default_rng(3)
-        w = Param("w", trainable(rng.standard_normal((4, 6))))
+        w = Param("w", trainable(rng.standard_normal((6, 4))))
         b = Param("b", trainable(rng.standard_normal(4)))
-        x = rng.standard_normal((6, 9))
+        x = rng.standard_normal((9, 6))
 
         def f():
-            return ad.add_bias(ad.matmul(w.tensor, Tensor(x)), b.tensor).mean()
+            return ad.add_bias(ad.matmul(Tensor(x), w.tensor), b.tensor).mean()
 
         assert grad_check(f, [w, b]) < 1e-9
 

@@ -151,6 +151,8 @@ class TestPredict:
         assert (tiny_run / "p1" / "sub004.bin").read_bytes() == (tiny_run / "p2" / "sub004.bin").read_bytes()
 
     def test_sample_dump_mean_equals_ensemble(self, tiny_run):
+        from brainsurf.connectome import load_dataset
+
         assert cli.main([
             "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
             "--data", str(tiny_run / "data"), "--out", str(tiny_run / "pd"),
@@ -158,7 +160,13 @@ class TestPredict:
         ]) == 0
         ens = read_tensor(tiny_run / "pd" / "sub004.bin")
         stack = [read_tensor(tiny_run / "pd" / f"sub004_sample_{k}.bin") for k in range(8)]
-        assert np.abs(np.mean(stack, axis=0) - ens).max() < 1e-12
+        assert np.abs(np.mean(stack, axis=0) - ens).max() <= 1e-12 * np.abs(ens).max()
+        # Each dumped map is that variant's own single-subject prediction.
+        model = cli._load_model(tiny_run / "run" / "checkpoint_final.bin")
+        samples = load_dataset(tiny_run / "data").samples("sub004")
+        for dumped, sample in zip(stack, samples):
+            single = model.predict(sample)
+            assert np.abs(dumped - single).max() <= 1e-12 * np.abs(single).max()
 
     def test_missing_subject_exit_4(self, tiny_run, capsys):
         rc = cli.main([
@@ -242,6 +250,51 @@ class TestEvaluate:
             "--out", str(tiny_run / "eval3"),
         ])
         assert rc == 5
+
+    def test_constant_prediction_map_reports_nan(self, tiny_run, capsys):
+        # A collapsed model predicts a constant map: its correlations are
+        # undefined (NaN in the report), not an input error.
+        from brainsurf.connectome import load_dataset
+        from brainsurf.fileio import write_tensor
+
+        ds = load_dataset(tiny_run / "data")
+        collapsed = tiny_run / "collapsed"
+        collapsed.mkdir()
+        for sid in ds.test_ids:
+            write_tensor(collapsed / f"{sid}.bin", np.full_like(ds.target(sid), 0.1))
+        capsys.readouterr()
+        assert cli.main([
+            "evaluate", "--data", str(tiny_run / "data"),
+            "--preds", f"collapsed={collapsed}",
+            "--out", str(tiny_run / "eval_nan"),
+        ]) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'collapsed'" in err[0] and "contrast 0, 1" in err[0]
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        payload = json.loads((tiny_run / "eval_nan" / "report.json").read_text(), parse_constant=reject)
+        rows = [r for r in payload["rows"] if r["variant"] == "collapsed"]
+        assert len(rows) == 2 and all(r["self_corr_mean"] is None for r in rows)
+        assert payload["aggregates"]["collapsed"]["id_accuracy"] is None
+        assert payload["aggregates"]["retest"]["self_corr_mean"] is not None
+        csv_rows = (tiny_run / "eval_nan" / "report.csv").read_text().splitlines()
+        assert csv_rows[1].startswith("collapsed,0,nan,nan,nan,nan,")
+
+    @pytest.mark.parametrize("kind", ["target", "retest"])
+    def test_constant_observed_map_exit_2(self, tiny_run, capsys, kind):
+        from brainsurf.fileio import write_tensor
+
+        path = tiny_run / "data" / "subjects" / "sub005" / f"{kind}.bin"
+        write_tensor(path, np.full_like(read_tensor(path), 2.0))
+        capsys.readouterr()
+        rc = cli.main([
+            "evaluate", "--data", str(tiny_run / "data"), "--out", str(tiny_run / "eval_bad"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and kind in err[0] and "zero variance" in err[0]
 
     def test_report_deterministic(self, tiny_run):
         cli.main([

@@ -58,6 +58,19 @@ class TestCorrelationMatrix:
         with pytest.raises(ZeroVariance):
             correlation_matrix(maps, maps, 0)
 
+    def test_constant_rows_detected_exactly(self):
+        # The mean of 162 copies of 0.1 is not exactly 0.1: constancy must not
+        # rest on the centred norm being 0.
+        rng = np.random.default_rng(5)
+        maps = rng.standard_normal((3, 162))
+        flat = maps.copy()
+        flat[1] = 0.1
+        with pytest.raises(ZeroVariance):
+            correlation_matrix(maps, flat, 0)
+        m = correlation_matrix(flat, maps, 0).matrix
+        assert np.isnan(m[:, 1]).all() and np.isfinite(np.delete(m, 1, axis=1)).all()
+        assert np.isnan(subject_id_accuracy(CorrMatrix(0, m)))
+
     def test_affine_rescaling_of_column_invariant(self):
         rng = np.random.default_rng(4)
         preds = rng.standard_normal((4, 30))

@@ -146,6 +146,24 @@ class TestOperators:
             _tangent_frame(np.array([0.0, 0.0, 1.0]))
 
 
+class TestConvOperator:
+    @settings(max_examples=40, deadline=None)
+    @given(level=st.integers(0, 4), c=st.floats(-1e6, 1e6))
+    def test_constant_survives_identity_block_only(self, level, c):
+        # H = [I | grad_ew | grad_ns | L]: the gradients and the Laplacian
+        # annihilate a constant, the identity block passes it through.
+        ops = operators(level)
+        n = n_vertices_at_level(level)
+        out = ops.conv @ np.full(4 * n, c)
+        assert np.abs(out - c).max() <= 1e-10 * max(1.0, abs(c))
+
+    def test_blocks_in_weight_order(self):
+        ops = operators(1)
+        blocks = sp.hstack([ops.identity, ops.grad_ew, ops.grad_ns, ops.laplacian])
+        assert abs(ops.conv - blocks).max() == 0.0
+        assert abs(ops.conv_t - ops.conv.T).max() == 0.0
+
+
 class TestPoolMap:
     def test_level1_to_0_rows(self):
         pm = build_pool_map(icosphere(1), icosphere(0))

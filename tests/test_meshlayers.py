@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brainsurf import autodiff as ad
 from brainsurf.autodiff import Param, ShapeMismatch, Tensor, backward, grad_check
-from brainsurf.icosphere import build_pool_map, icosphere, operators
+from brainsurf.icosphere import build_hierarchy, build_pool_map, icosphere, operators
 from brainsurf.meshlayers import (
     init_conv_layer,
     mesh_conv,
@@ -153,6 +155,45 @@ class TestMeshUnpool:
         c = np.full((1, 42), 2.25)
         roundtrip = mesh_pool(pm, mesh_unpool(pm, c))
         assert np.abs(roundtrip.data - 2.25).max() < 1e-12
+
+
+class TestVertexMajorBatch:
+    def test_conv_batch_equals_single_subjects(self):
+        layer = make_layer(3, 5, 2, seed=11)
+        layer.bias.tensor.data[...] = np.arange(5.0)
+        xs = np.random.default_rng(11).standard_normal((4, 3, 162))  # [B, C, V]
+        batched = mesh_conv(layer, np.ascontiguousarray(xs.transpose(2, 0, 1))).data  # [V, B, C']
+        for b, x in enumerate(xs):
+            single = mesh_conv(layer, x).data
+            assert np.abs(batched[:, b, :].T - single).max() <= 1e-12 * np.abs(single).max()
+
+    def test_conv_grad_check_on_batch(self):
+        layer = make_layer(2, 3, 2, seed=12)
+        x = Param("x", Tensor(np.random.default_rng(12).standard_normal((162, 2, 2)), requires_grad=True))
+
+        def f():
+            return ad.square(mesh_conv(layer, x.tensor)).mean()
+
+        err = grad_check(f, [layer.weights, layer.bias, x], max_coords=120, seed=0)
+        assert err < 1e-6
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fine_level=st.integers(1, 4),
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 3),
+        c=st.floats(-1e6, 1e6),
+    )
+    def test_pool_and_unpool_preserve_constants(self, fine_level, batch, channels, c):
+        pm = build_hierarchy(fine_level).pool_map(fine_level)
+        n_fine, n_coarse = pm.pool_matrix.shape[1], pm.pool_matrix.shape[0]
+        tol = 1e-12 * max(1.0, abs(c))
+        pooled = mesh_pool(pm, np.full((n_fine, batch, channels), c)).data
+        assert pooled.shape == (n_coarse, batch, channels)
+        assert np.abs(pooled - c).max() <= tol
+        unpooled = mesh_unpool(pm, np.full((n_coarse, batch, channels), c)).data
+        assert unpooled.shape == (n_fine, batch, channels)
+        assert np.abs(unpooled - c).max() <= tol
 
 
 class TestPermutationConsistency:

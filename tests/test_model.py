@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brainsurf.autodiff import ShapeMismatch, grad_check
+from brainsurf.autodiff import ShapeMismatch, backward, grad_check
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import (
     ConfigError,
@@ -95,6 +95,45 @@ class TestForward:
         assert np.array_equal(model2.forward(x).data, before)
 
 
+def max_rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestBatching:
+    """One batched graph computes what the per-subject graphs computed."""
+
+    def test_batch_forward_equals_stacked_single_forwards(self, hierarchy):
+        model = build_model(ModelConfig(seed=17), hierarchy)
+        xs = np.random.default_rng(17).standard_normal((3, 10, 162))
+        batched = model.forward(xs).data
+        assert batched.shape == (3, 4, 162)
+        assert max_rel(batched, np.stack([model.forward(x).data for x in xs])) <= 1e-12
+
+    def test_batch_shape_mismatch(self, hierarchy):
+        model = build_model(ModelConfig(), hierarchy)
+        with pytest.raises(ShapeMismatch):
+            model.forward(np.zeros((2, 10, 42)))
+
+    def test_rc_loss_gradients_batched_equal_per_subject(self, hierarchy):
+        cfg = ModelConfig(encoder_widths=(8, 16), bottleneck_width=32, seed=18)
+        model = build_model(cfg, hierarchy)
+        rng = np.random.default_rng(18)
+        xs = rng.standard_normal((3, 10, 162))
+        ts = rng.standard_normal((3, 4, 162))
+
+        def loss_and_grads(preds):
+            out = rc_loss(preds, ts, Margins(0.0, 1.0))
+            model.zero_grad()
+            backward(out.l_rc)
+            return out.l_rc.item(), [p.tensor.grad.copy() for p in model.parameters()]
+
+        loss_b, grads_b = loss_and_grads(model.forward(xs))
+        loss_s, grads_s = loss_and_grads([model.forward(x) for x in xs])
+        assert abs(loss_b - loss_s) <= 1e-12 * abs(loss_s)
+        for gb, gs in zip(grads_b, grads_s):
+            assert max_rel(gb, gs) <= 1e-12
+
+
 class TestGradCheckEndToEnd:
     def test_full_model_through_rc_loss(self, hierarchy):
         # Smaller widths keep the subsampled finite-difference pass fast.
@@ -128,8 +167,8 @@ class TestPredictEnsemble:
         rng = np.random.default_rng(15)
         samples = [rng.standard_normal((10, 162)) for _ in range(8)]
         out = predict_ensemble(model, samples)
-        manual = np.mean([model.forward(s).data for s in samples], axis=0)
-        assert np.abs(out - manual).max() < 1e-12
+        manual = np.mean([model.predict(s) for s in samples], axis=0)
+        assert max_rel(out, manual) <= 1e-12
 
     def test_empty_ensemble(self, hierarchy):
         model = build_model(ModelConfig(seed=16), hierarchy)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brainsurf import autodiff as ad
 from brainsurf.autodiff import ShapeMismatch, Tensor, backward
@@ -147,6 +149,46 @@ class TestRcLoss:
         backward(ad.sub(out2.l_r, out2.l_c))
         for g, p2 in zip(grads_full, preds2):
             assert np.allclose(g, p2.grad, atol=1e-14)
+
+
+class TestRcLossProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 50)),
+        offsets=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        same_offset=st.booleans(),
+        log_scale=st.floats(-3.0, 2.0),
+        margins=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_pair_oracle(self, n, shape, offsets, same_offset, log_scale, margins, seed):
+        # The closed form against the N(N-1) explicit pairs, for both input
+        # forms; maps far from zero relative to their spread are the hard case.
+        rng = np.random.default_rng(seed)
+        off_p, off_t = (offsets[0], offsets[0]) if same_offset else offsets
+        scale = 10.0**log_scale
+        preds = off_p + scale * rng.standard_normal((n, *shape))
+        targets = off_t + scale * rng.standard_normal((n, *shape))
+        l_r, l_c, l_rc = brute_force_rc(preds, targets, *margins)
+        tol_rc = 1e-12 * max(l_r, l_c, *margins)
+        for out in (
+            rc_loss([Tensor(p) for p in preds], list(targets), Margins(*margins)),
+            rc_loss(Tensor(preds), targets, Margins(*margins)),
+        ):
+            assert abs(out.l_r.item() - l_r) <= 1e-12 * l_r
+            assert abs(out.l_c.item() - l_c) <= 1e-12 * l_c
+            assert abs(out.l_rc.item() - l_rc) <= tol_rc
+
+    def test_list_and_batch_gradients_agree(self):
+        rng = np.random.default_rng(14)
+        preds = rng.standard_normal((3, 2, 20))
+        targets = rng.standard_normal((3, 2, 20))
+        listed = [Tensor(p, requires_grad=True) for p in preds]
+        backward(rc_loss(listed, targets, Margins(0.0, 1.0)).l_rc)
+        batch = Tensor(preds, requires_grad=True)
+        backward(rc_loss(batch, targets, Margins(0.0, 1.0)).l_rc)
+        assert np.abs(np.stack([p.grad for p in listed]) - batch.grad).max() == 0.0
 
 
 class TestSchedule:
