@@ -179,19 +179,6 @@ def add_scalar(a, c: float) -> Tensor:
     return out
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul: shapes {a.data.shape} and {b.data.shape} incompatible")
-    out = _result(a.data @ b.data, (a, b))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-        out._backward_fn = backward
-    return out
-
-
 def _along_axis0(matrix: sp.spmatrix, a: np.ndarray) -> np.ndarray:
     # A C-contiguous a is viewed as [rows, rest] and back: no copy either way.
     out = matrix @ a.reshape(a.shape[0], -1)
@@ -303,20 +290,6 @@ def concat_channels(parts: Sequence) -> Tensor:
             for t, c in zip(tensors, sizes):
                 _accumulate(t, g[..., start : start + c])
                 start += c
-        out._backward_fn = backward
-    return out
-
-
-def add_bias(x, b) -> Tensor:
-    """x: [..., C] plus per-channel bias b: [C]."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if x.data.ndim == 0 or b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
-        raise ShapeMismatch(f"add_bias: shapes {x.data.shape} and {b.data.shape} incompatible")
-    out = _result(x.data + b.data, (x, b))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, g)
-            _accumulate(b, g.reshape(-1, b.data.shape[0]).sum(axis=0))
         out._backward_fn = backward
     return out
 

@@ -2,9 +2,10 @@
 and gradient verification, each deterministic given its config.
 
 Exit codes are a stable contract: 0 success, 2 bad config or unreadable input
-(missing, truncated or corrupt file; a constant target or retest map), 3
-numeric failure (NaN loss; the last good checkpoint is retained), 4 unknown
-subject, 5 subject-set mismatch.
+(missing, truncated or corrupt file; a constant target or retest map; a
+repeated ``--subjects`` id; fewer than 2 subjects to evaluate; a ``--preds``
+name that is repeated or reserved), 3 numeric failure (NaN loss; the last good
+checkpoint is retained), 4 unknown subject, 5 subject-set mismatch.
 ``gradcheck`` exits 1 when the gradient check fails.
 """
 
@@ -302,12 +303,21 @@ def _load_baseline(path: str | Path) -> tuple[ParcelRegressor, Parcellation]:
     return regressor, parcellation
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.data)
-    requested = args.subjects.split(",") if args.subjects else list(dataset.test_ids)
+def _subject_list(dataset: Dataset, subjects: str | None) -> list[str]:
+    """The comma-separated ``--subjects`` ids, or the test subjects."""
+    requested = subjects.split(",") if subjects else list(dataset.test_ids)
     unknown = [sid for sid in requested if sid not in dataset.all_ids]
     if unknown:
         raise MissingSubjects(f"unknown subjects: {', '.join(unknown)}")
+    repeated = sorted({sid for sid in requested if requested.count(sid) > 1})
+    if repeated:
+        raise ConfigError(f"--subjects repeats {', '.join(repeated)}")
+    return requested
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    dataset = load_dataset(args.data)
+    requested = _subject_list(dataset, args.subjects)
 
     model = _load_model(args.model)
     out = Path(args.out)
@@ -346,10 +356,9 @@ def _stack_variant(pred_dir: Path, subjects: list[str], name: str) -> np.ndarray
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
-    subjects = args.subjects.split(",") if args.subjects else list(dataset.test_ids)
-    unknown = [sid for sid in subjects if sid not in dataset.all_ids]
-    if unknown:
-        raise MissingSubjects(f"unknown subjects: {', '.join(unknown)}")
+    subjects = _subject_list(dataset, args.subjects)
+    if len(subjects) < 2:
+        raise ConfigError(f"evaluate needs at least 2 subjects to fingerprint, got {len(subjects)}")
 
     targets = np.stack([dataset.target(sid) for sid in subjects])
     retest = np.stack([dataset.retest(sid) for sid in subjects])
@@ -359,6 +368,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if "=" not in spec_arg:
             raise ConfigError(f"--preds expects NAME=DIR, got {spec_arg!r}")
         name, pred_dir = spec_arg.split("=", 1)
+        if name in ("group_average", "retest"):
+            raise ConfigError(f"--preds name {name!r} is reserved for a built-in report row")
+        if name in variants:
+            raise ConfigError(f"--preds name {name!r} is given twice")
         variants[name] = _stack_variant(Path(pred_dir), subjects, name)
 
     variants["group_average"] = np.broadcast_to(_group_average(dataset), targets.shape).copy()

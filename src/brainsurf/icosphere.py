@@ -50,7 +50,8 @@ class Icosphere:
         level: subdivision depth (0 = icosahedron).
         vertices: [V, 3] unit-sphere positions.
         faces: [F, 3] triangle vertex indices.
-        adjacency: per-vertex sorted arrays of 1-ring neighbor indices.
+        adjacency: [V, V] CSR 1-ring adjacency, A_ij = 1 when i and j share
+            an edge; column indices sorted within each row.
         parent_edges: [V - V_coarse, 2] for level >= 1; row j holds the two
             coarse endpoints whose edge midpoint became vertex V_coarse + j.
             None at level 0.
@@ -59,7 +60,7 @@ class Icosphere:
     level: int
     vertices: np.ndarray
     faces: np.ndarray
-    adjacency: tuple[np.ndarray, ...]
+    adjacency: sp.csr_matrix
     parent_edges: np.ndarray | None
 
     @property
@@ -75,7 +76,7 @@ class Icosphere:
         return 3 * self.faces.shape[0] // 2
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(nbrs) for nbrs in self.adjacency])
+        return np.diff(self.adjacency.indptr)
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,12 @@ def n_vertices_at_level(level: int) -> int:
     return 10 * 4**level + 2
 
 
-def _build_adjacency(n_vertices: int, faces: np.ndarray) -> tuple[np.ndarray, ...]:
+def _build_adjacency(n_vertices: int, faces: np.ndarray) -> sp.csr_matrix:
     edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    both = np.concatenate([edges, edges[:, ::-1]])
-    both = np.unique(both, axis=0)
-    counts = np.bincount(both[:, 0], minlength=n_vertices)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return tuple(
-        np.ascontiguousarray(both[offsets[i] : offsets[i + 1], 1]) for i in range(n_vertices)
-    )
+    rows, cols = np.concatenate([edges, edges[:, ::-1]]).T
+    adjacency = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n_vertices, n_vertices))
+    adjacency.data[:] = 1.0  # an edge is listed once by each of its two faces
+    return adjacency
 
 
 def base_icosahedron() -> Icosphere:
@@ -195,64 +193,60 @@ def icosphere(level: int) -> Icosphere:
     return subdivide(icosphere(level - 1))
 
 
-def _tangent_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # east = normalized d/d(longitude), north = d/d(latitude); both unit for unit p.
-    r = math.hypot(p[0], p[1])
-    if r < _POLE_EPS:
-        raise DegenerateFrame(f"vertex {p} lies within {_POLE_EPS} of a pole")
-    east = np.array([-p[1], p[0], 0.0]) / r
-    north = np.array([-p[2] * p[0], -p[2] * p[1], r * r]) / r
-    return east, north
+def _tangent_frames(p: np.ndarray) -> np.ndarray:
+    """[V, 3, 3] orthonormal frames; rows east, north, radial per vertex.
+
+    east = normalized d/d(longitude), north = d/d(latitude); both unit for
+    unit p.
+    """
+    r = np.hypot(p[:, 0], p[:, 1])
+    if (r < _POLE_EPS).any():
+        raise DegenerateFrame(f"vertex {p[np.argmin(r)]} lies within {_POLE_EPS} of a pole")
+    east = np.stack([-p[:, 1], p[:, 0], np.zeros_like(r)], axis=1) / r[:, None]
+    north = np.stack([-p[:, 2] * p[:, 0], -p[:, 2] * p[:, 1], r * r], axis=1) / r[:, None]
+    return np.stack([east, north, p], axis=1)
+
+
+def _ring_operator(mesh: Icosphere, diag: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
+    """[V, V] CSR on the closed 1-ring: ``diag`` on the diagonal, ``off`` on
+    the entries of ``mesh.adjacency`` in its CSR order."""
+    n = mesh.n_vertices
+    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), mesh.degrees())])
+    cols = np.concatenate([np.arange(n), mesh.adjacency.indices])
+    return sp.csr_matrix((np.concatenate([diag, off]), (rows, cols)), shape=(n, n))
 
 
 def build_operators(mesh: Icosphere) -> MeshOperators:
     """Derive the sparse operators used by mesh convolution.
 
-    The Laplacian is the uniform graph Laplacian (L_ii = 1, L_ij = -1/deg(i)
-    for neighbors).  The two gradient operators estimate the tangential
-    gradient at each vertex by a least-squares linear fit of neighbor value
-    differences against neighbor displacements expressed in the local
-    orthonormal frame (east, north, radial); the east and north fit
-    coefficients give the operator rows.  Fitting in the full 3-D frame
-    rather than on tangential coordinates alone makes the operators exact on
-    fields that are linear in the ambient coordinates.
+    The Laplacian is the uniform graph Laplacian I - D^-1 A (L_ii = 1,
+    L_ij = -1/deg(i) for neighbors).  The two gradient operators estimate
+    the tangential gradient at each vertex by a least-squares linear fit of
+    neighbor value differences against the neighbor displacements a_ik,
+    expressed in the local orthonormal frame (east, north, radial): neighbor
+    k of vertex i gets the weight G_i^-1 a_ik with G_i = sum_k a_ik a_ik^T,
+    whose east and north components give the operator rows; the diagonal
+    entry is minus the row sum.  Fitting in the full 3-D frame rather than on
+    tangential coordinates alone makes the operators exact on fields that
+    are linear in the ambient coordinates.
     """
-    v = mesh.vertices
+    v, adjacency = mesh.vertices, mesh.adjacency
     n = v.shape[0]
+    deg = mesh.degrees()
+    rows = np.repeat(np.arange(n), deg)
+    starts = adjacency.indptr[:-1]
 
-    lap_rows, lap_cols, lap_vals = [], [], []
-    ew_rows, ew_cols, ew_vals = [], [], []
-    ns_rows, ns_cols, ns_vals = [], [], []
+    a = np.einsum("eij,ej->ei", _tangent_frames(v)[rows], v[adjacency.indices] - v[rows])
+    gram = np.add.reduceat(a[:, :, None] * a[:, None, :], starts, axis=0)  # [V, 3, 3]
+    weights = np.linalg.solve(gram[rows], a[:, :, None])[:, :, 0]  # [nnz, 3]
 
-    for i in range(n):
-        nbrs = mesh.adjacency[i]
-        deg = len(nbrs)
-        lap_rows.append(np.full(deg + 1, i))
-        lap_cols.append(np.concatenate([[i], nbrs]))
-        lap_vals.append(np.concatenate([[1.0], np.full(deg, -1.0 / deg)]))
-
-        east, north = _tangent_frame(v[i])
-        frame = np.stack([east, north, v[i]])  # 3 x 3, rows orthonormal
-        disp = v[nbrs] - v[i]  # deg x 3
-        a = disp @ frame.T  # deg x 3 local coordinates
-        coeff = np.linalg.solve(a.T @ a, a.T)  # 3 x deg; rows: east, north, radial weights
-
-        for rows, cols, vals, w in ((ew_rows, ew_cols, ew_vals, coeff[0]),
-                                    (ns_rows, ns_cols, ns_vals, coeff[1])):
-            rows.append(np.full(deg + 1, i))
-            cols.append(np.concatenate([[i], nbrs]))
-            vals.append(np.concatenate([[-w.sum()], w]))
-
-    def assemble(rows, cols, vals):
-        m = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        )
-        return m.tocsr()
+    def gradient(w: np.ndarray) -> sp.csr_matrix:
+        return _ring_operator(mesh, -np.add.reduceat(w, starts), w)
 
     identity = sp.identity(n, format="csr")
-    laplacian = assemble(lap_rows, lap_cols, lap_vals)
-    grad_ew = assemble(ew_rows, ew_cols, ew_vals)
-    grad_ns = assemble(ns_rows, ns_cols, ns_vals)
+    laplacian = _ring_operator(mesh, np.ones(n), np.repeat(-1.0 / deg, deg))
+    grad_ew = gradient(weights[:, 0])
+    grad_ns = gradient(weights[:, 1])
     conv = sp.hstack([identity, grad_ew, grad_ns, laplacian]).tocsr()
     return MeshOperators(
         level=mesh.level,
@@ -272,17 +266,10 @@ def operators(level: int) -> MeshOperators:
 
 def closed_ring_mean(mesh: Icosphere, n_rows: int) -> sp.csr_matrix:
     """[n_rows, V] matrix whose row i is the mean over vertex i and its
-    1-ring neighbors in ``mesh``."""
-    rows, cols, vals = [], [], []
-    for i in range(n_rows):
-        contrib = np.concatenate([[i], mesh.adjacency[i]])
-        rows.append(np.full(contrib.shape[0], i))
-        cols.append(contrib)
-        vals.append(np.full(contrib.shape[0], 1.0 / contrib.shape[0]))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, mesh.n_vertices),
-    ).tocsr()
+    1-ring neighbors in ``mesh``: the row-normalized (I + A)[:n_rows]."""
+    deg = mesh.degrees()
+    share = 1.0 / (deg + 1)
+    return _ring_operator(mesh, share, np.repeat(share, deg))[:n_rows]
 
 
 def build_pool_map(fine: Icosphere, coarse: Icosphere) -> PoolMap:

@@ -50,7 +50,6 @@ class BatchLoss:
     l_r: Tensor
     l_c: Tensor
     l_rc: Tensor
-    per_subject: list[float]  # d(x_hat_i, x_i) per batch subject
 
 
 def distance(a, b) -> Tensor:
@@ -106,37 +105,25 @@ def rc_loss(preds, targets, margins: Margins) -> BatchLoss:
     hinge_r = ad.clamp_min_zero(ad.add_scalar(l_r, -margins.alpha))
     hinge_c = ad.clamp_min_zero(ad.add_scalar(ad.sub(l_r, l_c), margins.beta))
     l_rc = ad.add(hinge_r, hinge_c)
-
-    per_subject = own.data.reshape(n, -1).mean(axis=1)
-    return BatchLoss(l_r=l_r, l_c=l_c, l_rc=l_rc, per_subject=[float(d) for d in per_subject])
+    return BatchLoss(l_r=l_r, l_c=l_c, l_rc=l_rc)
 
 
 def init_margins(model: BrainSurfCNN, training_set) -> Margins:
     """Margins seeded from a converged reconstruction-only model: alpha0 is
-    the mean same-subject distance, beta0 the mean cross-subject distance,
-    both computed from ensemble-averaged predictions with no gradients.
+    the mean same-subject distance L_R, beta0 the mean cross-subject
+    distance L_C, both of ``rc_loss`` over the ensemble-averaged predictions
+    of the whole set (no gradients).
 
-    ``training_set`` yields (connectome_samples, target_contrasts) pairs.
+    ``training_set`` yields (connectome_samples, target_contrasts) pairs;
+    fewer than 2 of them raise ``BatchTooSmall``.
     """
     training_set = list(training_set)
     if not training_set:
         raise EmptySet("init_margins needs at least one training subject")
-    preds = [predict_ensemble(model, samples) for samples, _ in training_set]
-    targets = [np.asarray(t, dtype=np.float64) for _, t in training_set]
-
-    n = len(preds)
-    alpha0 = float(np.mean([np.mean((preds[i] - targets[i]) ** 2) for i in range(n)]))
-    if n == 1:
-        beta0 = 0.0
-    else:
-        cross = [
-            np.mean((preds[i] - targets[j]) ** 2)
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        ]
-        beta0 = float(np.mean(cross))
-    return Margins(alpha=alpha0, beta=beta0)
+    preds = np.stack([predict_ensemble(model, samples) for samples, _ in training_set])
+    targets = np.stack([np.asarray(t, dtype=np.float64) for _, t in training_set])
+    distances = rc_loss(preds, targets, Margins(0.0, 0.0))
+    return Margins(alpha=distances.l_r.item(), beta=distances.l_c.item())
 
 
 def schedule_margins(margins0: Margins, epoch: int) -> Margins:

@@ -19,7 +19,7 @@ from .autodiff import adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
 from .fileio import JsonConfig, save_checkpoint
 from .model import BrainSurfCNN
-from .rcloss import BatchLoss, Margins, distance, init_margins, rc_loss, schedule_margins
+from .rcloss import BatchLoss, BatchTooSmall, Margins, distance, init_margins, rc_loss, schedule_margins
 
 LOG_COLUMNS = ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta"]
 
@@ -47,7 +47,7 @@ class TrainSubject:
 class EpochStats:
     epoch: int
     l_r: float
-    l_c: float
+    l_c: float | None  # None when no batch of the epoch had 2 subjects
     l_rc: float | None
     alpha: float | None
     beta: float | None
@@ -66,7 +66,7 @@ class TrainLog:
                     [
                         r.epoch,
                         f"{r.l_r:.10g}",
-                        f"{r.l_c:.10g}",
+                        "" if r.l_c is None else f"{r.l_c:.10g}",
                         "" if r.l_rc is None else f"{r.l_rc:.10g}",
                         "" if r.alpha is None else f"{r.alpha:.10g}",
                         "" if r.beta is None else f"{r.beta:.10g}",
@@ -116,7 +116,7 @@ def train_phase(
         margins = schedule_margins(margins0, e) if use_rc_loss else None
         order = rng.permutation(len(subjects))
         sums = {"l_r": 0.0, "l_c": 0.0, "l_rc": 0.0}
-        n_batches = 0
+        n_batches = n_pair_batches = 0
         for batch in _make_batches(order, batch_size):
             if ensemble_sampling:
                 segment = rng.integers(0, SEGMENTS_PER_SUBJECT, size=batch.size)
@@ -136,6 +136,7 @@ def train_phase(
                 sums["l_r"] += batch_loss.l_r.item()
                 sums["l_c"] += batch_loss.l_c.item()
                 sums["l_rc"] += batch_loss.l_rc.item()
+                n_pair_batches += 1
             else:
                 loss = distance(preds, targets)
                 sums["l_r"] += loss.item()
@@ -152,15 +153,12 @@ def train_phase(
         stats = EpochStats(
             epoch=epoch,
             l_r=sums["l_r"] / n_batches,
-            l_c=sums["l_c"] / n_batches,
+            l_c=sums["l_c"] / n_pair_batches if n_pair_batches else None,
             l_rc=sums["l_rc"] / n_batches if use_rc_loss else None,
             alpha=margins.alpha if margins is not None else None,
             beta=margins.beta if margins is not None else None,
         )
-        if not all(
-            np.isfinite(x)
-            for x in (stats.l_r, stats.l_c, stats.l_rc if stats.l_rc is not None else 0.0)
-        ):
+        if not all(np.isfinite(x) for x in (stats.l_r, stats.l_c, stats.l_rc) if x is not None):
             raise NaNLossError(f"non-finite loss at epoch {epoch}")
         log.rows.append(stats)
 
@@ -193,7 +191,15 @@ def train_two_phase(
 ) -> tuple[TrainLog, Margins | None]:
     """Full protocol: reconstruction-only warmup, margin initialization from
     the converged model, then margin-scheduled fine-tuning (optionally with
-    its own optimizer settings)."""
+    its own optimizer settings).
+
+    Raises ``BatchTooSmall`` before any training when phase 2 is enabled with
+    fewer than 2 subjects, which its contrastive term needs.
+    """
+    if phase2_epochs > 0 and len(subjects) < 2:
+        raise BatchTooSmall(
+            f"phase 2 needs at least 2 training subjects for its contrastive term, got {len(subjects)}"
+        )
     log = TrainLog()
     rng1 = np.random.default_rng([seed, 1])
     train_phase(

@@ -117,11 +117,19 @@ class TestTrain:
         expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
         assert np.array_equal(read_tensor(tmp_path / "run" / "group_average.bin"), expected)
 
-    def test_single_training_subject_phase2_aborts(self, tmp_path):
-        cfg = write_config(tmp_path, n_train_subjects=1, n_test_subjects=1)
-        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d1")]) == 0
-        rc = cli.main(["train", "--data", str(tmp_path / "d1"), "--config", str(cfg), "--out", str(tmp_path / "r1")])
-        assert rc == 2  # BatchTooSmall from the contrastive phase
+    def test_single_training_subject_phase2_aborts(self, tmp_path, capsys):
+        # One fit subject, directly or after the validation split: phase 2
+        # cannot run, so train stops before phase 1 and writes no checkpoint.
+        for n_train, val_fraction in ((1, 0.2), (2, 0.5)):
+            cfg = write_config(tmp_path, n_train_subjects=n_train, n_test_subjects=1, val_fraction=val_fraction)
+            data, run = tmp_path / f"d{n_train}", tmp_path / f"r{n_train}"
+            assert cli.main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+            capsys.readouterr()
+            rc = cli.main(["train", "--data", str(data), "--config", str(cfg), "--out", str(run)])
+            assert rc == 2  # BatchTooSmall: the contrastive phase needs 2 subjects
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
+            assert not list(run.glob("checkpoint_*.bin"))
 
     def test_nan_loss_exit_3(self, tmp_path, tiny_run):
         cfg = write_config(tmp_path, optimizer={"lr": 1e120}, phase1_epochs=4, phase2_epochs=0)
@@ -177,6 +185,16 @@ class TestPredict:
         assert rc == 4
         err = capsys.readouterr().err
         assert "nope1" in err and "nope2" in err
+
+    def test_repeated_subject_exit_2(self, tiny_run, capsys):
+        rc = cli.main([
+            "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
+            "--data", str(tiny_run / "data"), "--out", str(tiny_run / "pr2"),
+            "--subjects", "sub004,sub005,sub004",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sub004" in err and err.count("\n") == 1
 
     def test_truncated_checkpoint_exit_2(self, tiny_run, capsys):
         full = (tiny_run / "run" / "checkpoint_final.bin").read_bytes()
@@ -295,6 +313,51 @@ class TestEvaluate:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and kind in err[0] and "zero variance" in err[0]
+
+    @pytest.mark.parametrize(
+        "subjects, code",
+        [("sub004", 2), ("sub004,sub005,sub004", 2), ("sub004,nope", 4)],
+    )
+    def test_subject_list_errors(self, tiny_run, capsys, subjects, code):
+        # One subject cannot be fingerprinted; a repeated one would tie with
+        # itself; an unknown one is a missing subject.
+        capsys.readouterr()
+        rc = cli.main([
+            "evaluate", "--data", str(tiny_run / "data"), "--subjects", subjects,
+            "--out", str(tiny_run / "eval_subj"),
+        ])
+        assert rc == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tiny_run / "eval_subj").exists()
+
+    def test_fewer_than_two_test_subjects_exit_2(self, tmp_path, capsys):
+        for n_test in (0, 1):
+            cfg = write_config(tmp_path, n_test_subjects=n_test)
+            data = tmp_path / f"d{n_test}"
+            assert cli.main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+            capsys.readouterr()
+            assert cli.main(["evaluate", "--data", str(data), "--out", str(tmp_path / "e")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("names", [["group_average"], ["retest"], ["model", "model"]])
+    def test_reserved_or_repeated_preds_name_exit_2(self, tiny_run, capsys, names):
+        from brainsurf.connectome import load_dataset
+        from brainsurf.fileio import write_tensor
+
+        ds = load_dataset(tiny_run / "data")
+        preds = tiny_run / "named_preds"
+        preds.mkdir()
+        for sid in ds.test_ids:
+            write_tensor(preds / f"{sid}.bin", ds.target(sid))
+        capsys.readouterr()
+        args = ["evaluate", "--data", str(tiny_run / "data"), "--out", str(tiny_run / "eval_names")]
+        for name in names:
+            args += ["--preds", f"{name}={preds}"]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(names[-1]) in err and err.count("\n") == 1
+        assert not (tiny_run / "eval_names").exists()
 
     def test_report_deterministic(self, tiny_run):
         cli.main([

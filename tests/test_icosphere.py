@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from brainsurf.icosphere import (
     DegenerateFrame,
     LevelMismatch,
-    _tangent_frame,
+    _tangent_frames,
     base_icosahedron,
     build_hierarchy,
     build_operators,
@@ -81,11 +83,12 @@ class TestSubdivide:
         assert np.allclose(mids, m.vertices[n_coarse:], atol=1e-15)
 
     def test_adjacency_sorted_and_symmetric(self):
-        m = icosphere(2)
-        for i, nbrs in enumerate(m.adjacency):
-            assert np.array_equal(nbrs, np.sort(nbrs))
-            for j in nbrs:
-                assert i in m.adjacency[j]
+        for level in range(6):
+            a = icosphere(level).adjacency
+            assert a.has_canonical_format  # sorted indices, no duplicates
+            assert (a.data == 1.0).all()
+            assert (a != a.T).nnz == 0
+            assert a.diagonal().sum() == 0.0
 
 
 class TestOperators:
@@ -112,18 +115,20 @@ class TestOperators:
             assert np.abs(out).max() < 1e-6
 
     def test_grad_matches_analytic_tangential_gradient(self):
-        # Oracle: the tangential gradient of f(p) = x on the unit sphere is
-        # (I - pp^T) e_x; its east/north components are -y/r and -z*x/r.
-        m = icosphere(4)
-        ops = operators(4)
-        v = m.vertices
-        r = np.hypot(v[:, 0], v[:, 1])
-        east_true = -v[:, 1] / r
-        north_true = -v[:, 2] * v[:, 0] / r
-        f = v[:, 0]
-        for got, want in ((ops.grad_ew @ f, east_true), (ops.grad_ns @ f, north_true)):
-            rel_rms = np.sqrt(np.mean((got - want) ** 2)) / np.sqrt(np.mean(want**2))
-            assert rel_rms < 0.10
+        # Oracle: the tangential gradient of f(p) = p_c on the unit sphere is
+        # (I - pp^T) e_c; its east/north components are east_c and north_c,
+        # with east = (-y, x, 0)/r and north = (-zx, -zy, r^2)/r.  The fit is
+        # exact on fields linear in the ambient coordinates.
+        for level in range(6):
+            v = icosphere(level).vertices
+            ops = operators(level)
+            x, y, z = v.T
+            r = np.hypot(x, y)
+            east = np.stack([-y / r, x / r, np.zeros_like(r)])
+            north = np.stack([-z * x / r, -z * y / r, r])
+            for c in range(3):
+                assert np.abs(ops.grad_ew @ v[:, c] - east[c]).max() <= 1e-12
+                assert np.abs(ops.grad_ns @ v[:, c] - north[c]).max() <= 1e-12
 
     def test_operator_linearity(self):
         ops = operators(2)
@@ -139,11 +144,64 @@ class TestOperators:
         for op in (ops.laplacian, ops.grad_ew, ops.grad_ns):
             coo = op.tocoo()
             for i, j in zip(coo.row, coo.col):
-                assert j == i or j in m.adjacency[i]
+                assert j == i or j in m.adjacency[i].indices
 
     def test_degenerate_frame_raises_at_pole(self):
         with pytest.raises(DegenerateFrame):
-            _tangent_frame(np.array([0.0, 0.0, 1.0]))
+            _tangent_frames(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+
+
+def reference_operators(mesh):
+    """Per-vertex construction: the Laplacian, the least-squares gradient
+    fit and the closed ring mean, one vertex at a time, with each 1-ring
+    read from the faces rather than from ``mesh.adjacency``."""
+    v = mesh.vertices
+    n = v.shape[0]
+    entries = {"laplacian": [], "grad_ew": [], "grad_ns": [], "ring_mean": []}
+    for i in range(n):
+        nbrs = np.setdiff1d(mesh.faces[(mesh.faces == i).any(axis=1)], [i])
+        deg = len(nbrs)
+        closed = np.concatenate([[i], nbrs])
+        r = math.hypot(v[i, 0], v[i, 1])
+        east = np.array([-v[i, 1], v[i, 0], 0.0]) / r
+        north = np.array([-v[i, 2] * v[i, 0], -v[i, 2] * v[i, 1], r * r]) / r
+        a = (v[nbrs] - v[i]) @ np.stack([east, north, v[i]]).T  # deg x 3 local coordinates
+        coeff = np.linalg.solve(a.T @ a, a.T)  # rows: east, north, radial weights
+        rows = {
+            "laplacian": np.concatenate([[1.0], np.full(deg, -1.0 / deg)]),
+            "grad_ew": np.concatenate([[-coeff[0].sum()], coeff[0]]),
+            "grad_ns": np.concatenate([[-coeff[1].sum()], coeff[1]]),
+            "ring_mean": np.full(deg + 1, 1.0 / (deg + 1)),
+        }
+        for name, vals in rows.items():
+            entries[name].append((np.full(deg + 1, i), closed, vals))
+    assembled = {}
+    for name, parts in entries.items():
+        rows, cols, vals = (np.concatenate(col) for col in zip(*parts))
+        assembled[name] = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return assembled
+
+
+class TestAgainstPerVertexReference:
+    @pytest.mark.parametrize("level", range(5))
+    def test_operators_match_reference(self, level):
+        mesh = icosphere(level)
+        ref = reference_operators(mesh)
+        ops = build_operators(mesh)
+        got = {
+            "laplacian": ops.laplacian,
+            "ring_mean": closed_ring_mean(mesh, mesh.n_vertices),
+            "grad_ew": ops.grad_ew,
+            "grad_ns": ops.grad_ns,
+        }
+        for name in ("laplacian", "ring_mean"):
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got[name], attr), getattr(ref[name], attr)), name
+        for name in ("grad_ew", "grad_ns"):
+            assert np.array_equal(got[name].indices, ref[name].indices)
+            assert np.array_equal(got[name].indptr, ref[name].indptr)
+            scale = np.abs(ref[name].data).max()
+            assert np.abs(got[name].data - ref[name].data).max() <= 1e-13 * scale
 
 
 class TestConvOperator:
@@ -194,7 +252,7 @@ class TestPoolMap:
         fine = icosphere(1)
         pm = build_pool_map(fine, icosphere(0))
         for i in range(12):
-            deg = len(fine.adjacency[i])
+            deg = fine.degrees()[i]
             assert np.allclose(pm.pool_matrix.getrow(i).data, 1.0 / (1 + deg))
 
 

@@ -111,7 +111,7 @@ class TestMeshPool:
         assert abs(out[coarse_vertex] - weight) < 1e-14
         # Mass lands only at coarse vertices adjacent to the fine neighbor.
         for i in range(12):
-            if fine_neighbor not in fine.adjacency[i]:
+            if fine_neighbor not in fine.adjacency[i].indices:
                 assert out[i] == 0.0
 
     def test_level1_to_0_matches_bruteforce_mean(self):
@@ -120,7 +120,7 @@ class TestMeshPool:
         x = np.random.default_rng(2).standard_normal((2, 42))
         out = mesh_pool(pm, x).data
         for i in range(12):
-            closed = np.concatenate([[i], fine.adjacency[i]])
+            closed = np.concatenate([[i], fine.adjacency[i].indices])
             assert np.allclose(out[:, i], x[:, closed].mean(axis=1), atol=1e-13)
 
     def test_gradient_flows(self):

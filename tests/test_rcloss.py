@@ -83,14 +83,6 @@ class TestRcLoss:
         with pytest.raises(BatchTooSmall):
             rc_loss([Tensor(x)], [x], Margins(0.0, 0.0))
 
-    def test_per_subject_breakdown(self):
-        rng = np.random.default_rng(4)
-        preds = [rng.standard_normal((2, 10)) for _ in range(3)]
-        targets = [rng.standard_normal((2, 10)) for _ in range(3)]
-        out = rc_loss([Tensor(p) for p in preds], targets, Margins(1.0, 1.0))
-        for i in range(3):
-            assert abs(out.per_subject[i] - np.mean((preds[i] - targets[i]) ** 2)) < 1e-12
-
     def test_subject_permutation_symmetry(self):
         rng = np.random.default_rng(5)
         preds = [rng.standard_normal((2, 25)) for _ in range(4)]
@@ -264,6 +256,14 @@ class TestInitMargins:
         ]
         assert abs(margins.alpha - alpha) < 1e-10
         assert abs(margins.beta - np.mean(cross)) < 1e-10
+
+    def test_single_subject_rejected(self):
+        # beta0 is a cross-subject distance: one subject does not define it.
+        hierarchy = build_hierarchy(2)
+        model = build_model(ModelConfig(seed=3), hierarchy)
+        sample = np.random.default_rng(14).standard_normal((10, 162))
+        with pytest.raises(BatchTooSmall):
+            init_margins(model, [([sample], model.predict(sample))])
 
     def test_empty_set(self):
         hierarchy = build_hierarchy(2)

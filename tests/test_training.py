@@ -93,6 +93,37 @@ class TestTrainPhase:
                 use_rc_loss=True, margins0=Margins(0.1, 0.1),
             )
 
+    def test_phase1_l_c_averages_pair_batches_only(self, hierarchy, monkeypatch, tmp_path):
+        # batch_size 1 on 4 subjects gives batches [1, 1, 2]: only the pair
+        # batch defines L_C, so the epoch's l_c is that batch's.
+        import brainsurf.training as training
+
+        seen = []
+
+        def recording_rc_loss(*args, **kwargs):
+            out = original(*args, **kwargs)
+            seen.append(out.l_c.item())
+            return out
+
+        original = training.rc_loss
+        monkeypatch.setattr(training, "rc_loss", recording_rc_loss)
+        model = build_model(TINY_MODEL, hierarchy)
+        log = train_phase(
+            model, tiny_subjects(), epochs=1, batch_size=1,
+            rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=False,
+        )
+        assert len(seen) == 1 and log.rows[0].l_c == seen[0]
+
+        # No batch with 2 subjects: L_C is undefined and its cell left empty.
+        log = train_phase(
+            model, tiny_subjects(2)[:1], epochs=1, batch_size=2,
+            rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=False,
+        )
+        assert log.rows[0].l_c is None
+        log.write_csv(tmp_path / "log.csv")
+        with open(tmp_path / "log.csv") as f:
+            assert list(csv.reader(f))[1][2] == ""
+
     def test_nan_aborts_with_previous_checkpoint(self, hierarchy, tmp_path):
         model = build_model(TINY_MODEL, hierarchy)
         subjects = tiny_subjects()
@@ -149,6 +180,19 @@ class TestTwoPhase:
         b = run(0)
         for name in a:
             assert np.array_equal(a[name], b[name])
+
+    def test_phase2_with_one_subject_fails_before_phase1(self, hierarchy, tmp_path):
+        model = build_model(TINY_MODEL, hierarchy)
+        before = {k: v.copy() for k, v in model.param_arrays().items()}
+        with pytest.raises(BatchTooSmall):
+            train_two_phase(
+                model, tiny_subjects(2)[:1], phase1_epochs=2, phase2_epochs=2, batch_size=2,
+                seed=0, checkpoint_path=tmp_path / "last.bin",
+                phase1_checkpoint_path=tmp_path / "phase1.bin",
+            )
+        assert list(tmp_path.iterdir()) == []
+        for name, value in model.param_arrays().items():
+            assert np.array_equal(value, before[name])
 
     def test_log_csv_columns(self, hierarchy, tmp_path):
         model = build_model(TINY_MODEL, hierarchy)
