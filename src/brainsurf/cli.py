@@ -2,10 +2,13 @@
 and gradient verification, each deterministic given its config.
 
 Exit codes are a stable contract: 0 success, 2 bad config or unreadable input
-(missing, truncated or corrupt file; a constant target or retest map; a
-repeated ``--subjects`` id; fewer than 2 subjects to evaluate; a ``--preds``
-name that is repeated or reserved), 3 numeric failure (NaN loss; the last good
-checkpoint is retained), 4 unknown subject, 5 subject-set mismatch.
+(a generator setting out of range, e.g. an odd ``t_per_run`` or ``n_runs``
+other than 4; fewer than 2 subjects in the cohort; ``baseline_parcels``
+outside 1..V; missing, truncated or corrupt file; a constant target or retest
+map; a repeated ``--subjects`` id; fewer than 2 subjects to evaluate; a
+``--preds`` name that is empty, repeated or reserved), 3 numeric failure (NaN
+loss; the last good checkpoint is retained), 4 unknown subject, 5
+subject-set mismatch.
 ``gradcheck`` exits 1 when the gradient check fails.
 """
 
@@ -98,8 +101,16 @@ class RunConfig(JsonConfig):
             raise ConfigError("batch size must be >= 1")
         if self.n_train_subjects < 1 or self.n_test_subjects < 0:
             raise ConfigError("subject counts must be positive")
+        if self.n_train_subjects + self.n_test_subjects < 2:
+            raise ConfigError("a cohort needs at least 2 subjects")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in [0, 1)")
+        self.generator.validate()
+        if not 1 <= self.baseline_parcels <= self.generator.n_vertices:
+            raise ConfigError(
+                f"baseline_parcels must be in 1..{self.generator.n_vertices} "
+                f"(vertices at level {self.generator.mesh_level})"
+            )
         if self.model is not None:
             self.model.validate()
             gen = self.generator
@@ -202,17 +213,14 @@ def _split_validation(train_ids: list[str], val_fraction: float) -> tuple[list[s
     return list(train_ids[:-n_val]), list(train_ids[-n_val:])
 
 
-def _fit_baseline(
-    dataset: Dataset, train_ids: list[str], parcellation: Parcellation
-) -> ParcelRegressor:
+def _fit_baseline(subjects: list[TrainSubject], parcellation: Parcellation) -> ParcelRegressor:
     # One regressor per (parcel, contrast) per training sample: all 8
     # connectome variants of every training subject participate.
-    fits = []
-    for sid in train_ids:
-        target = dataset.target(sid)
-        for sample in dataset.samples(sid):
-            fits.append(fit_subject(bank_averaged_features(sample), target, parcellation))
-    return average_regressors(fits)
+    return average_regressors([
+        fit_subject(bank_averaged_features(sample), s.target, parcellation)
+        for s in subjects
+        for sample in s.samples
+    ])
 
 
 def _group_average(dataset: Dataset) -> np.ndarray:
@@ -272,7 +280,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     mesh = icosphere(gen.mesh_level)
     parcellation = farthest_point_parcellation(mesh, cfg.baseline_parcels, seed=cfg.seed)
-    regressor = _fit_baseline(dataset, fit_ids, parcellation)
+    regressor = _fit_baseline(subjects, parcellation)
     save_checkpoint(
         out / "baseline.bin",
         {"coeffs": regressor.coeffs, "labels": regressor.labels.astype(np.float64)},
@@ -368,6 +376,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if "=" not in spec_arg:
             raise ConfigError(f"--preds expects NAME=DIR, got {spec_arg!r}")
         name, pred_dir = spec_arg.split("=", 1)
+        if not name:
+            raise ConfigError(f"--preds name {name!r} is empty")
         if name in ("group_average", "retest"):
             raise ConfigError(f"--preds name {name!r} is reserved for a built-in report row")
         if name in variants:

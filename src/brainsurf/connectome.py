@@ -20,17 +20,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import ShapeMismatch
-from .fileio import JsonConfig, read_tensor, write_tensor
+from .fileio import ConfigError, JsonConfig, read_tensor, write_tensor
 from .icosphere import closed_ring_mean, icosphere, n_vertices_at_level
 
 SEGMENTS_PER_SUBJECT = 8  # 4 runs x 2 halves
 
 
 class ZeroVariance(ValueError):
-    pass
-
-
-class OddLength(ValueError):
     pass
 
 
@@ -54,35 +50,44 @@ class GeneratorConfig(JsonConfig):
     def n_vertices(self) -> int:
         return n_vertices_at_level(self.mesh_level)
 
-    def noise_per_contrast(self) -> np.ndarray:
-        if isinstance(self.contrast_noise_std, (int, float)):
-            return np.full(self.n_contrasts, float(self.contrast_noise_std))
-        noise = np.asarray(self.contrast_noise_std, dtype=np.float64)
-        if noise.shape != (self.n_contrasts,):
-            raise ValueError(
-                f"contrast_noise_std needs {self.n_contrasts} entries, got {noise.shape}"
+    def validate(self) -> None:
+        if self.mesh_level < 0:
+            raise ConfigError("generator mesh_level must be >= 0")
+        if self.n_rois < 1 or self.n_contrasts < 1:
+            raise ConfigError("generator n_rois and n_contrasts must be >= 1")
+        if self.n_runs != 4:
+            raise ConfigError(
+                f"generator n_runs must be 4 ({SEGMENTS_PER_SUBJECT} half-run samples per subject)"
             )
-        return noise
+        if self.t_per_run < 4 or self.t_per_run % 2 != 0:
+            raise ConfigError("generator t_per_run must be even and >= 4 (two halves of >= 2 timepoints)")
+        if not abs(self.ar_coeff) < 1.0:
+            raise ConfigError("generator ar_coeff must lie in (-1, 1) for a stationary AR(1)")
+        if self.latent_candidates < 1:
+            raise ConfigError("generator latent_candidates must be >= 1")
+        noise = self.contrast_noise_std
+        if not isinstance(noise, (int, float)) and len(noise) != self.n_contrasts:
+            raise ConfigError(f"contrast_noise_std needs {self.n_contrasts} entries, got {len(noise)}")
+
+    def noise_per_contrast(self) -> np.ndarray:
+        return np.full(self.n_contrasts, self.contrast_noise_std, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class ConnectomeSample:
-    subject_id: str
     segment_index: int  # 0..7, run-major
     features: np.ndarray  # [2M, V], entries in [-1, 1]
 
 
 @dataclass(frozen=True)
 class SubjectRecord:
-    """Raw per-subject material: the 4 simulated runs (rows: left bank,
-    right bank, ROI series), the target contrasts, and a retest draw."""
+    """Per-subject material: the 8 half-run connectomes of the 4 simulated
+    runs, the target contrasts, and a retest draw."""
 
     subject_id: str
-    runs: tuple[np.ndarray, ...]  # each [2V + M, T]
+    samples: tuple[ConnectomeSample, ...]
     target_contrasts: np.ndarray  # [K, V]
     retest_contrasts: np.ndarray  # [K, V]
-    n_vertices: int
-    n_rois: int
 
 
 def pearson(x, y) -> float:
@@ -154,26 +159,18 @@ def compute_connectome(
     return np.clip(np.concatenate([corr_left, corr_right], axis=0), -1.0, 1.0)
 
 
+def half_run_connectomes(left: np.ndarray, right: np.ndarray, roi: np.ndarray) -> list[np.ndarray]:
+    """The connectomes of a run's two contiguous halves, each [2M, V]."""
+    t = roi.shape[1]
+    return [
+        compute_connectome(left[:, seg], roi[:, seg], right[:, seg])
+        for seg in (slice(0, t // 2), slice(t // 2, t))
+    ]
+
+
 def split_runs(record: SubjectRecord) -> list[ConnectomeSample]:
     """One connectome per contiguous half-run: 8 samples per subject."""
-    v, m = record.n_vertices, record.n_rois
-    samples = []
-    for run_idx, run in enumerate(record.runs):
-        t = run.shape[1]
-        if t % 2 != 0:
-            raise OddLength(f"run {run_idx} has odd length {t}")
-        left, right, roi = run[:v], run[v : 2 * v], run[2 * v :]
-        for half in (0, 1):
-            seg = slice(0, t // 2) if half == 0 else slice(t // 2, t)
-            features = compute_connectome(left[:, seg], roi[:, seg], right[:, seg])
-            samples.append(
-                ConnectomeSample(
-                    subject_id=record.subject_id,
-                    segment_index=2 * run_idx + half,
-                    features=features,
-                )
-            )
-    return samples
+    return list(record.samples)
 
 
 def _smooth_fields(rng: np.random.Generator, smoother: sp.csr_matrix, n_fields: int, steps: int) -> np.ndarray:
@@ -204,6 +201,9 @@ def _ar1(rng: np.random.Generator, n_series: int, t: int, coeff: float) -> np.nd
 
 
 def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[SubjectRecord]:
+    """Each run's raw series live only until its two half-run connectomes
+    are computed: memory grows by connectomes, not timeseries."""
+    cfg.validate()
     if n_subjects < 2:
         raise ValueError(f"a cohort needs at least 2 subjects, got {n_subjects}")
     rng = np.random.default_rng(seed)
@@ -251,12 +251,13 @@ def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[Su
         accepted_coeffs.append(coeff)
         weights = roi_profiles + cfg.roi_deviation * latents[:, None] * roi_deviation_basis
 
-        runs = []
-        for _ in range(cfg.n_runs):
+        samples = []
+        for run_idx in range(cfg.n_runs):
             roi_ts = _ar1(rng, m, cfg.t_per_run, cfg.ar_coeff)
             left = weights.T @ roi_ts + cfg.timeseries_noise_std * rng.standard_normal((v, cfg.t_per_run))
             right = weights.T @ roi_ts + cfg.timeseries_noise_std * rng.standard_normal((v, cfg.t_per_run))
-            runs.append(np.vstack([left, right, roi_ts]))
+            for half, features in enumerate(half_run_connectomes(left, right, roi_ts)):
+                samples.append(ConnectomeSample(segment_index=2 * run_idx + half, features=features))
 
         clean = group_maps + cfg.contrast_deviation * (coeff @ contrast_basis)
         target = clean + noise_k[:, None] * rng.standard_normal((k, v))
@@ -265,11 +266,9 @@ def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[Su
         records.append(
             SubjectRecord(
                 subject_id=f"sub{s:03d}",
-                runs=tuple(runs),
+                samples=tuple(samples),
                 target_contrasts=target,
                 retest_contrasts=retest,
-                n_vertices=v,
-                n_rois=m,
             )
         )
     return records
@@ -322,7 +321,7 @@ def save_dataset(
     for record in train_records + test_records:
         subject_dir = root / "subjects" / record.subject_id
         subject_dir.mkdir(parents=True, exist_ok=True)
-        for sample in split_runs(record):
+        for sample in record.samples:
             write_tensor(subject_dir / f"sample_{sample.segment_index}.bin", sample.features)
         write_tensor(subject_dir / "target.bin", record.target_contrasts)
         write_tensor(subject_dir / "retest.bin", record.retest_contrasts)

@@ -69,6 +69,32 @@ class TestGenData:
         path.write_text("{not json")
         assert cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"mesh_level": -1},
+        {"n_rois": 0},
+        {"n_contrasts": 0},
+        {"t_per_run": 61},
+        {"t_per_run": 2},
+        {"ar_coeff": 1.5},
+        {"ar_coeff": -1.0},
+        {"latent_candidates": 0},
+        {"contrast_noise_std": [0.1, 0.2, 0.3]},
+        {"n_runs": 3},
+        {"n_runs": 5},
+    ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+    def test_invalid_generator_exit_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, generator={**TINY_CONFIG["generator"], **override})
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and next(iter(override)) in err and err.count("\n") == 1
+        assert not (tmp_path / "d" / "subjects").exists()
+
+    def test_fewer_than_two_subjects_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_train_subjects=1, n_test_subjects=0)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "d" / "subjects").exists()
+
 
 class TestTrain:
     def test_outputs_exist(self, tiny_run):
@@ -130,6 +156,16 @@ class TestTrain:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
             assert not list(run.glob("checkpoint_*.bin"))
+
+    @pytest.mark.parametrize("parcels", [0, 43])  # level 1 has 42 vertices
+    def test_baseline_parcels_out_of_range_exit_2(self, tmp_path, tiny_run, capsys, parcels):
+        cfg = write_config(tmp_path, baseline_parcels=parcels)
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(tiny_run / "data"), "--config", str(cfg), "--out", str(tmp_path / "rp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "baseline_parcels" in err and err.count("\n") == 1
+        assert not (tmp_path / "rp").exists()
 
     def test_nan_loss_exit_3(self, tmp_path, tiny_run):
         cfg = write_config(tmp_path, optimizer={"lr": 1e120}, phase1_epochs=4, phase2_epochs=0)
@@ -340,7 +376,7 @@ class TestEvaluate:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("names", [["group_average"], ["retest"], ["model", "model"]])
+    @pytest.mark.parametrize("names", [["group_average"], ["retest"], ["model", "model"], [""]])
     def test_reserved_or_repeated_preds_name_exit_2(self, tiny_run, capsys, names):
         from brainsurf.connectome import load_dataset
         from brainsurf.fileio import write_tensor

@@ -1,22 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from brainsurf.autodiff import ShapeMismatch
 from brainsurf.connectome import (
     GeneratorConfig,
-    OddLength,
-    SubjectRecord,
     ZeroVariance,
     bank_averaged_features,
     compute_connectome,
     ensemble_mean_features,
     generate_cohort,
+    half_run_connectomes,
     load_dataset,
     pearson,
     save_dataset,
     split_runs,
 )
 from brainsurf.evaluate import correlation_matrix
+from brainsurf.fileio import ConfigError
 
 
 def textbook_pearson(x, y):
@@ -118,11 +120,13 @@ class TestSplitRuns:
         samples = split_runs(record)
         assert len(samples) == 8
         assert [s.segment_index for s in samples] == list(range(8))
-        # Segment length check via an independent recomputation on run 0.
-        v, m = record.n_vertices, record.n_rois
-        run = record.runs[0]
-        first = compute_connectome(run[:v, :600], run[2 * v :, :600], run[v : 2 * v, :600])
-        assert np.allclose(samples[0].features, first)
+        assert all(s.features.shape == (2 * cfg.n_rois, cfg.n_vertices) for s in samples)
+        # Segment length check via an independent recomputation on one run.
+        rng = np.random.default_rng(0)
+        left, right, roi = (rng.standard_normal((n, 1200)) for n in (12, 12, 3))
+        first, second = half_run_connectomes(left, right, roi)
+        assert np.allclose(first, compute_connectome(left[:, :600], roi[:, :600], right[:, :600]))
+        assert np.allclose(second, compute_connectome(left[:, 600:], roi[:, 600:], right[:, 600:]))
 
     def test_desk_scale_halving(self):
         cfg = tiny_config(t_per_run=100)
@@ -131,25 +135,18 @@ class TestSplitRuns:
         assert len(samples) == 8  # segments of 50 are still valid
 
     def test_odd_length_rejected(self):
-        cfg = tiny_config(t_per_run=40)
-        record = generate_cohort(2, cfg, seed=2)[0]
-        bad = SubjectRecord(
-            subject_id=record.subject_id,
-            runs=(record.runs[0][:, :39],),
-            target_contrasts=record.target_contrasts,
-            retest_contrasts=record.retest_contrasts,
-            n_vertices=record.n_vertices,
-            n_rois=record.n_rois,
-        )
-        with pytest.raises(OddLength):
-            split_runs(bad)
+        with pytest.raises(ConfigError, match="t_per_run"):
+            generate_cohort(2, tiny_config(t_per_run=39), seed=2)
 
     def test_segments_partition_run(self):
-        cfg = tiny_config()
-        record = generate_cohort(2, cfg, seed=3)[0]
-        run = record.runs[0]
-        t = run.shape[1]
-        assert np.array_equal(np.concatenate([run[:, : t // 2], run[:, t // 2 :]], axis=1), run)
+        # A run made of two unrelated halves: each half's connectome depends
+        # on its own timepoints only, and together they cover the run.
+        rng = np.random.default_rng(3)
+        a = [rng.standard_normal((n, 20)) for n in (12, 12, 3)]
+        b = [rng.standard_normal((n, 20)) for n in (12, 12, 3)]
+        halves = half_run_connectomes(*(np.concatenate([x, y], axis=1) for x, y in zip(a, b)))
+        assert np.array_equal(halves[0], compute_connectome(a[0], a[2], a[1]))
+        assert np.array_equal(halves[1], compute_connectome(b[0], b[2], b[1]))
 
     def test_segment_connectomes_stable(self):
         # With the default generator noise, the 8 variants of one subject
@@ -169,8 +166,9 @@ class TestGenerateCohort:
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.target_contrasts, rb.target_contrasts)
             assert np.array_equal(ra.retest_contrasts, rb.retest_contrasts)
-            for run_a, run_b in zip(ra.runs, rb.runs):
-                assert np.array_equal(run_a, run_b)
+            for sample_a, sample_b in zip(ra.samples, rb.samples, strict=True):
+                assert sample_a.segment_index == sample_b.segment_index
+                assert np.array_equal(sample_a.features, sample_b.features)
 
     def test_zero_noise_makes_retest_identical(self):
         cfg = tiny_config(contrast_noise_std=0.0)
@@ -198,6 +196,23 @@ class TestGenerateCohort:
         scaled[2] *= 17.0
         rescaled = correlation_matrix(scaled, test, 0).matrix
         assert np.allclose(base, rescaled, atol=1e-12)
+
+    def test_memory_grows_by_connectomes_not_runs(self):
+        # One subject's raw runs at level 2 with 600 timepoints are
+        # 4 x (2 x 162 + 5) x 600 float64, about 6.3 MB; its 8 connectomes
+        # and 2 contrast stacks are about 0.1 MB.
+        cfg = GeneratorConfig(mesh_level=2, t_per_run=600)
+
+        def traced_peak(n_subjects):
+            tracemalloc.start()
+            try:
+                generate_cohort(n_subjects, cfg, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_subject_runs = cfg.n_runs * (2 * cfg.n_vertices + cfg.n_rois) * cfg.t_per_run * 8
+        assert traced_peak(6) - traced_peak(2) < one_subject_runs
 
     def test_needs_two_subjects(self):
         with pytest.raises(ValueError):

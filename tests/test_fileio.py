@@ -155,21 +155,23 @@ model_configs = st.builds(
     encoder_widths=st.lists(small, max_size=4).map(tuple),
     bottleneck_width=small, leaky_slope=finite, seed=small,
 )
-generator_configs = st.builds(
+generator_configs = st.integers(1, 100).flatmap(lambda n_contrasts: st.builds(
     GeneratorConfig,
-    # Levels, ROI and contrast counts that the default model widths accept,
-    # so that run configs built on them validate.
-    mesh_level=st.integers(2, 6), n_rois=st.integers(1, 100), n_contrasts=st.integers(1, 100),
-    n_runs=small, t_per_run=small, ar_coeff=finite, timeseries_noise_std=finite,
+    # Generator settings that validate, at levels, ROI and contrast counts
+    # that the default model widths accept, so that run configs built on
+    # them validate.
+    mesh_level=st.integers(2, 6), n_rois=st.integers(1, 100), n_contrasts=st.just(n_contrasts),
+    n_runs=st.just(4), t_per_run=st.integers(2, 500).map(lambda n: 2 * n),
+    ar_coeff=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), timeseries_noise_std=finite,
     roi_deviation=finite, contrast_deviation=finite, nonlinear_mix=finite,
-    contrast_noise_std=finite | st.lists(finite, max_size=4).map(tuple),
-    latent_candidates=small, smooth_steps=small,
-)
+    contrast_noise_std=finite | st.lists(finite, min_size=n_contrasts, max_size=n_contrasts).map(tuple),
+    latent_candidates=st.integers(1, 1000), smooth_steps=small,
+))
 run_configs = st.builds(
     RunConfig,
     seed=small, generator=generator_configs, model=st.none(), optimizer=optimizer_configs,
     phase2_lr=st.none() | finite, phase1_epochs=small, phase2_epochs=small,
-    batch_size=st.integers(2, 64), n_train_subjects=st.integers(1, 100),
+    batch_size=st.integers(2, 64), n_train_subjects=st.integers(2, 100),
     n_test_subjects=small, val_fraction=st.floats(0.0, 0.99), baseline_parcels=st.integers(1, 64),
 )
 any_config = st.one_of(optimizer_configs, model_configs, generator_configs, run_configs)
