@@ -3,7 +3,11 @@
 Minimal by design: exactly the operations the mesh network, loss, and
 baseline need, each recording a backward closure on a freshly built graph.
 Gradients accumulate additively across fan-out, so diamond-shaped graphs
-come out right without any extra bookkeeping.
+come out right without any extra bookkeeping.  The backward sweep releases
+an interior node's gradient as soon as that node has passed it on, so only
+leaves hold gradients afterwards.  A model's parameters live in a
+``ParamArena``: their data and gradients are views of two flat vectors, which
+``adam_step`` updates in place.
 """
 
 from __future__ import annotations
@@ -115,10 +119,14 @@ def _as_tensor(x) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # own the buffer; g may be reused
+    if t._parents:
+        # Interior node: its own backward reads the sum once, then releases
+        # it, so g is kept as given (it may be a view) and never written to.
+        t.grad = g if t.grad is None else t.grad + g
+    elif t.grad is None:
+        t.grad = np.array(g, dtype=np.float64)  # a leaf owns its buffer
     else:
-        t.grad += g
+        t.grad += g  # a parameter's view of its arena's flat gradient
 
 
 def _result(data, parents: tuple[Tensor, ...]) -> Tensor:
@@ -207,13 +215,15 @@ def _record_hinge(pre: np.ndarray) -> None:
 
 
 def leaky_relu(x, slope: float = 0.1) -> Tensor:
+    """max(x, slope*x): for finite x and a slope in [0, 1], x where x > 0 and
+    slope*x elsewhere, signed zeros included."""
     x = _as_tensor(x)
     _record_hinge(x.data)
-    out = _result(np.where(x.data > 0.0, x.data, slope * x.data), (x,))
+    out = _result(np.maximum(x.data, slope * x.data), (x,))
     if out._parents:
-        scale = np.where(x.data > 0.0, 1.0, slope)
+        positive = x.data > 0.0  # one byte per entry, not a float64 scale
         def backward(g: np.ndarray) -> None:
-            _accumulate(x, g * scale)
+            _accumulate(x, g * np.array([slope, 1.0]).take(positive.view(np.uint8)))
         out._backward_fn = backward
     return out
 
@@ -295,8 +305,9 @@ def concat_channels(parts: Sequence) -> Tensor:
 
 
 def backward(root: Tensor) -> None:
-    """Reverse topological sweep from a scalar root; fills .grad on every
-    trainable ancestor."""
+    """Reverse topological sweep from a scalar root.  Accumulates into .grad
+    of every trainable leaf; an interior node's .grad is None again once its
+    own backward has run."""
     if root.data.shape != ():
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
 
@@ -316,15 +327,16 @@ def backward(root: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    root.grad = np.ones_like(root.data)
+    _accumulate(root, np.ones_like(root.data))
     for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
+        if not node._parents:
+            # Every consumer has run: a leaf that none of them reached gets an
+            # explicit zero gradient rather than None.
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+        elif node.grad is not None:
             node._backward_fn(node.grad)
-    # Ancestors whose every path to the root crossed an inactive hinge get an
-    # explicit zero gradient rather than None.
-    for node in topo:
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
 
 
 @dataclass(frozen=True)
@@ -333,6 +345,35 @@ class Param:
 
     name: str
     tensor: Tensor
+
+
+class ParamArena:
+    """Parameters whose data are views of one contiguous float64 vector and
+    whose gradients are views of one flat gradient buffer, both laid out in
+    the order given.  Parameter data must be written in place from then on."""
+
+    def __init__(self, params: Sequence[Param]):
+        self.params = list(params)
+        sizes = [p.tensor.data.size for p in self.params]
+        self.data = np.empty(sum(sizes))
+        self.grad = np.zeros(sum(sizes))
+        self._grads: list[np.ndarray] = []
+        offset = 0
+        for p, n in zip(self.params, sizes):
+            shape = p.tensor.data.shape
+            view = self.data[offset : offset + n].reshape(shape)
+            view[...] = p.tensor.data
+            p.tensor.data = view
+            self._grads.append(self.grad[offset : offset + n].reshape(shape))
+            offset += n
+        self.zero_grad()
+
+    def zero_grad(self) -> None:
+        """Zero the flat gradient and point every parameter's .grad back at
+        its view of it (grad_check, for one, leaves them None)."""
+        self.grad.fill(0.0)
+        for p, g in zip(self.params, self._grads):
+            p.tensor.grad = g
 
 
 def _hinge_crossed(trace_plus: list[np.ndarray], trace_minus: list[np.ndarray], eps: float) -> bool:
@@ -418,32 +459,52 @@ def grad_check(
     return worst
 
 
+@dataclass
+class AdamState:
+    """Flat first and second moments, two scratch vectors of the same size,
+    and the number of steps taken."""
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
+    step: int = 0
+
+
 def adam_step(
-    params: Sequence[Param],
-    grads: Sequence[np.ndarray],
-    state: dict | None,
+    data: np.ndarray,
+    grad: np.ndarray,
+    state: AdamState | None,
     lr: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> dict:
-    """One bias-corrected Adam update, applied to params in place."""
-    if state is None or not state:
-        state = {
-            "step": 0,
-            "m": {p.name: np.zeros_like(p.tensor.data) for p in params},
-            "v": {p.name: np.zeros_like(p.tensor.data) for p in params},
-        }
-    state["step"] += 1
-    t = state["step"]
-    for p, g in zip(params, grads):
-        m = state["m"][p.name]
-        v = state["v"][p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+) -> AdamState:
+    """One bias-corrected Adam update of the flat parameter vector ``data``,
+    in place, from the flat gradient ``grad``.  Every elementwise result is
+    the per-element formula's, in its order:
+    m = b1 m + (1-b1) g;  v = b2 v + ((1-b2) g) g;
+    data -= (lr (m / (1-b1^t))) / (sqrt(v / (1-b2^t)) + eps)."""
+    if state is None:
+        n = data.size
+        state = AdamState(np.zeros(n), np.zeros(n), (np.empty(n), np.empty(n)))
+    if data.ndim != 1 or grad.shape != data.shape or state.m.shape != data.shape:
+        raise ShapeMismatch(
+            f"adam_step: flat data {data.shape}, grad {grad.shape}, state {state.m.shape}"
+        )
+    state.step += 1
+    t = state.step
+    m, v = state.m, state.v
+    a, b = state.scratch
+    m *= beta1
+    m += np.multiply(grad, 1.0 - beta1, out=a)
+    v *= beta2
+    np.multiply(grad, 1.0 - beta2, out=a)
+    v += np.multiply(a, grad, out=a)
+    np.divide(m, 1.0 - beta1**t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - beta2**t, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    data -= a
     return state

@@ -4,11 +4,11 @@ and gradient verification, each deterministic given its config.
 Exit codes are a stable contract: 0 success, 2 bad config or unreadable input
 (a generator setting out of range, e.g. an odd ``t_per_run`` or ``n_runs``
 other than 4; fewer than 2 subjects in the cohort; ``baseline_parcels``
-outside 1..V; missing, truncated or corrupt file; a constant target or retest
-map; a repeated ``--subjects`` id; fewer than 2 subjects to evaluate; a
-``--preds`` name that is empty, repeated or reserved), 3 numeric failure (NaN
-loss; the last good checkpoint is retained), 4 unknown subject, 5
-subject-set mismatch.
+outside 1..V; a model ``leaky_slope`` outside [0, 1]; missing, truncated or
+corrupt file; a constant target or retest map; a repeated ``--subjects`` id;
+fewer than 2 subjects to evaluate; a ``--preds`` name that is empty,
+repeated or reserved), 3 numeric failure (NaN loss; the last good checkpoint
+is retained), 4 unknown subject, 5 subject-set mismatch.
 ``gradcheck`` exits 1 when the gradient check fails.
 """
 

@@ -61,11 +61,11 @@ def correlation_matrix(preds: np.ndarray, targets: np.ndarray, contrast_id: int 
     return CorrMatrix(contrast_id=contrast_id, matrix=np.clip(z_t @ z_p.T, -1.0, 1.0))
 
 
-def subject_id_accuracy(m: CorrMatrix, by_column: bool = False) -> float:
-    """Fraction of subjects whose row (or column) maximum is on the diagonal.
+def subject_id_accuracy(m: CorrMatrix) -> float:
+    """Fraction of subjects whose row maximum is on the diagonal.
     Ties count as identification failure; NaN when any correlation is
     undefined."""
-    mat = m.matrix if not by_column else m.matrix.T
+    mat = m.matrix
     if np.isnan(mat).any():
         return float("nan")
     n = mat.shape[0]

@@ -326,17 +326,3 @@ def build_hierarchy(max_level: int) -> MeshHierarchy:
     pools = tuple(build_pool_map(meshes[k + 1], meshes[k]) for k in range(max_level))
     return MeshHierarchy(max_level=max_level, meshes=meshes, operators=ops, pool_maps=pools)
 
-
-def mesh_to_obj(mesh: Icosphere) -> str:
-    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
-    return "\n".join(lines) + "\n"
-
-
-def operator_to_coo_text(matrix: sp.spmatrix) -> str:
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}" for k in order
-    ]
-    return "\n".join(lines) + "\n"

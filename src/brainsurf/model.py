@@ -4,18 +4,20 @@ The encoder runs two mesh convolutions per level and pools one level down
 after each block; the decoder unpools, concatenates the matching encoder
 features channel-wise, and runs two more convolutions.  All hidden layers
 share weights across the predicted contrast channels; only the final linear
-convolution separates them.
+convolution separates them.  The parameters live in one ``ParamArena``: their
+data and their gradients are views of two flat vectors, in ``parameters()``
+order, which is also the checkpoint's order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import meshlayers as ml
-from .autodiff import Param, ShapeMismatch, Tensor
+from .autodiff import Param, ParamArena, ShapeMismatch, Tensor
 from .fileio import ConfigError, JsonConfig
 from .icosphere import MeshHierarchy, n_vertices_at_level
 
@@ -35,10 +37,12 @@ class ModelConfig(JsonConfig):
     mesh_level: int = 2
     encoder_widths: tuple[int, ...] = (32, 64)
     bottleneck_width: int = 128
-    leaky_slope: float = 0.1
+    leaky_slope: float = 0.1  # in [0, 1]: leaky_relu computes max(x, slope*x)
     seed: int = 0
 
     def validate(self) -> None:
+        if not 0.0 <= self.leaky_slope <= 1.0:  # NaN fails too
+            raise ConfigError(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
         if self.input_channels <= 0 or self.input_channels % 2 != 0:
             raise ConfigError(f"input_channels must be positive and even, got {self.input_channels}")
         if self.output_channels <= 0:
@@ -62,16 +66,16 @@ class BrainSurfCNN:
     decoder: list[tuple[ml.MeshConvLayer, ml.MeshConvLayer]]
     output_layer: ml.MeshConvLayer
     hierarchy: MeshHierarchy
-    _params: list[Param] = field(default_factory=list)
+    arena: ParamArena
 
     def parameters(self) -> list[Param]:
-        return list(self._params)
+        return list(self.arena.params)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        return {p.name: p.tensor.data.copy() for p in self._params}
+        return {p.name: p.tensor.data.copy() for p in self.arena.params}
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self._params:
+        for p in self.arena.params:
             if p.name not in arrays:
                 raise KeyError(f"checkpoint is missing parameter {p.name}")
             src = np.asarray(arrays[p.name], dtype=np.float64)
@@ -82,8 +86,7 @@ class BrainSurfCNN:
             p.tensor.data[...] = src
 
     def zero_grad(self) -> None:
-        for p in self._params:
-            p.tensor.zero_grad()
+        self.arena.zero_grad()
 
     def forward(self, x) -> Tensor:
         """Contrast maps [K, V] for one connectome [2M, V], or [B, K, V] for a
@@ -178,7 +181,7 @@ def build_model(config: ModelConfig, hierarchy: MeshHierarchy) -> BrainSurfCNN:
         decoder=decoder,
         output_layer=output_layer,
         hierarchy=hierarchy,
-        _params=params,
+        arena=ParamArena(params),
     )
 
 

@@ -19,7 +19,7 @@ from .autodiff import adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
 from .fileio import JsonConfig, save_checkpoint
 from .model import BrainSurfCNN
-from .rcloss import BatchLoss, BatchTooSmall, Margins, distance, init_margins, rc_loss, schedule_margins
+from .rcloss import BatchTooSmall, Margins, distance, init_margins, rc_loss, schedule_margins
 
 LOG_COLUMNS = ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta"]
 
@@ -108,8 +108,8 @@ def train_phase(
     if use_rc_loss and margins0 is None:
         raise ValueError("phase 2 needs initial margins")
     log = log if log is not None else TrainLog()
-    params = model.parameters()
-    state: dict = {}
+    arena = model.arena
+    state = None
 
     for e in range(epochs):
         epoch = start_epoch + e
@@ -129,7 +129,7 @@ def train_phase(
 
             if use_rc_loss or batch.size >= 2:
                 # rc_loss raises BatchTooSmall for singleton phase-2 batches.
-                batch_loss: BatchLoss = rc_loss(
+                batch_loss = rc_loss(
                     preds, targets, margins if margins is not None else Margins(0.0, 0.0)
                 )
                 loss = batch_loss.l_rc if use_rc_loss else batch_loss.l_r
@@ -143,11 +143,8 @@ def train_phase(
 
             model.zero_grad()
             backward(loss)
-            grads = [
-                p.tensor.grad if p.tensor.grad is not None else np.zeros_like(p.tensor.data)
-                for p in params
-            ]
-            state = adam_step(params, grads, state, opt.lr, opt.beta1, opt.beta2, opt.eps)
+            state = adam_step(arena.data, arena.grad, state, opt.lr, opt.beta1, opt.beta2, opt.eps)
+            preds = loss = batch_loss = None  # drop this step's graph before the next forward
             n_batches += 1
 
         stats = EpochStats(

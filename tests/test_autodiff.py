@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from brainsurf import autodiff as ad
 from brainsurf.autodiff import (
     NonScalarRoot,
     Param,
+    ParamArena,
     ShapeMismatch,
     Tensor,
     adam_step,
@@ -106,6 +110,113 @@ class TestBackward:
         assert y._backward_fn is None
 
 
+OPS = ("square", "leaky", "scale", "shift", "add_leaf", "sub_leaf", "fanout", "sparse", "transpose", "clamp")
+
+
+def build_chain(x, w, ops, slope):
+    # A graph over two leaves of shape [5, 3] from a sequence of shape-keeping
+    # ops, short enough that repeated squaring stays finite.
+    s = sp.csr_matrix(np.eye(5) + np.eye(5, k=1))
+    h = x
+    for op in ops:
+        if op == "square":
+            h = ad.square(h)
+        elif op == "leaky":
+            h = ad.leaky_relu(h, slope)
+        elif op == "scale":
+            h = ad.mul_scalar(h, -0.7)
+        elif op == "shift":
+            h = ad.add_scalar(h, 0.3)
+        elif op == "add_leaf":
+            h = ad.add(h, w)
+        elif op == "sub_leaf":
+            h = ad.sub(w, h)
+        elif op == "fanout":
+            h = ad.add(h, ad.mul_scalar(h, 0.5))
+        elif op == "sparse":
+            h = ad.sparse_matmul(s, h)
+        elif op == "transpose":
+            h = ad.transpose(ad.transpose(h, (1, 0)), (1, 0))
+        else:
+            h = ad.clamp_min_zero(h)
+    return h
+
+
+def graph_nodes(root):
+    seen, todo = {}, [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node._parents)
+    return list(seen.values())
+
+
+finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+class TestBackwardReleases:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(st.sampled_from(OPS), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        slope=st.floats(0.0, 1.0),
+        reduce_mean=st.booleans(),
+    )
+    def test_only_leaves_hold_gradients(self, ops, seed, slope, reduce_mean):
+        rng = np.random.default_rng(seed)
+        x, w = trainable(rng.standard_normal((5, 3))), trainable(rng.standard_normal((5, 3)))
+        h = build_chain(x, w, ops, slope)
+        root = h.mean() if reduce_mean else h.sum()
+        backward(root)
+        for node in graph_nodes(root):
+            if node._parents:
+                assert node.grad is None
+            elif node.requires_grad:
+                assert node.grad.shape == node.data.shape
+        assert x.grad is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(st.sampled_from(OPS), max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        in_arena=st.booleans(),
+    )
+    def test_param_behind_inactive_hinge_gets_exact_zeros(self, ops, seed, in_arena):
+        rng = np.random.default_rng(seed)
+        x, w = trainable(rng.standard_normal((5, 3))), trainable(rng.standard_normal((5, 3)))
+        params = [Param("x", x), Param("w", w)]
+        if in_arena:
+            ParamArena(params)
+        h = ad.square(build_chain(x, w, ops, 0.1)).sum()
+        # Pre-activation h - (h + 1) = -1: the hinge is strictly inactive.
+        loss = ad.clamp_min_zero(ad.add_scalar(h, -(h.item() + 1.0)))
+        backward(loss)
+        reached = {"x": True, "w": bool({"add_leaf", "sub_leaf"} & set(ops))}
+        for p in params:
+            if reached[p.name] or in_arena:
+                assert p.tensor.grad.shape == p.tensor.data.shape
+                assert (p.tensor.grad == 0.0).all()
+            else:
+                assert p.tensor.grad is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=hnp.arrays(np.float64, st.integers(1, 20), elements=finite_floats | st.sampled_from([0.0, -0.0])),
+        slope=st.floats(0.0, 1.0),
+    )
+    def test_leaky_relu_matches_where_form_bitwise(self, x, slope):
+        # The forward max(x, slope*x) and the byte mask in the backward give
+        # the bits of where(x > 0, x, slope*x) and of g * where(x > 0, 1, slope),
+        # signed zeros included, for every slope in [0, 1].
+        t = trainable(x.copy())
+        out = ad.leaky_relu(t, slope)
+        assert out.data.tobytes() == np.where(x > 0.0, x, slope * x).tobytes()
+        g = np.random.default_rng(0).standard_normal(x.shape)
+        out._backward_fn(g)
+        assert t.grad.tobytes() == (g * np.where(x > 0.0, 1.0, slope)).tobytes()
+
+
 class TestGradCheck:
     def test_sum_of_squares(self):
         x = Param("x", trainable([0.3, -1.2, 2.0]))
@@ -146,38 +257,127 @@ class TestGradCheck:
         assert e1 == e2
 
 
+def reference_adam(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam update that the flat one replaced, kept as the
+    bitwise reference: per-name moment dicts, fresh temporaries per call."""
+    if not state:
+        state = {
+            "step": 0,
+            "m": {p.name: np.zeros_like(p.tensor.data) for p in params},
+            "v": {p.name: np.zeros_like(p.tensor.data) for p in params},
+        }
+    state["step"] += 1
+    t = state["step"]
+    for p, g in zip(params, grads):
+        m = state["m"][p.name]
+        v = state["v"][p.name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return state
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        p = Param("p", trainable([1.0, 2.0]))
-        before = p.tensor.data.copy()
-        state = adam_step([p], [np.zeros(2)], None)
-        assert np.array_equal(p.tensor.data, before)
-        state["m"]["p"][:] = 1.0
-        adam_step([p], [np.zeros(2)], state)
-        assert (state["m"]["p"] < 1.0).all()  # moments decay toward zero
+        data = np.array([1.0, 2.0])
+        state = adam_step(data, np.zeros(2), None)
+        assert np.array_equal(data, [1.0, 2.0])
+        state.m[:] = 1.0
+        adam_step(data, np.zeros(2), state)
+        assert (state.m < 1.0).all()  # moments decay toward zero
+        assert state.step == 2
 
     def test_single_step_hand_computed(self):
         # With constant gradient g, the bias-corrected first step is
         # -lr * g / (|g| + eps): magnitude ~ lr regardless of g's scale.
-        p = Param("p", trainable([0.0]))
+        data = np.array([0.0])
         g = np.array([7.0])
         lr, eps = 1e-3, 1e-8
-        adam_step([p], [g], None, lr=lr, eps=eps)
+        adam_step(data, g, None, lr=lr, eps=eps)
         expected = -lr * g / (np.abs(g) + eps)
-        assert np.allclose(p.tensor.data, expected, atol=1e-15)
+        assert np.allclose(data, expected, atol=1e-15)
 
     def test_determinism_bitwise(self):
         def run():
             rng = np.random.default_rng(11)
             p = Param("p", trainable(rng.standard_normal(8)))
+            arena = ParamArena([p])
             state = None
             for _ in range(25):
-                p.tensor.zero_grad()
+                arena.zero_grad()
                 backward(ad.square(p.tensor).sum())
-                state = adam_step([p], [p.tensor.grad], state)
+                state = adam_step(arena.data, arena.grad, state)
             return p.tensor.data.copy()
 
         assert np.array_equal(run(), run())
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            adam_step(np.zeros(3), np.zeros(1), None)  # would broadcast
+        state = adam_step(np.zeros(3), np.zeros(3), None)
+        with pytest.raises(ShapeMismatch):
+            adam_step(np.zeros(4), np.zeros(4), state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(hnp.array_shapes(min_dims=0, max_dims=3, max_side=5), min_size=1, max_size=5),
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        lr=st.floats(1e-5, 1.0),
+        beta1=st.floats(0.0, 0.99),
+        beta2=st.floats(0.0, 0.9999),
+        eps=st.floats(1e-12, 1e-3),
+    )
+    def test_flat_matches_per_parameter_bitwise(self, shapes, steps, seed, lr, beta1, beta2, eps):
+        rng = np.random.default_rng(seed)
+        init = [rng.standard_normal(s) * 10.0 ** rng.integers(-3, 4) for s in shapes]
+        ref = [Param(f"p{i}", trainable(a.copy())) for i, a in enumerate(init)]
+        flat = [Param(f"p{i}", trainable(a.copy())) for i, a in enumerate(init)]
+        arena = ParamArena(flat)
+        ref_state, state = None, None
+        for _ in range(steps):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-4, 4) for s in shapes]
+            grads[0].flat[0] = 0.0  # a coordinate whose gradient is exactly zero
+            ref_state = reference_adam(ref, grads, ref_state, lr, beta1, beta2, eps)
+            arena.zero_grad()
+            for p, g in zip(flat, grads):
+                p.tensor.grad += g
+            state = adam_step(arena.data, arena.grad, state, lr, beta1, beta2, eps)
+        for r, f in zip(ref, flat):
+            assert r.tensor.data.tobytes() == f.tensor.data.tobytes()
+        assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_state["m"].values()]).tobytes()
+        assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_state["v"].values()]).tobytes()
+
+
+class TestParamArena:
+    def test_data_and_grads_are_views_in_order(self):
+        rng = np.random.default_rng(2)
+        arrays = [rng.standard_normal((2, 3)), rng.standard_normal(4), np.array(5.0)]
+        params = [Param(f"p{i}", trainable(a)) for i, a in enumerate(arrays)]
+        arena = ParamArena(params)
+        assert np.array_equal(arena.data, np.concatenate([a.ravel() for a in arrays]))
+        offset = 0
+        for p, a in zip(params, arrays):
+            assert p.tensor.data.shape == a.shape
+            assert np.shares_memory(p.tensor.data, arena.data[offset : offset + a.size])
+            assert np.shares_memory(p.tensor.grad, arena.grad[offset : offset + a.size])
+            offset += a.size
+        assert not arena.grad.any()
+
+    def test_zero_grad_restores_views(self):
+        p = Param("p", trainable([1.0, -2.0]))
+        arena = ParamArena([p])
+        backward(ad.square(p.tensor).sum())
+        assert np.array_equal(arena.grad, [2.0, -4.0])  # accumulated into the view
+        p.tensor.zero_grad()
+        backward(ad.square(p.tensor).sum())
+        assert not np.shares_memory(p.tensor.grad, arena.grad)  # a fresh leaf buffer
+        arena.zero_grad()
+        assert np.shares_memory(p.tensor.grad, arena.grad) and not arena.grad.any()
 
 
 class TestCheckpoint:

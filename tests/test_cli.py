@@ -167,6 +167,17 @@ class TestTrain:
         assert err.startswith("config error:") and "baseline_parcels" in err and err.count("\n") == 1
         assert not (tmp_path / "rp").exists()
 
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")], ids=["negative", "above_one", "nan"])
+    def test_leaky_slope_out_of_range_exit_2(self, tmp_path, capsys, slope):
+        assert cli.main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "data")]) == 0
+        cfg = write_config(tmp_path, model={**TINY_CONFIG["model"], "leaky_slope": slope})
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "leaky_slope" in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_nan_loss_exit_3(self, tmp_path, tiny_run):
         cfg = write_config(tmp_path, optimizer={"lr": 1e120}, phase1_epochs=4, phase2_epochs=0)
         rc = cli.main(["train", "--data", str(tiny_run / "data"), "--config", str(cfg), "--out", str(tmp_path / "r3")])

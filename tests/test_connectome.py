@@ -13,12 +13,12 @@ from brainsurf.connectome import (
     generate_cohort,
     half_run_connectomes,
     load_dataset,
-    pearson,
     save_dataset,
     split_runs,
 )
 from brainsurf.evaluate import correlation_matrix
 from brainsurf.fileio import ConfigError
+from oracles import pearson
 
 
 def textbook_pearson(x, y):
@@ -33,6 +33,8 @@ def textbook_pearson(x, y):
 
 
 class TestPearson:
+    """The scalar oracle that the connectome and evaluation tests compare against."""
+
     def test_identical_series(self):
         assert pearson([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0, abs=1e-15)
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from brainsurf.autodiff import ShapeMismatch
-from brainsurf.connectome import pearson
 from brainsurf.evaluate import (
     CorrMatrix,
     SubjectMismatch,
@@ -20,6 +19,7 @@ from brainsurf.evaluate import (
     write_report_csv,
     write_report_json,
 )
+from oracles import pearson
 
 
 class TestCorrelationMatrix:
@@ -96,12 +96,11 @@ class TestSubjectId:
         mat = np.array([[0.5, 0.5], [0.1, 0.6]])
         assert subject_id_accuracy(CorrMatrix(0, mat)) == 0.5
 
-    def test_column_convention_flag(self):
-        mat = np.array([[0.9, 0.95], [0.1, 0.5]])
-        # Row-wise: row 0 argmax is column 1 -> miss; row 1 diagonal -> hit.
-        assert subject_id_accuracy(CorrMatrix(0, mat)) == 0.5
-        # Column-wise: column 0 max at row 0 -> hit; column 1 max at row 0 -> miss.
-        assert subject_id_accuracy(CorrMatrix(0, mat), by_column=True) == 0.5
+    def test_row_convention(self):
+        # Rows are observed maps, columns predictions: row 1 peaks off the
+        # diagonal (a miss), while every column peaks on it.
+        mat = np.array([[1.0, 0.0, 0.0], [0.5, 0.2, 0.0], [0.0, 0.0, 1.0]])
+        assert subject_id_accuracy(CorrMatrix(0, mat)) == 2.0 / 3.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)

@@ -16,9 +16,7 @@ from brainsurf.icosphere import (
     build_pool_map,
     closed_ring_mean,
     icosphere,
-    mesh_to_obj,
     n_vertices_at_level,
-    operator_to_coo_text,
     operators,
     subdivide,
 )
@@ -280,27 +278,3 @@ class TestHierarchy:
         assert h.mesh(2).n_vertices == 162
         assert h.pool_map(2).coarse_level == 1
         assert h.ops(1).level == 1
-
-
-class TestExports:
-    def test_obj_roundtrip_counts(self):
-        m = icosphere(1)
-        text = mesh_to_obj(m)
-        v_lines = [l for l in text.splitlines() if l.startswith("v ")]
-        f_lines = [l for l in text.splitlines() if l.startswith("f ")]
-        assert len(v_lines) == 42
-        assert len(f_lines) == 80
-        first = np.array([float(t) for t in v_lines[0].split()[1:]])
-        assert np.allclose(first, m.vertices[0])
-
-    def test_coo_text_parses_back(self):
-        ops = operators(0)
-        text = operator_to_coo_text(ops.laplacian)
-        rows, cols, vals = [], [], []
-        for line in text.strip().splitlines():
-            r, c, x = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(x))
-        rebuilt = sp.coo_matrix((vals, (rows, cols)), shape=(12, 12)).tocsr()
-        assert np.abs((rebuilt - ops.laplacian).toarray()).max() < 1e-15

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brainsurf.autodiff import ShapeMismatch, backward, grad_check
+from brainsurf.autodiff import ShapeMismatch, adam_step, backward, grad_check
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import (
     ConfigError,
@@ -46,6 +48,16 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             ModelConfig(input_channels=9).validate()
 
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
+        # leaky_relu computes max(x, slope*x), which is leaky only for a slope in [0, 1].
+        with pytest.raises(ConfigError, match="leaky_slope"):
+            ModelConfig(leaky_slope=slope).validate()
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0])
+    def test_leaky_slope_bounds_accepted(self, slope):
+        ModelConfig(leaky_slope=slope).validate()
+
     def test_init_weight_range(self, hierarchy):
         model = build_model(ModelConfig(seed=7), hierarchy)
         first = model.encoder[0][0]
@@ -59,6 +71,64 @@ class TestBuildModel:
         model = build_model(ModelConfig(), hierarchy)
         names = [p.name for p in model.parameters()]
         assert len(names) == len(set(names))
+
+
+def assert_arena_views(model):
+    arena = model.arena
+    offset = 0
+    for p in model.parameters():
+        n = p.tensor.data.size
+        assert np.shares_memory(p.tensor.data, arena.data[offset : offset + n])
+        assert np.shares_memory(p.tensor.grad, arena.grad[offset : offset + n])
+        offset += n
+    assert offset == arena.data.size == arena.grad.size
+    assert np.array_equal(arena.data, np.concatenate([a.ravel() for a in model.param_arrays().values()]))
+
+
+class TestParamArena:
+    """Every parameter's data and gradient are views of the model's two flat
+    buffers, in parameters() (and checkpoint) order."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        bottleneck=st.integers(1, 6),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 1000),
+    )
+    def test_views_survive_a_step_and_grad_check(self, hierarchy, widths, bottleneck, channels, seed):
+        cfg = ModelConfig(
+            input_channels=2 * channels, output_channels=channels, mesh_level=2,
+            encoder_widths=tuple(widths), bottleneck_width=bottleneck, seed=seed,
+        )
+        model = build_model(cfg, hierarchy)
+        assert_arena_views(model)
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((2, 2 * channels, 162))
+        ts = rng.standard_normal((2, channels, 162))
+
+        def f():
+            return rc_loss(model.forward(xs), ts, Margins(0.0, 1.0)).l_rc
+
+        model.zero_grad()
+        backward(f())
+        assert np.array_equal(
+            model.arena.grad, np.concatenate([p.tensor.grad.ravel() for p in model.parameters()])
+        )
+        adam_step(model.arena.data, model.arena.grad, None)
+        assert_arena_views(model)
+        grad_check(f, model.parameters(), max_coords=5, seed=seed)  # leaves .grad None
+        assert all(p.tensor.grad is None for p in model.parameters())
+        model.zero_grad()
+        assert_arena_views(model)
+        assert not model.arena.grad.any()
+
+    def test_load_param_arrays_writes_into_the_arena(self, hierarchy):
+        a = build_model(ModelConfig(seed=1), hierarchy)
+        b = build_model(ModelConfig(seed=2), hierarchy)
+        b.load_param_arrays(a.param_arrays())
+        assert np.array_equal(b.arena.data, a.arena.data)
+        assert_arena_views(b)
 
 
 class TestForward:

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from brainsurf.connectome import GeneratorConfig, generate_cohort, split_runs
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import ModelConfig, build_model
-from brainsurf.rcloss import BatchTooSmall
+from brainsurf.rcloss import BatchTooSmall, Margins, rc_loss
 from brainsurf.training import (
     NaNLossError,
     OptimizerConfig,
@@ -82,8 +83,6 @@ class TestTrainPhase:
             )
 
     def test_single_subject_phase2_aborts(self, hierarchy):
-        from brainsurf.rcloss import Margins
-
         model = build_model(TINY_MODEL, hierarchy)
         lone = tiny_subjects(2)[:1]
         with pytest.raises(BatchTooSmall):
@@ -147,6 +146,47 @@ class TestTrainPhase:
         arrays, _ = load_checkpoint(ckpt)
         for name in good:
             assert np.array_equal(arrays[name], good[name])
+
+
+def interior_bytes(root):
+    # Bytes of the values held by a graph's interior (non-leaf) nodes.
+    seen, todo = {}, [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node._parents)
+    return sum(n.data.nbytes for n in seen.values() if n._parents)
+
+
+class TestTrainPhaseMemory:
+    def test_epoch_peak_bounded_by_one_graph_of_gradients(self):
+        # A level-3, batch-2 epoch at the default widths.  The backward sweep
+        # releases each interior gradient once passed on, and a step's graph
+        # is dropped before the next forward, so the traced peak stays below
+        # Adam's four flat vectors plus twice one step's graph.  Keeping every
+        # interior gradient until its graph dies, and the previous graph alive
+        # during the next forward, peaks at about four graphs.
+        model = build_model(ModelConfig(mesh_level=3), build_hierarchy(3))
+        rng = np.random.default_rng(0)
+        subjects = [
+            TrainSubject(f"s{i}", [rng.standard_normal((10, 642)) for _ in range(8)], rng.standard_normal((4, 642)))
+            for i in range(4)
+        ]
+        preds = model.forward(np.stack([s.samples[0] for s in subjects[:2]]))
+        graph = interior_bytes(rc_loss(preds, np.stack([s.target for s in subjects[:2]]), Margins(0.0, 0.0)).l_r)
+        del preds
+        adam_state = 4 * sum(p.tensor.data.nbytes for p in model.parameters())
+        tracemalloc.start()
+        try:
+            train_phase(
+                model, subjects, epochs=1, batch_size=2,
+                rng=np.random.default_rng(1), opt=OptimizerConfig(), use_rc_loss=False,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < adam_state + 2 * graph
 
 
 class TestTwoPhase:
