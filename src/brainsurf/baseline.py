@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import EmptySet, ShapeMismatch
+from .fileio import CorruptFile, load_checkpoint, save_checkpoint
 from .icosphere import Icosphere
 
 RIDGE_JITTER = 1e-8
@@ -31,6 +32,10 @@ class Parcellation:
     @property
     def n_parcels(self) -> int:
         return len(self.parcels)
+
+    @classmethod
+    def from_labels(cls, labels: np.ndarray, n_parcels: int) -> "Parcellation":
+        return cls(labels=labels, parcels=tuple(np.flatnonzero(labels == p) for p in range(n_parcels)))
 
 
 @dataclass
@@ -60,9 +65,9 @@ def farthest_point_parcellation(mesh: Icosphere, n_parcels: int, seed: int = 0) 
     labels = np.argmin(
         np.linalg.norm(v[:, None, :] - center_pos[None, :, :], axis=2), axis=1
     )
-    parcels = tuple(np.flatnonzero(labels == p) for p in range(n_parcels))
-    assert all(p.size > 0 for p in parcels)  # centers are members of their parcels
-    return Parcellation(labels=labels, parcels=parcels)
+    parcellation = Parcellation.from_labels(labels, n_parcels)
+    assert all(p.size > 0 for p in parcellation.parcels)  # centers are members of their parcels
+    return parcellation
 
 
 def fit_subject(
@@ -132,6 +137,36 @@ def predict_baseline(
         x = np.column_stack([features[idx], np.ones(idx.size)])
         out[:, idx] = regressor.coeffs[p] @ x.T
     return out
+
+
+def save_baseline(path, regressor: ParcelRegressor) -> None:
+    save_checkpoint(
+        path,
+        {"coeffs": regressor.coeffs, "labels": regressor.labels.astype(np.float64)},
+        meta={"n_parcels": regressor.coeffs.shape[0], "rank_warnings": regressor.rank_warnings},
+    )
+
+
+def load_baseline(path) -> tuple[ParcelRegressor, Parcellation]:
+    """The regressor a ``save_baseline`` file holds, with the parcellation
+    its labels define; ``CorruptFile`` when the file is no such regressor."""
+    arrays, meta = load_checkpoint(path)
+    coeffs, labels = arrays.get("coeffs"), arrays.get("labels")
+    if coeffs is None or labels is None:
+        raise CorruptFile(f"{path}: not a baseline file (it needs 'coeffs' and 'labels' arrays)")
+    if coeffs.ndim != 3 or labels.ndim != 1 or meta.get("n_parcels") != coeffs.shape[0]:
+        raise CorruptFile(f"{path}: coeffs {coeffs.shape}, labels {labels.shape} and n_parcels do not fit")
+    n_parcels = coeffs.shape[0]
+    if not np.isin(labels, np.arange(n_parcels)).all():
+        raise CorruptFile(f"{path}: parcel labels outside 0..{n_parcels - 1}")
+    parcellation = Parcellation.from_labels(labels.astype(int), n_parcels)
+    empty = [p for p, idx in enumerate(parcellation.parcels) if idx.size == 0]
+    if empty:
+        raise CorruptFile(f"{path}: parcel {empty[0]} has no vertices")
+    regressor = ParcelRegressor(
+        coeffs=coeffs, labels=parcellation.labels, rank_warnings=list(meta.get("rank_warnings", []))
+    )
+    return regressor, parcellation
 
 
 def group_average_baseline(training_targets: list[np.ndarray]) -> np.ndarray:

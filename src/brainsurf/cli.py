@@ -5,7 +5,10 @@ Exit codes are a stable contract: 0 success, 2 bad config or unreadable input
 (a generator setting out of range, e.g. an odd ``t_per_run`` or ``n_runs``
 other than 4; fewer than 2 subjects in the cohort; ``baseline_parcels``
 outside 1..V; a model ``leaky_slope`` outside [0, 1]; missing, truncated or
-corrupt file; a constant target or retest map; a repeated ``--subjects`` id;
+corrupt file; a baseline file given as ``--model`` or a model checkpoint as
+``--baseline``; a ``--model`` whose channels or level do not fit the data;
+a ``cohort.json`` that is not a JSON object or lacks a key;
+a constant target or retest map; a repeated ``--subjects`` id;
 fewer than 2 subjects to evaluate; a ``--preds`` name that is empty,
 repeated or reserved), 3 numeric failure (NaN loss; the last good checkpoint
 is retained), 4 unknown subject, 5 subject-set mismatch.
@@ -24,13 +27,14 @@ import numpy as np
 
 from .autodiff import grad_check
 from .baseline import (
-    Parcellation,
+    ParcelRegressor,
     average_regressors,
     farthest_point_parcellation,
     fit_subject,
     group_average_baseline,
+    load_baseline,
     predict_baseline,
-    ParcelRegressor,
+    save_baseline,
 )
 from .connectome import (
     Dataset,
@@ -41,28 +45,12 @@ from .connectome import (
     load_dataset,
     save_dataset,
 )
-from .evaluate import SubjectMismatch, ZeroVariance, ablation_report, correlation_matrix, save_corr_matrix_txt, write_report_csv, write_report_json
-from .fileio import (
-    ConfigError,
-    CorruptFile,
-    JsonConfig,
-    git_blob_sha1,
-    hash_file,
-    load_checkpoint,
-    read_tensor,
-    save_checkpoint,
-    write_tensor,
-)
-from .icosphere import build_hierarchy, icosphere
-from .model import BrainSurfCNN, ModelConfig, build_model, predict_variants
+from .evaluate import SubjectMismatch, ZeroVariance, ablation_report, write_report
+from .fileio import ConfigError, CorruptFile, JsonConfig, git_blob_sha1, hash_file, read_tensor, write_tensor
+from .icosphere import build_hierarchy, icosphere, n_vertices_at_level
+from .model import ModelConfig, build_model, load_model, predict_variants, save_model
 from .rcloss import BatchTooSmall, Margins, rc_loss
-from .training import (
-    NaNLossError,
-    OptimizerConfig,
-    TrainSubject,
-    train_two_phase,
-    validation_hook,
-)
+from .training import NaNLossError, OptimizerConfig, TrainSubject, train_two_phase, validation_hook
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,6 +63,15 @@ GRADCHECK_THRESHOLD = 1e-4
 
 class MissingSubjects(ValueError):
     pass
+
+
+def _check_model_fits(model: ModelConfig, gen: GeneratorConfig, source: str) -> None:
+    if model.input_channels != 2 * gen.n_rois:
+        raise ConfigError(f"model expects {model.input_channels} input channels, {source} has {2 * gen.n_rois}")
+    if model.output_channels != gen.n_contrasts:
+        raise ConfigError(f"model predicts {model.output_channels} contrasts, {source} has {gen.n_contrasts}")
+    if model.mesh_level != gen.mesh_level:
+        raise ConfigError(f"model and {source} mesh levels differ")
 
 
 @dataclass(frozen=True)
@@ -113,30 +110,22 @@ class RunConfig(JsonConfig):
             )
         if self.model is not None:
             self.model.validate()
-            gen = self.generator
-            if self.model.input_channels != 2 * gen.n_rois:
-                raise ConfigError(
-                    f"model expects {self.model.input_channels} input channels, "
-                    f"generator produces {2 * gen.n_rois}"
-                )
-            if self.model.output_channels != gen.n_contrasts:
-                raise ConfigError(
-                    f"model predicts {self.model.output_channels} contrasts, "
-                    f"generator produces {gen.n_contrasts}"
-                )
-            if self.model.mesh_level != gen.mesh_level:
-                raise ConfigError("model and generator mesh levels differ")
+            _check_model_fits(self.model, self.generator, "generator")
+
+    def _model_from(self, section: dict) -> ModelConfig:
+        """A model section, with the fields it omits that the run determines
+        taken from the generator and the run seed."""
+        gen = self.generator
+        derived = {
+            "input_channels": 2 * gen.n_rois,
+            "output_channels": gen.n_contrasts,
+            "mesh_level": gen.mesh_level,
+            "seed": self.seed,
+        }
+        return ModelConfig.from_dict({**derived, **section})
 
     def resolved_model(self) -> ModelConfig:
-        if self.model is not None:
-            return self.model
-        gen = self.generator
-        return ModelConfig(
-            input_channels=2 * gen.n_rois,
-            output_channels=gen.n_contrasts,
-            mesh_level=gen.mesh_level,
-            seed=self.seed,
-        )
+        return self.model if self.model is not None else self._model_from({})
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "model": self.resolved_model().to_dict()}
@@ -147,11 +136,11 @@ class RunConfig(JsonConfig):
         nested = {}
         if "generator" in d:
             nested["generator"] = GeneratorConfig.from_dict(d["generator"])
-        if d.get("model") is not None:
-            nested["model"] = ModelConfig.from_dict(d["model"])
         if "optimizer" in d:
             nested["optimizer"] = OptimizerConfig.from_dict(d["optimizer"])
         cfg = replace(cfg, **nested)
+        if d.get("model") is not None:
+            cfg = replace(cfg, model=cfg._model_from(d["model"]))
         cfg.validate()
         return cfg
 
@@ -213,9 +202,11 @@ def _split_validation(train_ids: list[str], val_fraction: float) -> tuple[list[s
     return list(train_ids[:-n_val]), list(train_ids[-n_val:])
 
 
-def _fit_baseline(subjects: list[TrainSubject], parcellation: Parcellation) -> ParcelRegressor:
+def _fit_baseline(subjects: list[TrainSubject], cfg: RunConfig) -> ParcelRegressor:
     # One regressor per (parcel, contrast) per training sample: all 8
     # connectome variants of every training subject participate.
+    mesh = icosphere(cfg.generator.mesh_level)
+    parcellation = farthest_point_parcellation(mesh, cfg.baseline_parcels, seed=cfg.seed)
     return average_regressors([
         fit_subject(bank_averaged_features(sample), s.target, parcellation)
         for s in subjects
@@ -233,16 +224,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     dataset = load_dataset(args.data)
     model_cfg = cfg.resolved_model()
-    gen = dataset.generator
-    if (
-        model_cfg.input_channels != 2 * gen.n_rois
-        or model_cfg.output_channels != gen.n_contrasts
-        or model_cfg.mesh_level != gen.mesh_level
-    ):
-        raise ConfigError(
-            f"model config {model_cfg.to_dict()} does not match dataset "
-            f"(2M={2 * gen.n_rois}, K={gen.n_contrasts}, level={gen.mesh_level})"
-        )
+    _check_model_fits(model_cfg, dataset.generator, "dataset")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -254,10 +236,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = build_model(model_cfg, hierarchy)
     hook = validation_hook(val_subjects, out / "val_log.csv") if val_subjects else None
 
-    phase2_opt = None
-    if cfg.phase2_lr is not None:
-        base = cfg.optimizer
-        phase2_opt = OptimizerConfig(lr=cfg.phase2_lr, beta1=base.beta1, beta2=base.beta2, eps=base.eps)
+    phase2_opt = None if cfg.phase2_lr is None else replace(cfg.optimizer, lr=cfg.phase2_lr)
     log, margins0 = train_two_phase(
         model,
         subjects,
@@ -272,43 +251,17 @@ def cmd_train(args: argparse.Namespace) -> int:
         val_hook=hook,
     )
     log.write_csv(out / "training_log.csv")
-    save_checkpoint(out / "checkpoint_final.bin", model.param_arrays(), meta={"model": model_cfg.to_dict()})
+    save_model(out / "checkpoint_final.bin", model)
     if margins0 is not None:
         (out / "margins.json").write_text(
             json.dumps({"alpha0": margins0.alpha, "beta0": margins0.beta}, sort_keys=True) + "\n"
         )
 
-    mesh = icosphere(gen.mesh_level)
-    parcellation = farthest_point_parcellation(mesh, cfg.baseline_parcels, seed=cfg.seed)
-    regressor = _fit_baseline(subjects, parcellation)
-    save_checkpoint(
-        out / "baseline.bin",
-        {"coeffs": regressor.coeffs, "labels": regressor.labels.astype(np.float64)},
-        meta={"n_parcels": parcellation.n_parcels, "rank_warnings": regressor.rank_warnings},
-    )
+    save_baseline(out / "baseline.bin", _fit_baseline(subjects, cfg))
     write_tensor(out / "group_average.bin", _group_average(dataset))
     _write_manifest(out, cfg, inputs={"cohort.json": hash_file(Path(args.data) / "cohort.json")})
     print(f"trained {cfg.phase1_epochs}+{cfg.phase2_epochs} epochs on {len(fit_ids)} subjects -> {out}")
     return EXIT_OK
-
-
-def _load_model(checkpoint: str | Path) -> BrainSurfCNN:
-    arrays, meta = load_checkpoint(checkpoint)
-    model_cfg = ModelConfig.from_dict(meta["model"])
-    model = build_model(model_cfg, build_hierarchy(model_cfg.mesh_level))
-    model.load_param_arrays(arrays)
-    return model
-
-
-def _load_baseline(path: str | Path) -> tuple[ParcelRegressor, Parcellation]:
-    arrays, meta = load_checkpoint(path)
-    labels = arrays["labels"].astype(int)
-    parcels = tuple(np.flatnonzero(labels == p) for p in range(int(meta["n_parcels"])))
-    parcellation = Parcellation(labels=labels, parcels=parcels)
-    regressor = ParcelRegressor(
-        coeffs=arrays["coeffs"], labels=labels, rank_warnings=list(meta.get("rank_warnings", []))
-    )
-    return regressor, parcellation
 
 
 def _subject_list(dataset: Dataset, subjects: str | None) -> list[str]:
@@ -327,10 +280,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     requested = _subject_list(dataset, args.subjects)
 
-    model = _load_model(args.model)
+    model = load_model(args.model)
+    _check_model_fits(model.config, dataset.generator, "dataset")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    baseline = _load_baseline(args.baseline) if args.baseline else None
+    baseline = load_baseline(args.baseline) if args.baseline else None
     if baseline is not None:
         (out / "baseline").mkdir(exist_ok=True)
 
@@ -398,22 +352,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_csv(report, out / "report.csv")
-    write_report_json(report, out / "report.json")
-    (out / "reliable_mask.json").write_text(
-        json.dumps({"reliable": [bool(b) for b in report.reliable_mask]}) + "\n"
-    )
-    matrices_dir = out / "matrices"
-    matrices_dir.mkdir(exist_ok=True)
-    named = dict(variants)
-    named["retest"] = retest
-    for name, preds in named.items():
-        for k in range(targets.shape[1]):
-            m = correlation_matrix(preds[:, k, :], targets[:, k, :], contrast_id=k)
-            save_corr_matrix_txt(m, matrices_dir / f"{name}_c{k}.txt", zscore=args.row_zscore)
-    print(f"evaluated {len(variants)} variants (+retest) on {len(subjects)} subjects -> {out}")
+    write_report(report, args.out, zscore=args.row_zscore)
+    print(f"evaluated {len(variants)} variants (+retest) on {len(subjects)} subjects -> {args.out}")
     return EXIT_OK
 
 
@@ -421,7 +361,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     model_cfg = ModelConfig(mesh_level=args.level, seed=args.seed)
     model = build_model(model_cfg, build_hierarchy(model_cfg.mesh_level))
-    n_vertices = 10 * 4**args.level + 2
+    n_vertices = n_vertices_at_level(args.level)
     x = np.stack([rng.standard_normal((model_cfg.input_channels, n_vertices)) for _ in range(2)])
     targets = np.stack([rng.standard_normal((model_cfg.output_channels, n_vertices)) for _ in range(2)])
     margins = Margins(alpha=0.0, beta=1.0)  # both hinges active: gradients flow everywhere

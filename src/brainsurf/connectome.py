@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import ShapeMismatch
-from .fileio import ConfigError, JsonConfig, read_tensor, write_tensor
+from .fileio import ConfigError, CorruptFile, JsonConfig, read_tensor, write_tensor
 from .icosphere import closed_ring_mean, icosphere, n_vertices_at_level
 
 SEGMENTS_PER_SUBJECT = 8  # 4 runs x 2 halves
@@ -235,8 +235,9 @@ def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[Su
         samples = []
         for run_idx in range(cfg.n_runs):
             roi_ts = _ar1(rng, m, cfg.t_per_run, cfg.ar_coeff)
-            left = weights.T @ roi_ts + cfg.timeseries_noise_std * rng.standard_normal((v, cfg.t_per_run))
-            right = weights.T @ roi_ts + cfg.timeseries_noise_std * rng.standard_normal((v, cfg.t_per_run))
+            mixed = weights.T @ roi_ts  # both banks share the ROI mixture, not the noise
+            left = mixed + cfg.timeseries_noise_std * rng.standard_normal((v, cfg.t_per_run))
+            right = mixed + cfg.timeseries_noise_std * rng.standard_normal((v, cfg.t_per_run))
             for half, features in enumerate(half_run_connectomes(left, right, roi_ts)):
                 samples.append(ConnectomeSample(segment_index=2 * run_idx + half, features=features))
 
@@ -267,7 +268,6 @@ def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[Su
 @dataclass
 class Dataset:
     root: Path
-    seed: int
     generator: GeneratorConfig
     train_ids: list[str]
     test_ids: list[str]
@@ -323,11 +323,20 @@ def save_dataset(
 
 
 def load_dataset(root: str | Path) -> Dataset:
-    root = Path(root)
-    manifest = json.loads((root / "cohort.json").read_text())
+    """The dataset ``save_dataset`` wrote under ``root``; ``CorruptFile``
+    when its ``cohort.json`` is not a JSON object with the keys read here."""
+    path = Path(root) / "cohort.json"
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptFile(f"{path}: not a JSON object")
+    missing = [k for k in ("generator", "train_subjects", "test_subjects") if k not in manifest]
+    if missing:
+        raise CorruptFile(f"{path}: missing {', '.join(missing)}")
     return Dataset(
-        root=root,
-        seed=manifest["seed"],
+        root=Path(root),
         generator=GeneratorConfig.from_dict(manifest["generator"]),
         train_ids=list(manifest["train_subjects"]),
         test_ids=list(manifest["test_subjects"]),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ class VariantRow:
     self_corr_sd: float
     diag_gap: float
     id_accuracy: float
+    matrix: CorrMatrix = field(repr=False, compare=False)  # the matrix these metrics read
 
 
 @dataclass
@@ -116,6 +117,7 @@ def _variant_rows(name: str, preds: np.ndarray, targets: np.ndarray) -> list[Var
                 self_corr_sd=float(diag.std()),
                 diag_gap=diag_gap(m),
                 id_accuracy=subject_id_accuracy(m),
+                matrix=m,
             )
         )
     return rows
@@ -214,3 +216,17 @@ def save_corr_matrix_txt(m: CorrMatrix, path: str | Path, zscore: bool = False) 
     mat = row_zscore(m.matrix) if zscore else m.matrix
     lines = [" ".join(f"{x:.10g}" for x in row) for row in mat]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_report(report: EvalReport, out: str | Path, zscore: bool = False) -> None:
+    """``report.csv``, ``report.json``, ``reliable_mask.json`` and one
+    ``matrices/<variant>_c<k>.txt`` per row (row-z-scored when ``zscore``)."""
+    out = Path(out)
+    (out / "matrices").mkdir(parents=True, exist_ok=True)
+    write_report_csv(report, out / "report.csv")
+    write_report_json(report, out / "report.json")
+    (out / "reliable_mask.json").write_text(
+        json.dumps({"reliable": [bool(b) for b in report.reliable_mask]}) + "\n"
+    )
+    for r in report.rows:
+        save_corr_matrix_txt(r.matrix, out / "matrices" / f"{r.variant}_c{r.contrast}.txt", zscore=zscore)

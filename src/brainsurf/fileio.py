@@ -105,7 +105,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         n = _size(shape)
         arrays[entry["name"]] = values[start : start + n].reshape(shape)
         start += n
-    return arrays, header.get("meta", {})
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CorruptFile(f"{path}: malformed header: meta is not an object")
+    return arrays, meta
 
 
 class JsonConfig:

@@ -6,7 +6,9 @@ features channel-wise, and runs two more convolutions.  All hidden layers
 share weights across the predicted contrast channels; only the final linear
 convolution separates them.  The parameters live in one ``ParamArena``: their
 data and their gradients are views of two flat vectors, in ``parameters()``
-order, which is also the checkpoint's order.
+order, which is also the checkpoint's order.  A model checkpoint holds those
+arrays with the model's config as its ``model`` meta; ``save_model`` and
+``load_model`` are the only code that knows this.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from . import meshlayers as ml
 from .autodiff import Param, ParamArena, ShapeMismatch, Tensor
-from .fileio import ConfigError, JsonConfig
-from .icosphere import MeshHierarchy, n_vertices_at_level
+from .fileio import ConfigError, CorruptFile, JsonConfig, load_checkpoint, save_checkpoint
+from .icosphere import MeshHierarchy, build_hierarchy, n_vertices_at_level
 
 
 class EmptyEnsemble(ValueError):
@@ -77,7 +79,7 @@ class BrainSurfCNN:
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for p in self.arena.params:
             if p.name not in arrays:
-                raise KeyError(f"checkpoint is missing parameter {p.name}")
+                raise ShapeMismatch(f"checkpoint is missing parameter {p.name}")
             src = np.asarray(arrays[p.name], dtype=np.float64)
             if src.shape != p.tensor.data.shape:
                 raise ShapeMismatch(
@@ -183,6 +185,25 @@ def build_model(config: ModelConfig, hierarchy: MeshHierarchy) -> BrainSurfCNN:
         hierarchy=hierarchy,
         arena=ParamArena(params),
     )
+
+
+def save_model(path, model: BrainSurfCNN) -> None:
+    save_checkpoint(path, model.param_arrays(), meta={"model": model.config.to_dict()})
+
+
+def load_model(path) -> BrainSurfCNN:
+    """The model a ``save_model`` checkpoint holds; ``CorruptFile`` when the
+    file is no such checkpoint or its arrays do not fit its config."""
+    arrays, meta = load_checkpoint(path)
+    if not isinstance(meta.get("model"), dict):
+        raise CorruptFile(f"{path}: not a model checkpoint (its header has no 'model' meta)")
+    try:
+        config = ModelConfig.from_dict(meta["model"])
+        model = build_model(config, build_hierarchy(config.mesh_level))
+        model.load_param_arrays(arrays)
+    except (TypeError, ValueError) as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc
+    return model
 
 
 def predict_variants(model: BrainSurfCNN, samples) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .autodiff import adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
-from .fileio import JsonConfig, save_checkpoint
-from .model import BrainSurfCNN
+from .fileio import JsonConfig
+from .model import BrainSurfCNN, save_model
 from .rcloss import BatchTooSmall, Margins, distance, init_margins, rc_loss, schedule_margins
 
 LOG_COLUMNS = ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta"]
@@ -127,19 +127,21 @@ def train_phase(
             )
             targets = np.stack([subjects[i].target for i in batch])
 
-            if use_rc_loss or batch.size >= 2:
+            if use_rc_loss:
                 # rc_loss raises BatchTooSmall for singleton phase-2 batches.
-                batch_loss = rc_loss(
-                    preds, targets, margins if margins is not None else Margins(0.0, 0.0)
-                )
-                loss = batch_loss.l_rc if use_rc_loss else batch_loss.l_r
-                sums["l_r"] += batch_loss.l_r.item()
-                sums["l_c"] += batch_loss.l_c.item()
-                sums["l_rc"] += batch_loss.l_rc.item()
-                n_pair_batches += 1
+                batch_loss = rc_loss(preds, targets, margins)
+                loss = batch_loss.l_rc
             else:
+                # Phase 1 backpropagates L_R alone; a pair batch logs L_C from
+                # the batch's values, which records no graph.
                 loss = distance(preds, targets)
+                batch_loss = rc_loss(preds.data, targets, Margins(0.0, 0.0)) if batch.size >= 2 else None
+            if batch_loss is None:
                 sums["l_r"] += loss.item()
+            else:
+                for key in sums:
+                    sums[key] += getattr(batch_loss, key).item()
+                n_pair_batches += 1
 
             model.zero_grad()
             backward(loss)
@@ -160,9 +162,7 @@ def train_phase(
         log.rows.append(stats)
 
         if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path, model.param_arrays(), meta={"model": model.config.to_dict()}
-            )
+            save_model(checkpoint_path, model)
         if val_hook is not None:
             val_hook(epoch, model)
     return log
@@ -181,7 +181,6 @@ def train_two_phase(
     seed: int,
     opt: OptimizerConfig = OptimizerConfig(),
     phase2_opt: OptimizerConfig | None = None,
-    ensemble_sampling: bool = True,
     checkpoint_path: str | Path | None = None,
     phase1_checkpoint_path: str | Path | None = None,
     val_hook=None,
@@ -208,7 +207,6 @@ def train_two_phase(
         opt=opt,
         use_rc_loss=False,
         start_epoch=0,
-        ensemble_sampling=ensemble_sampling,
         log=log,
         checkpoint_path=phase1_checkpoint_path or checkpoint_path,
         val_hook=val_hook,
@@ -227,7 +225,6 @@ def train_two_phase(
             use_rc_loss=True,
             margins0=margins0,
             start_epoch=phase1_epochs,
-            ensemble_sampling=ensemble_sampling,
             log=log,
             checkpoint_path=checkpoint_path,
             val_hook=val_hook,

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from brainsurf.baseline import (
     EmptySet,
+    ParcelRegressor,
+    Parcellation,
     RankDeficientWarning,
     average_regressors,
     farthest_point_parcellation,
     fit_subject,
     group_average_baseline,
+    load_baseline,
     predict_baseline,
+    save_baseline,
 )
+from brainsurf.fileio import CorruptFile, load_checkpoint, save_checkpoint
 from brainsurf.icosphere import icosphere
 
 
@@ -241,3 +249,76 @@ class TestGroupAverage:
     def test_empty(self):
         with pytest.raises(EmptySet):
             group_average_baseline([])
+
+
+# Levels 0..2 (12..162 vertices), a parcel count that fits, any seed.
+parcellations = st.integers(0, 2).flatmap(lambda level: st.tuples(
+    st.just(level), st.integers(1, min(12, 10 * 4**level + 2)), st.integers(0, 2**32 - 1),
+))
+
+
+class TestBaselineFile:
+    @settings(max_examples=30, deadline=None)
+    @given(parcellations, st.integers(1, 3), st.integers(1, 3), st.lists(st.text(max_size=8), max_size=3), st.data())
+    def test_roundtrip(self, tmp_path_factory, spec, k, m, rank_warnings, data):
+        level, n_parcels, seed = spec
+        built = farthest_point_parcellation(icosphere(level), n_parcels, seed=seed)
+        coeffs = data.draw(hnp.arrays(np.float64, (n_parcels, k, m + 1), elements=st.floats(width=64)))
+        path = tmp_path_factory.mktemp("baseline") / "baseline.bin"
+        save_baseline(path, ParcelRegressor(coeffs=coeffs, labels=built.labels, rank_warnings=rank_warnings))
+        regressor, parcellation = load_baseline(path)
+        assert regressor.coeffs.tobytes() == coeffs.tobytes()
+        assert regressor.rank_warnings == rank_warnings
+        assert np.array_equal(regressor.labels, built.labels)
+        assert np.array_equal(parcellation.labels, built.labels)
+        assert len(parcellation.parcels) == len(built.parcels)
+        assert all(np.array_equal(a, b) for a, b in zip(parcellation.parcels, built.parcels))
+
+    @settings(max_examples=30, deadline=None)
+    @given(parcellations)
+    def test_from_labels_returns_the_built_parcellation(self, spec):
+        level, n_parcels, seed = spec
+        built = farthest_point_parcellation(icosphere(level), n_parcels, seed=seed)
+        again = Parcellation.from_labels(built.labels, n_parcels)
+        assert len(again.parcels) == n_parcels
+        # Each parcel lists, in increasing order, exactly the vertices so labelled.
+        for p, (idx, built_idx) in enumerate(zip(again.parcels, built.parcels)):
+            assert np.array_equal(idx, built_idx)
+            assert (np.diff(idx) > 0).all() and (built.labels[idx] == p).all()
+        assert sum(idx.size for idx in again.parcels) == built.labels.size
+
+    @pytest.fixture()
+    def saved(self, parcellation, tmp_path):
+        regressor = ParcelRegressor(coeffs=np.zeros((8, 2, 3)), labels=parcellation.labels)
+        save_baseline(tmp_path / "b.bin", regressor)
+        return load_checkpoint(tmp_path / "b.bin")
+
+    def rewritten(self, tmp_path, arrays, meta):
+        save_checkpoint(tmp_path / "bad.bin", arrays, meta=meta)
+        return tmp_path / "bad.bin"
+
+    def test_missing_arrays(self, saved, tmp_path):
+        arrays, meta = saved
+        for name in ("coeffs", "labels"):
+            kept = {k: v for k, v in arrays.items() if k != name}
+            with pytest.raises(CorruptFile, match="not a baseline file"):
+                load_baseline(self.rewritten(tmp_path, kept, meta))
+
+    @pytest.mark.parametrize("bad_label", [-1.0, 8.0, 2.5])
+    def test_label_outside_parcels(self, saved, tmp_path, bad_label):
+        arrays, meta = saved
+        arrays["labels"] = arrays["labels"].copy()
+        arrays["labels"][5] = bad_label
+        with pytest.raises(CorruptFile, match="outside 0..7"):
+            load_baseline(self.rewritten(tmp_path, arrays, meta))
+
+    def test_empty_parcel(self, saved, tmp_path):
+        arrays, meta = saved
+        arrays["labels"] = np.where(arrays["labels"] == 3, 4, arrays["labels"])
+        with pytest.raises(CorruptFile, match="parcel 3 has no vertices"):
+            load_baseline(self.rewritten(tmp_path, arrays, meta))
+
+    def test_parcel_count_disagrees(self, saved, tmp_path):
+        arrays, meta = saved
+        with pytest.raises(CorruptFile, match="do not fit"):
+            load_baseline(self.rewritten(tmp_path, arrays, {**meta, "n_parcels": 7}))

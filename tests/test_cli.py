@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from brainsurf import autodiff as ad
-from brainsurf import cli
+from brainsurf import cli, evaluate
 from brainsurf.fileio import read_tensor
+from brainsurf.model import load_model
 
 TINY_CONFIG = {
     "seed": 5,
@@ -183,6 +184,15 @@ class TestTrain:
         rc = cli.main(["train", "--data", str(tiny_run / "data"), "--config", str(cfg), "--out", str(tmp_path / "r3")])
         assert rc == 3
 
+    def test_partial_model_section_takes_the_run_seed(self, tmp_path, tiny_run):
+        # The section gives only widths: channels and level come from the
+        # generator, the seed from the run.
+        cfg = write_config(tmp_path, model={"encoder_widths": [6], "bottleneck_width": 12})
+        out = tmp_path / "r_partial"
+        assert cli.main(["train", "--data", str(tiny_run / "data"), "--config", str(cfg), "--out", str(out)]) == 0
+        config = load_model(out / "checkpoint_final.bin").config
+        assert (config.seed, config.input_channels, config.output_channels, config.mesh_level) == (5, 4, 2, 1)
+
     def test_model_mismatch_exit_2(self, tmp_path, tiny_run):
         cfg = write_config(tmp_path, model={
             "input_channels": 6, "output_channels": 2, "mesh_level": 1,
@@ -217,7 +227,7 @@ class TestPredict:
         stack = [read_tensor(tiny_run / "pd" / f"sub004_sample_{k}.bin") for k in range(8)]
         assert np.abs(np.mean(stack, axis=0) - ens).max() <= 1e-12 * np.abs(ens).max()
         # Each dumped map is that variant's own single-subject prediction.
-        model = cli._load_model(tiny_run / "run" / "checkpoint_final.bin")
+        model = load_model(tiny_run / "run" / "checkpoint_final.bin")
         samples = load_dataset(tiny_run / "data").samples("sub004")
         for dumped, sample in zip(stack, samples):
             single = model.predict(sample)
@@ -263,6 +273,54 @@ class TestPredict:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("model, baseline, message", [
+        ("baseline.bin", None, "not a model checkpoint"),
+        ("checkpoint_final.bin", "checkpoint_final.bin", "not a baseline file"),
+    ])
+    def test_wrong_artifact_exit_2(self, tiny_run, capsys, model, baseline, message):
+        args = [
+            "predict", "--model", str(tiny_run / "run" / model),
+            "--data", str(tiny_run / "data"), "--out", str(tiny_run / "pw"),
+        ]
+        if baseline is not None:
+            args += ["--baseline", str(tiny_run / "run" / baseline)]
+        capsys.readouterr()
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and message in err and err.count("\n") == 1
+
+    def test_model_from_another_dataset_exit_2(self, tiny_run, capsys):
+        cfg = write_config(tiny_run, generator={**TINY_CONFIG["generator"], "n_rois": 3}, model=None)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tiny_run / "data3")]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
+            "--data", str(tiny_run / "data3"), "--out", str(tiny_run / "p3"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "input channels" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content, message", [
+        ("{not json", "not JSON"),
+        ("[1, 2]", "not a JSON object"),
+        (None, "missing test_subjects"),
+    ])
+    def test_malformed_cohort_json_exit_2(self, tiny_run, capsys, content, message):
+        path = tiny_run / "data" / "cohort.json"
+        if content is None:
+            manifest = json.loads(path.read_text())
+            del manifest["test_subjects"]
+            content = json.dumps(manifest)
+        path.write_text(content)
+        capsys.readouterr()
+        for argv in (
+            ["predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"), "--out", str(tiny_run / "pj")],
+            ["evaluate", "--out", str(tiny_run / "ej")],
+        ):
+            assert cli.main([*argv, "--data", str(tiny_run / "data")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("corrupt input:") and message in err and err.count("\n") == 1
+
     def test_baseline_predictions_written(self, tiny_run):
         assert cli.main([
             "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
@@ -287,6 +345,32 @@ class TestEvaluate:
         assert set(payload["aggregates"]) == {"model", "group_average", "retest"}
         assert (tiny_run / "eval" / "matrices" / "retest_c0.txt").exists()
         assert (tiny_run / "eval" / "reliable_mask.json").exists()
+
+    def test_one_correlation_matrix_per_variant_and_contrast(self, tiny_run, monkeypatch):
+        calls = []
+        original = evaluate.correlation_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("contrast_id"))
+            return original(*args, **kwargs)
+
+        # Count the calls made through every module that binds the function.
+        for module in (evaluate, cli):
+            if hasattr(module, "correlation_matrix"):
+                monkeypatch.setattr(module, "correlation_matrix", counting)
+        preds = tiny_run / "pc"
+        cli.main([
+            "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
+            "--data", str(tiny_run / "data"), "--out", str(preds),
+            "--baseline", str(tiny_run / "run" / "baseline.bin"),
+        ])
+        assert cli.main([
+            "evaluate", "--data", str(tiny_run / "data"), "--preds", f"model={preds}",
+            "--preds", f"baseline={preds / 'baseline'}", "--out", str(tiny_run / "ec"),
+        ]) == 0
+        # (model, baseline, group_average, retest) x 2 contrasts, one matrix file each.
+        assert sorted(calls) == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert len(list((tiny_run / "ec" / "matrices").iterdir())) == 8
 
     def test_targets_as_predictions_identify_perfectly(self, tiny_run):
         from brainsurf.connectome import load_dataset

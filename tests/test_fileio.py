@@ -102,6 +102,12 @@ class TestFraming:
         with pytest.raises(CorruptFile):
             load_checkpoint(path)
 
+    def test_checkpoint_meta_must_be_an_object(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b'{"entries": [], "meta": [1]}\n')
+        with pytest.raises(CorruptFile, match="meta"):
+            load_checkpoint(path)
+
 
 class _FailingPayload:
     """File stand-in that writes the header, then half of the first payload
@@ -199,6 +205,25 @@ class TestConfigCodec:
         key = data.draw(st.text(max_size=10).filter(lambda k: k not in names))
         with pytest.raises(ConfigError):
             type(cfg).from_dict({**via_json(asdict(cfg)), key: 1})
+
+    @PROPERTY
+    @given(run_configs, st.sets(st.sampled_from(["input_channels", "output_channels", "mesh_level", "seed"])))
+    def test_partial_model_section_takes_the_rest_from_the_run(self, cfg, omitted):
+        section = {k: v for k, v in via_json(cfg.resolved_model().to_dict()).items() if k not in omitted}
+        d = {**via_json(cfg.to_dict()), "model": section}
+        assert RunConfig.from_dict(d).model == cfg.resolved_model()
+
+    def test_partial_model_section_resolves_from_generator_and_seed(self):
+        cfg = RunConfig.from_dict({"seed": 5, "model": {"encoder_widths": [16, 32]}})
+        assert cfg.model == replace(RunConfig(seed=5).resolved_model(), encoder_widths=(16, 32))
+        assert cfg.model.seed == 5
+        cfg = RunConfig.from_dict(
+            {"seed": 5, "generator": {"mesh_level": 3}, "model": {"encoder_widths": [16, 32]}}
+        )
+        assert (cfg.model.mesh_level, cfg.model.seed) == (3, 5)
+        # Values the section does give are still checked against the run.
+        with pytest.raises(ConfigError, match="mesh levels differ"):
+            RunConfig.from_dict({"generator": {"mesh_level": 3}, "model": {"mesh_level": 2}})
 
     def test_dict_keys_in_field_order(self):
         # Checkpoint headers dump the model config without sorting keys.

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brainsurf.autodiff import ShapeMismatch, adam_step, backward, grad_check
+from brainsurf.fileio import CorruptFile, load_checkpoint, save_checkpoint
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import (
     ConfigError,
     EmptyEnsemble,
     ModelConfig,
     build_model,
+    load_model,
     predict_ensemble,
+    save_model,
 )
 from brainsurf.rcloss import Margins, rc_loss
 
@@ -152,17 +155,47 @@ class TestForward:
         assert np.abs(a - b).max() > 1e-6
 
     def test_checkpoint_roundtrip_preserves_outputs(self, hierarchy, tmp_path):
-        from brainsurf.fileio import load_checkpoint, save_checkpoint
-
         model = build_model(ModelConfig(seed=9), hierarchy)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((10, 162))
         before = model.forward(x).data
-        save_checkpoint(tmp_path / "m.bin", model.param_arrays(), meta={"model": model.config.to_dict()})
-        arrays, meta = load_checkpoint(tmp_path / "m.bin")
-        model2 = build_model(ModelConfig.from_dict(meta["model"]), hierarchy)
-        model2.load_param_arrays(arrays)
+        save_model(tmp_path / "m.bin", model)
+        model2 = load_model(tmp_path / "m.bin")
+        assert model2.config == model.config
         assert np.array_equal(model2.forward(x).data, before)
+
+
+class TestModelFile:
+    @pytest.fixture()
+    def saved(self, hierarchy, tmp_path):
+        save_model(tmp_path / "m.bin", build_model(ModelConfig(seed=4), hierarchy))
+        return load_checkpoint(tmp_path / "m.bin")
+
+    def rewritten(self, tmp_path, arrays, meta):
+        save_checkpoint(tmp_path / "bad.bin", arrays, meta=meta)
+        return tmp_path / "bad.bin"
+
+    def test_no_model_meta(self, saved, tmp_path):
+        arrays, _ = saved
+        with pytest.raises(CorruptFile, match="not a model checkpoint"):
+            load_model(self.rewritten(tmp_path, arrays, {"n_parcels": 4}))
+
+    def test_missing_parameter(self, saved, tmp_path):
+        arrays, meta = saved
+        del arrays["out.conv.bias"]
+        with pytest.raises(CorruptFile, match="missing parameter out.conv.bias"):
+            load_model(self.rewritten(tmp_path, arrays, meta))
+
+    def test_misshapen_parameter(self, saved, tmp_path):
+        arrays, meta = saved
+        arrays["out.conv.bias"] = np.zeros(7)
+        with pytest.raises(CorruptFile, match="out.conv.bias"):
+            load_model(self.rewritten(tmp_path, arrays, meta))
+
+    def test_invalid_model_meta(self, saved, tmp_path):
+        arrays, meta = saved
+        with pytest.raises(CorruptFile, match="leaky_slope"):
+            load_model(self.rewritten(tmp_path, arrays, {"model": {**meta["model"], "leaky_slope": 2.0}}))
 
 
 def max_rel(a, b):

@@ -6,7 +6,7 @@ import pytest
 
 from brainsurf.connectome import GeneratorConfig, generate_cohort, split_runs
 from brainsurf.icosphere import build_hierarchy
-from brainsurf.model import ModelConfig, build_model
+from brainsurf.model import ModelConfig, build_model, load_model
 from brainsurf.rcloss import BatchTooSmall, Margins, rc_loss
 from brainsurf.training import (
     NaNLossError,
@@ -123,6 +123,40 @@ class TestTrainPhase:
         with open(tmp_path / "log.csv") as f:
             assert list(csv.reader(f))[1][2] == ""
 
+    def test_phase1_records_only_the_graph_it_backpropagates(self, hierarchy, monkeypatch):
+        # Every node a phase-1 step records is reachable from the root it
+        # passes to backward: L_C, which phase 1 only logs, records none.
+        import brainsurf.autodiff as autodiff
+        import brainsurf.training as training
+
+        recorded, roots = [], []
+        original_result, original_backward = autodiff._result, training.backward
+
+        def recording_result(data, parents):
+            out = original_result(data, parents)
+            if out._parents:
+                recorded.append(out)
+            return out
+
+        def recording_backward(root):
+            roots.append(root)
+            original_backward(root)
+
+        monkeypatch.setattr(autodiff, "_result", recording_result)
+        monkeypatch.setattr(training, "backward", recording_backward)
+        train_phase(
+            build_model(TINY_MODEL, hierarchy), tiny_subjects(), epochs=1, batch_size=2,
+            rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=False,
+        )
+        reachable, todo = set(), list(roots)
+        while todo:
+            node = todo.pop()
+            if id(node) not in reachable:
+                reachable.add(id(node))
+                todo.extend(node._parents)
+        assert len(roots) == 2 and recorded
+        assert [n.data.shape for n in recorded if id(n) not in reachable] == []
+
     def test_nan_aborts_with_previous_checkpoint(self, hierarchy, tmp_path):
         model = build_model(TINY_MODEL, hierarchy)
         subjects = tiny_subjects()
@@ -141,9 +175,7 @@ class TestTrainPhase:
                 rng=np.random.default_rng(2), opt=OptimizerConfig(lr=1e120),
                 use_rc_loss=False, start_epoch=2, checkpoint_path=ckpt,
             )
-        from brainsurf.fileio import load_checkpoint
-
-        arrays, _ = load_checkpoint(ckpt)
+        arrays = load_model(ckpt).param_arrays()
         for name in good:
             assert np.array_equal(arrays[name], good[name])
 
