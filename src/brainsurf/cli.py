@@ -2,12 +2,15 @@
 and gradient verification, each deterministic given its config.
 
 Exit codes are a stable contract: 0 success, 2 bad config or unreadable input
-(a generator setting out of range, e.g. an odd ``t_per_run`` or ``n_runs``
-other than 4; fewer than 2 subjects in the cohort; ``baseline_parcels``
-outside 1..V; a model ``leaky_slope`` outside [0, 1]; missing, truncated or
-corrupt file; a baseline file given as ``--model`` or a model checkpoint as
-``--baseline``; a ``--model`` whose channels or level do not fit the data;
-a ``cohort.json`` that is not a JSON object or lacks a key;
+(a generator setting out of range, e.g. an odd ``t_per_run``, ``n_runs``
+other than 4 or a non-finite noise, deviation or mix setting; fewer than 2
+subjects in the cohort; ``baseline_parcels`` outside 1..V; a model
+``leaky_slope`` outside [0, 1]; missing, truncated or corrupt file; a
+baseline file given as ``--model`` or a model checkpoint as ``--baseline``;
+a ``--model`` whose channels or level do not fit the data;
+a ``--baseline`` whose level, contrast or ROI count does not fit the data;
+a ``cohort.json`` that is not a JSON object, lacks a key or has an invalid
+generator or subject list (a missing one: an interrupted ``gen-data``);
 a constant target or retest map; a repeated ``--subjects`` id;
 fewer than 2 subjects to evaluate; a ``--preds`` name that is empty,
 repeated or reserved), 3 numeric failure (NaN loss; the last good checkpoint
@@ -41,9 +44,8 @@ from .connectome import (
     GeneratorConfig,
     bank_averaged_features,
     ensemble_mean_features,
-    generate_cohort,
     load_dataset,
-    save_dataset,
+    write_cohort,
 )
 from .evaluate import SubjectMismatch, ZeroVariance, ablation_report, write_report
 from .fileio import ConfigError, CorruptFile, JsonConfig, git_blob_sha1, hash_file, read_tensor, write_tensor
@@ -72,6 +74,19 @@ def _check_model_fits(model: ModelConfig, gen: GeneratorConfig, source: str) -> 
         raise ConfigError(f"model predicts {model.output_channels} contrasts, {source} has {gen.n_contrasts}")
     if model.mesh_level != gen.mesh_level:
         raise ConfigError(f"model and {source} mesh levels differ")
+
+
+def _check_baseline_fits(regressor: ParcelRegressor, gen: GeneratorConfig) -> None:
+    _, n_contrasts, n_coeffs = regressor.coeffs.shape
+    if regressor.labels.shape[0] != gen.n_vertices:
+        raise ConfigError(
+            f"baseline covers {regressor.labels.shape[0]} vertices, dataset has {gen.n_vertices} "
+            f"(mesh level {gen.mesh_level})"
+        )
+    if n_contrasts != gen.n_contrasts:
+        raise ConfigError(f"baseline predicts {n_contrasts} contrasts, dataset has {gen.n_contrasts}")
+    if n_coeffs - 1 != gen.n_rois:
+        raise ConfigError(f"baseline regresses on {n_coeffs - 1} ROIs, dataset has {gen.n_rois}")
 
 
 @dataclass(frozen=True)
@@ -176,11 +191,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    total = cfg.n_train_subjects + cfg.n_test_subjects
-    records = generate_cohort(total, cfg.generator, cfg.seed)
-    save_dataset(
-        out, cfg.seed, cfg.generator, records[: cfg.n_train_subjects], records[cfg.n_train_subjects :]
-    )
+    write_cohort(out, cfg.generator, cfg.seed, cfg.n_train_subjects, cfg.n_test_subjects)
     _write_manifest(out, cfg, inputs={})
     print(
         f"wrote {cfg.n_train_subjects} train + {cfg.n_test_subjects} test subjects to {out}"
@@ -282,9 +293,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     model = load_model(args.model)
     _check_model_fits(model.config, dataset.generator, "dataset")
+    baseline = load_baseline(args.baseline) if args.baseline else None
+    if baseline is not None:
+        _check_baseline_fits(baseline[0], dataset.generator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    baseline = load_baseline(args.baseline) if args.baseline else None
     if baseline is not None:
         (out / "baseline").mkdir(exist_ok=True)
 

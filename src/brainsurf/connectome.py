@@ -13,8 +13,12 @@ function of (config, seed).
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +72,10 @@ class GeneratorConfig(JsonConfig):
         noise = self.contrast_noise_std
         if not isinstance(noise, (int, float)) and len(noise) != self.n_contrasts:
             raise ConfigError(f"contrast_noise_std needs {self.n_contrasts} entries, got {len(noise)}")
+        for name in ("timeseries_noise_std", "roi_deviation", "contrast_deviation", "nonlinear_mix",
+                     "contrast_noise_std"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"generator {name} must be finite")
 
     def noise_per_contrast(self) -> np.ndarray:
         return np.full(self.n_contrasts, self.contrast_noise_std, dtype=np.float64)
@@ -90,16 +98,30 @@ class SubjectRecord:
     retest_contrasts: np.ndarray  # [K, V]
 
 
-def standardized_rows(rows: np.ndarray, label: str, constant_rows_nan: bool = False) -> np.ndarray:
+def standardized_rows(
+    rows: np.ndarray, label: str, constant_rows_nan: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
     """Center each row and scale it to unit norm, so that inner products of
-    standardized rows are Pearson correlations.
+    standardized rows are Pearson correlations; the result goes to ``out``
+    when given.
 
     A constant row has no correlation: it raises ZeroVariance, or becomes a
     row of NaN when ``constant_rows_nan``."""
+    return _standardized_rows(rows, label, constant_rows_nan, out)
+
+
+def _standardized_rows(
+    rows: np.ndarray, label: str, constant_rows_nan: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(rows)
     mean = rows.mean(axis=1, keepdims=True)
-    centered = rows - mean
-    norms = np.sqrt((centered * centered).sum(axis=1))
+    # The squares go through ``out`` too, and the rows are centered again
+    # after: a call allocates nothing of the rows' size beyond ``out``.
+    np.subtract(rows, mean, out=out)
+    np.multiply(out, out, out=out)
+    norms = np.sqrt(out.sum(axis=1))
     # The computed mean of a constant row can miss its value by a few ulp,
     # which leaves a tiny nonzero norm: test rows with such norms exactly.
     constant = norms <= 1e-12 * np.sqrt(rows.shape[1]) * np.abs(mean[:, 0])
@@ -108,7 +130,9 @@ def standardized_rows(rows: np.ndarray, label: str, constant_rows_nan: bool = Fa
         if constant.any() and not constant_rows_nan:
             raise ZeroVariance(f"{label} row {np.flatnonzero(constant)[0]} has zero variance")
         norms[constant] = np.nan
-    return centered / norms[:, None]
+    np.subtract(rows, mean, out=out)
+    np.divide(out, norms[:, None], out=out)
+    return out
 
 
 def compute_connectome(
@@ -130,23 +154,20 @@ def compute_connectome(
             f"compute_connectome: vertex {vertex_ts.shape}, roi {roi_ts.shape}, "
             f"right {right.shape}"
         )
-    z_roi = standardized_rows(roi_ts, "roi")
-    z_left = standardized_rows(vertex_ts, "vertex")
-    corr_left = z_roi @ z_left.T  # [M, V]
-    if vertex_ts_right is None:
-        corr_right = corr_left
-    else:
-        corr_right = z_roi @ standardized_rows(right, "vertex").T
-    return np.clip(np.concatenate([corr_left, corr_right], axis=0), -1.0, 1.0)
+    out = np.empty((2 * roi_ts.shape[0], vertex_ts.shape[0]))
+    return _connectome_into(out, vertex_ts, right, roi_ts, np.empty(vertex_ts.shape))
 
 
-def half_run_connectomes(left: np.ndarray, right: np.ndarray, roi: np.ndarray) -> list[np.ndarray]:
-    """The connectomes of a run's two contiguous halves, each [2M, V]."""
-    t = roi.shape[1]
-    return [
-        compute_connectome(left[:, seg], roi[:, seg], right[:, seg])
-        for seg in (slice(0, t // 2), slice(t // 2, t))
-    ]
+def _connectome_into(
+    out: np.ndarray, left: np.ndarray, right: np.ndarray, roi: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """``compute_connectome`` into ``out`` [2M, V], with ``z`` (C-ordered, the
+    banks' shape) holding each standardized bank in turn."""
+    m = roi.shape[0]
+    z_roi = _standardized_rows(roi, "roi")
+    np.matmul(z_roi, _standardized_rows(left, "vertex", out=z).T, out=out[:m])
+    np.matmul(z_roi, _standardized_rows(right, "vertex", out=z).T, out=out[m:])
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def split_runs(record: SubjectRecord) -> list[ConnectomeSample]:
@@ -182,14 +203,81 @@ def _ar1(rng: np.random.Generator, n_series: int, t: int, coeff: float) -> np.nd
 
 
 def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[SubjectRecord]:
-    """Each run's raw series live only until its two half-run connectomes
-    are computed: memory grows by connectomes, not timeseries."""
+    """Every subject of the cohort, in order, all held in memory at once
+    (``write_cohort`` writes each one as it completes instead)."""
+    return list(_cohort_records(n_subjects, cfg, seed))
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _OneJobInFlight:
+    """Runs jobs on one worker thread, one at a time: ``submit`` first waits
+    for the previous job, and re-raises its exception unchanged.  With one
+    CPU a second thread only adds switches, so jobs run inline."""
+
+    def __init__(self) -> None:
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="brainsurf-gen") if _cpu_count() > 1 else None
+        self._pending: Future | None = None
+
+    def submit(self, job, *args) -> None:
+        self.wait()
+        if self._pool is None:
+            job(*args)
+        else:
+            self._pending = self._pool.submit(job, *args)
+
+    def wait(self) -> None:
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()
+
+    def close(self) -> None:
+        # A job still pending here belongs to a cohort whose consumer stopped
+        # early; its outcome goes with that cohort.
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+
+
+def _run_connectomes(
+    weights: np.ndarray, roi: np.ndarray, left: np.ndarray, right: np.ndarray,
+    noise_std: float, work: np.ndarray, out: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """One drawn run into its two half-run connectomes ``out``: the noise
+    banks ``left`` and ``right`` [V, T] become the vertex series in place
+    (``noise*std + mixture`` is bitwise ``mixture + std*noise``).  ``work``
+    (V*T values) holds the ROI mixture, then each standardized half-bank.
+
+    The worker thread runs this: it allocates nothing of the banks' size and
+    calls no public function of the package."""
+    v, t = left.shape
+    mixture = work.reshape(v, t)
+    np.matmul(weights.T, roi, out=mixture)  # both banks share the ROI mixture, not the noise
+    for bank in (left, right):
+        bank *= noise_std
+        bank += mixture
+    z = work[: v * (t // 2)].reshape(v, t // 2)
+    for features, seg in zip(out, (slice(0, t // 2), slice(t // 2, t))):
+        _connectome_into(features, left[:, seg], right[:, seg], roi[:, seg], z)
+
+
+def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterator[SubjectRecord]:
+    """The cohort's subjects in order, each yielded as soon as its last
+    connectome is done.
+
+    This thread makes every draw, in one fixed order, so a cohort is a pure
+    function of (config, seed).  Each run's noise is drawn into one of two
+    run slots while a worker turns the run before into its connectomes.
+    Memory holds the slots and about one subject, whatever the cohort size."""
     cfg.validate()
     if n_subjects < 2:
         raise ValueError(f"a cohort needs at least 2 subjects, got {n_subjects}")
     rng = np.random.default_rng(seed)
     mesh = icosphere(cfg.mesh_level)
-    v, m, k = cfg.n_vertices, cfg.n_rois, cfg.n_contrasts
+    v, m, k, t = cfg.n_vertices, cfg.n_rois, cfg.n_contrasts, cfg.t_per_run
     smoother = closed_ring_mean(mesh, mesh.n_vertices)
 
     roi_profiles = _smooth_fields(rng, smoother, m, cfg.smooth_steps)  # [M, V]
@@ -217,43 +305,55 @@ def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[Su
             return 0.0
         return max(np.abs((coeff * prev).sum(axis=1)).max() for prev in accepted)
 
-    records = []
+    slots = [(np.empty((v, t)), np.empty((v, t))) for _ in range(2)]
+    work = np.empty(v * t)
+    jobs = _OneJobInFlight()
+    finished: SubjectRecord | None = None  # drawn, its last run still in flight
     accepted_coeffs: list[np.ndarray] = []
-    for s in range(n_subjects):
-        # Draw a batch of latent candidates and keep the one whose deviation
-        # directions align least with the already-drawn subjects: the
-        # fingerprint stays separable by construction while remaining a pure
-        # function of the seed.
-        candidates = [rng.standard_normal(m) for _ in range(cfg.latent_candidates)]
-        scored = [(alignment(contrast_coeff(z), accepted_coeffs), i) for i, z in enumerate(candidates)]
-        _, best = min(scored)
-        latents = candidates[best]
-        coeff = contrast_coeff(latents)
-        accepted_coeffs.append(coeff)
-        weights = roi_profiles + cfg.roi_deviation * latents[:, None] * roi_deviation_basis
+    try:
+        for s in range(n_subjects):
+            # Draw a batch of latent candidates and keep the one whose
+            # deviation directions align least with the already-drawn
+            # subjects: the fingerprint stays separable by construction while
+            # remaining a pure function of the seed.
+            candidates = [rng.standard_normal(m) for _ in range(cfg.latent_candidates)]
+            scored = [(alignment(contrast_coeff(z), accepted_coeffs), i) for i, z in enumerate(candidates)]
+            _, best = min(scored)
+            latents = candidates[best]
+            coeff = contrast_coeff(latents)
+            accepted_coeffs.append(coeff)
+            weights = roi_profiles + cfg.roi_deviation * latents[:, None] * roi_deviation_basis
 
-        samples = []
-        for run_idx in range(cfg.n_runs):
-            roi_ts = _ar1(rng, m, cfg.t_per_run, cfg.ar_coeff)
-            mixed = weights.T @ roi_ts  # both banks share the ROI mixture, not the noise
-            left = mixed + cfg.timeseries_noise_std * rng.standard_normal((v, cfg.t_per_run))
-            right = mixed + cfg.timeseries_noise_std * rng.standard_normal((v, cfg.t_per_run))
-            for half, features in enumerate(half_run_connectomes(left, right, roi_ts)):
-                samples.append(ConnectomeSample(segment_index=2 * run_idx + half, features=features))
+            samples = []
+            for run_idx in range(cfg.n_runs):
+                roi_ts = _ar1(rng, m, t, cfg.ar_coeff)
+                # Free to overwrite: the job that read this slot, two runs
+                # back, was waited for when the previous run was submitted.
+                left, right = slots[run_idx % 2]
+                rng.standard_normal(out=left)
+                rng.standard_normal(out=right)
+                halves = (np.empty((2 * m, v)), np.empty((2 * m, v)))
+                jobs.submit(
+                    _run_connectomes, weights, roi_ts, left, right, cfg.timeseries_noise_std, work, halves
+                )
+                if finished is not None:  # its last run was the job just waited for
+                    yield finished
+                    finished = None
+                samples += [ConnectomeSample(2 * run_idx + h, f) for h, f in enumerate(halves)]
 
-        clean = group_maps + cfg.contrast_deviation * (coeff @ contrast_basis)
-        target = clean + noise_k[:, None] * rng.standard_normal((k, v))
-        retest = clean + noise_k[:, None] * rng.standard_normal((k, v))
-
-        records.append(
-            SubjectRecord(
+            clean = group_maps + cfg.contrast_deviation * (coeff @ contrast_basis)
+            target = clean + noise_k[:, None] * rng.standard_normal((k, v))
+            retest = clean + noise_k[:, None] * rng.standard_normal((k, v))
+            finished = SubjectRecord(
                 subject_id=f"sub{s:03d}",
                 samples=tuple(samples),
                 target_contrasts=target,
                 retest_contrasts=retest,
             )
-        )
-    return records
+        jobs.wait()
+        yield finished
+    finally:
+        jobs.close()
 
 
 # --- dataset directory layout -------------------------------------------------
@@ -290,28 +390,33 @@ class Dataset:
         return read_tensor(self._subject_dir(subject_id) / "retest.bin")
 
 
-def save_dataset(
-    out_dir: str | Path,
-    seed: int,
-    cfg: GeneratorConfig,
-    train_records: list[SubjectRecord],
-    test_records: list[SubjectRecord],
-) -> Dataset:
+def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: int, n_test: int) -> Dataset:
+    """Generate a cohort of ``n_train + n_test`` subjects and write each one
+    as it is done, so memory holds about one subject at a time.
+
+    ``cohort.json`` goes last (a stale one is removed first): a directory
+    without it is an unfinished cohort, which ``load_dataset`` rejects."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    for record in train_records + test_records:
-        subject_dir = root / "subjects" / record.subject_id
-        subject_dir.mkdir(parents=True, exist_ok=True)
-        for sample in record.samples:
-            write_tensor(subject_dir / f"sample_{sample.segment_index}.bin", sample.features)
-        write_tensor(subject_dir / "target.bin", record.target_contrasts)
-        write_tensor(subject_dir / "retest.bin", record.retest_contrasts)
+    (root / "cohort.json").unlink(missing_ok=True)
+    ids = []
+    # When a write fails, closing() stops the generator and joins its worker
+    # here, not whenever the generator is collected.
+    with closing(_cohort_records(n_train + n_test, cfg, seed)) as records:
+        for record in records:
+            subject_dir = root / "subjects" / record.subject_id
+            subject_dir.mkdir(parents=True, exist_ok=True)
+            for sample in record.samples:
+                write_tensor(subject_dir / f"sample_{sample.segment_index}.bin", sample.features)
+            write_tensor(subject_dir / "target.bin", record.target_contrasts)
+            write_tensor(subject_dir / "retest.bin", record.retest_contrasts)
+            ids.append(record.subject_id)
 
     manifest = {
         "seed": seed,
         "generator": cfg.to_dict(),
-        "train_subjects": [r.subject_id for r in train_records],
-        "test_subjects": [r.subject_id for r in test_records],
+        "train_subjects": ids[:n_train],
+        "test_subjects": ids[n_train:],
         "n_samples_per_subject": SEGMENTS_PER_SUBJECT,
         "shapes": {
             "connectome": [2 * cfg.n_rois, cfg.n_vertices],
@@ -323,8 +428,9 @@ def save_dataset(
 
 
 def load_dataset(root: str | Path) -> Dataset:
-    """The dataset ``save_dataset`` wrote under ``root``; ``CorruptFile``
-    when its ``cohort.json`` is not a JSON object with the keys read here."""
+    """The dataset ``write_cohort`` wrote under ``root``; ``CorruptFile``
+    when its ``cohort.json`` is not a JSON object with the keys read here,
+    a valid generator and lists of subject-id strings."""
     path = Path(root) / "cohort.json"
     try:
         manifest = json.loads(path.read_bytes())
@@ -335,11 +441,20 @@ def load_dataset(root: str | Path) -> Dataset:
     missing = [k for k in ("generator", "train_subjects", "test_subjects") if k not in manifest]
     if missing:
         raise CorruptFile(f"{path}: missing {', '.join(missing)}")
+    for key in ("train_subjects", "test_subjects"):
+        ids = manifest[key]
+        if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+            raise CorruptFile(f"{path}: {key} is not a list of subject-id strings")
+    try:
+        generator = GeneratorConfig.from_dict(manifest["generator"])
+        generator.validate()
+    except (ConfigError, TypeError) as exc:
+        raise CorruptFile(f"{path}: invalid generator: {exc}") from exc
     return Dataset(
         root=Path(root),
-        generator=GeneratorConfig.from_dict(manifest["generator"]),
-        train_ids=list(manifest["train_subjects"]),
-        test_ids=list(manifest["test_subjects"]),
+        generator=generator,
+        train_ids=manifest["train_subjects"],
+        test_ids=manifest["test_subjects"],
     )
 
 

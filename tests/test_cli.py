@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestGenData:
         {"contrast_noise_std": [0.1, 0.2, 0.3]},
         {"n_runs": 3},
         {"n_runs": 5},
+        {"timeseries_noise_std": float("nan")},
+        {"roi_deviation": float("inf")},
+        {"contrast_deviation": float("inf")},
+        {"nonlinear_mix": float("-inf")},
+        {"contrast_noise_std": float("nan")},
+        {"contrast_noise_std": [0.1, float("inf")]},
     ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
     def test_invalid_generator_exit_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, generator={**TINY_CONFIG["generator"], **override})
@@ -89,6 +96,43 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and next(iter(override)) in err and err.count("\n") == 1
         assert not (tmp_path / "d" / "subjects").exists()
+
+    def test_memory_holds_about_one_subject(self, tmp_path):
+        # Each subject is written as it completes: 6 subjects peak within one
+        # subject's connectomes (8 x 40 x 162 float64, 415 kB) of 2 subjects.
+        gen = {"mesh_level": 2, "n_rois": 20, "t_per_run": 200}
+
+        def traced_peak(n_subjects):
+            cfg = write_config(tmp_path, generator=gen, model=None, n_train_subjects=n_subjects - 1,
+                               n_test_subjects=1)
+            tracemalloc.start()
+            try:
+                assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / f"d{n_subjects}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_subject = 8 * 2 * gen["n_rois"] * 162 * 8
+        assert traced_peak(6) - traced_peak(2) < one_subject
+
+    def test_interrupted_run_leaves_no_cohort_json(self, tmp_path, monkeypatch, capsys):
+        # A stale cohort.json goes first and the new one last, so later stages
+        # reject what an interrupted run leaves.
+        from brainsurf import connectome
+
+        cfg = write_config(tmp_path)
+        data = tmp_path / "d"
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(connectome, "_run_connectomes", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["gen-data", "--config", str(cfg), "--out", str(data)])
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--data", str(data), "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err.startswith("missing input:")
 
     def test_fewer_than_two_subjects_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_train_subjects=1, n_test_subjects=0)
@@ -320,6 +364,49 @@ class TestPredict:
             assert cli.main([*argv, "--data", str(tiny_run / "data")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("corrupt input:") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_vertices, n_contrasts, n_rois, message", [
+        (162, 2, 2, "vertices"),  # fitted at level 2; the dataset is level 1
+        (42, 3, 2, "contrasts"),
+        (42, 2, 5, "ROIs"),
+    ], ids=["level", "contrasts", "rois"])
+    def test_baseline_from_another_dataset_exit_2(self, tiny_run, capsys, n_vertices, n_contrasts, n_rois,
+                                                  message):
+        from brainsurf.baseline import ParcelRegressor, save_baseline
+
+        labels = np.arange(n_vertices) % 4
+        save_baseline(tiny_run / "other.bin", ParcelRegressor(np.zeros((4, n_contrasts, n_rois + 1)), labels))
+        capsys.readouterr()
+        assert cli.main([
+            "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
+            "--data", str(tiny_run / "data"), "--out", str(tiny_run / "pbx"),
+            "--baseline", str(tiny_run / "other.bin"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err and err.count("\n") == 1
+        assert not (tiny_run / "pbx").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("train_subjects", 3),
+        ("test_subjects", "sub004"),
+        ("train_subjects", ["sub000", 1]),
+        ("test_subjects", None),
+    ])
+    def test_cohort_json_field_types_exit_2(self, tiny_run, capsys, key, value):
+        path = tiny_run / "data" / "cohort.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for argv in (
+            ["train", "--config", str(tiny_run / "cfg.json"), "--out", str(tiny_run / "rt")],
+            ["predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"), "--out", str(tiny_run / "pt")],
+            ["evaluate", "--out", str(tiny_run / "et")],
+        ):
+            assert cli.main([*argv, "--data", str(tiny_run / "data")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("corrupt input:") and key in err and err.count("\n") == 1
+        assert not any((tiny_run / d).exists() for d in ("rt", "pt", "et"))
 
     def test_baseline_predictions_written(self, tiny_run):
         assert cli.main([

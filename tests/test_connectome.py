@@ -1,24 +1,32 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brainsurf import connectome
 from brainsurf.autodiff import ShapeMismatch
 from brainsurf.connectome import (
+    ConnectomeSample,
     GeneratorConfig,
+    SubjectRecord,
     ZeroVariance,
     bank_averaged_features,
     compute_connectome,
     ensemble_mean_features,
     generate_cohort,
-    half_run_connectomes,
     load_dataset,
-    save_dataset,
     split_runs,
+    write_cohort,
 )
 from brainsurf.evaluate import correlation_matrix
 from brainsurf.fileio import ConfigError
-from oracles import pearson
+from oracles import pearson, sequential_cohort
 
 
 def textbook_pearson(x, y):
@@ -115,6 +123,16 @@ def tiny_config(**overrides):
     return GeneratorConfig(**defaults)
 
 
+def run_halves(left, right, roi):
+    """The generator's per-run job on given banks: zero ROI weights and unit
+    noise scale leave the banks as they are."""
+    v, t = left.shape
+    halves = (np.empty((2 * roi.shape[0], v)), np.empty((2 * roi.shape[0], v)))
+    weights = np.zeros((roi.shape[0], v))
+    connectome._run_connectomes(weights, roi, left.copy(), right.copy(), 1.0, np.empty(v * t), halves)
+    return halves
+
+
 class TestSplitRuns:
     def test_eight_samples_with_halved_segments(self):
         cfg = tiny_config(t_per_run=1200)
@@ -126,7 +144,7 @@ class TestSplitRuns:
         # Segment length check via an independent recomputation on one run.
         rng = np.random.default_rng(0)
         left, right, roi = (rng.standard_normal((n, 1200)) for n in (12, 12, 3))
-        first, second = half_run_connectomes(left, right, roi)
+        first, second = run_halves(left, right, roi)
         assert np.allclose(first, compute_connectome(left[:, :600], roi[:, :600], right[:, :600]))
         assert np.allclose(second, compute_connectome(left[:, 600:], roi[:, 600:], right[:, 600:]))
 
@@ -146,7 +164,7 @@ class TestSplitRuns:
         rng = np.random.default_rng(3)
         a = [rng.standard_normal((n, 20)) for n in (12, 12, 3)]
         b = [rng.standard_normal((n, 20)) for n in (12, 12, 3)]
-        halves = half_run_connectomes(*(np.concatenate([x, y], axis=1) for x, y in zip(a, b)))
+        halves = run_halves(*(np.concatenate([x, y], axis=1) for x, y in zip(a, b)))
         assert np.array_equal(halves[0], compute_connectome(a[0], a[2], a[1]))
         assert np.array_equal(halves[1], compute_connectome(b[0], b[2], b[1]))
 
@@ -228,11 +246,126 @@ class TestGenerateCohort:
         assert np.abs(diff[1]).max() > 0.0
 
 
+def assert_same_cohort(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.subject_id == b.subject_id
+        assert [s.segment_index for s in a.samples] == [s.segment_index for s in b.samples]
+        for sa, sb in zip(a.samples, b.samples, strict=True):
+            assert sa.features.tobytes() == sb.features.tobytes()
+        assert a.target_contrasts.tobytes() == b.target_contrasts.tobytes()
+        assert a.retest_contrasts.tobytes() == b.retest_contrasts.tobytes()
+
+
+def streamed(n_subjects, cfg, seed):
+    """The cohort as a streaming consumer sees it: each record copied the
+    moment it is yielded, as ``write_cohort`` writes it at once."""
+    return [
+        SubjectRecord(
+            r.subject_id,
+            tuple(ConnectomeSample(s.segment_index, s.features.copy()) for s in r.samples),
+            r.target_contrasts.copy(),
+            r.retest_contrasts.copy(),
+        )
+        for r in connectome._cohort_records(n_subjects, cfg, seed)
+    ]
+
+
+small_generators = st.builds(
+    GeneratorConfig,
+    mesh_level=st.integers(0, 1), n_rois=st.integers(1, 3), n_contrasts=st.integers(1, 3),
+    t_per_run=st.integers(2, 20).map(lambda n: 2 * n), ar_coeff=st.floats(-0.9, 0.9),
+    timeseries_noise_std=st.floats(0.1, 2.0), latent_candidates=st.integers(1, 4),
+    smooth_steps=st.integers(0, 3),
+)
+
+
+class TestPipelinedGeneration:
+    """The draw thread and the connectome worker against the one-thread loop."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=small_generators, n_subjects=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_sequential_loop_bitwise(self, cfg, n_subjects, seed):
+        assert_same_cohort(generate_cohort(n_subjects, cfg, seed), sequential_cohort(n_subjects, cfg, seed))
+
+    def test_slow_worker_changes_nothing(self, monkeypatch):
+        job = connectome._run_connectomes
+
+        def slow_job(*args):
+            time.sleep(0.01)
+            job(*args)
+
+        monkeypatch.setattr(connectome, "_run_connectomes", slow_job)
+        cfg = tiny_config()
+        assert_same_cohort(streamed(3, cfg, seed=5), sequential_cohort(3, cfg, seed=5))
+
+    def test_fast_thread_switching_changes_nothing(self):
+        # Switching threads every microsecond interleaves the draws and the
+        # job at many more points than the default 5 ms.
+        cfg = tiny_config(t_per_run=200)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = streamed(4, cfg, seed=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_cohort(got, sequential_cohort(4, cfg, seed=8))
+
+    def test_one_cpu_runs_jobs_inline(self, monkeypatch):
+        job = connectome._run_connectomes
+        threads = set()
+
+        def recording_job(*args):
+            threads.add(threading.current_thread())
+            job(*args)
+
+        monkeypatch.setattr(connectome, "_run_connectomes", recording_job)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = tiny_config()
+        assert_same_cohort(streamed(3, cfg, seed=6), sequential_cohort(3, cfg, seed=6))
+        assert threads == {threading.main_thread()}
+
+    def test_job_error_reaches_caller_and_worker_is_joined(self, monkeypatch, tmp_path):
+        failure = RuntimeError("job failed")
+        calls = []
+
+        def failing_job(*args):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 6:  # the second subject's second run
+                raise failure
+
+        monkeypatch.setattr(connectome, "_run_connectomes", failing_job)
+        with pytest.raises(RuntimeError) as caught:
+            write_cohort(tmp_path / "d", tiny_config(), seed=7, n_train=2, n_test=1)
+        assert caught.value is failure
+        assert calls[0].startswith("brainsurf-gen")
+        assert not any(t.name.startswith("brainsurf-gen") for t in threading.enumerate())
+        assert not (tmp_path / "d" / "cohort.json").exists()
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "d")
+
+    def test_write_error_stops_generation_and_joins_worker(self, monkeypatch, tmp_path):
+        write = connectome.write_tensor
+        failure = OSError("disk full")
+
+        def failing_write(path, array):
+            if path.name == "sample_3.bin":
+                raise failure
+            write(path, array)
+
+        monkeypatch.setattr(connectome, "write_tensor", failing_write)
+        with pytest.raises(OSError) as caught:
+            write_cohort(tmp_path / "d", tiny_config(), seed=7, n_train=2, n_test=1)
+        assert caught.value is failure
+        assert not any(t.name.startswith("brainsurf-gen") for t in threading.enumerate())
+        assert not (tmp_path / "d" / "cohort.json").exists()
+
+
 class TestDatasetIO:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config()
         records = generate_cohort(4, cfg, seed=11)
-        ds = save_dataset(tmp_path / "data", 11, cfg, records[:3], records[3:])
+        ds = write_cohort(tmp_path / "data", cfg, seed=11, n_train=3, n_test=1)
         assert ds.train_ids == ["sub000", "sub001", "sub002"]
         assert ds.test_ids == ["sub003"]
         reloaded = load_dataset(tmp_path / "data")
@@ -247,10 +380,8 @@ class TestDatasetIO:
 
     def test_regenerated_dataset_is_byte_identical(self, tmp_path):
         cfg = tiny_config()
-        records = generate_cohort(2, cfg, seed=12)
-        save_dataset(tmp_path / "a", 12, cfg, records[:1], records[1:])
-        records2 = generate_cohort(2, cfg, seed=12)
-        save_dataset(tmp_path / "b", 12, cfg, records2[:1], records2[1:])
+        write_cohort(tmp_path / "a", cfg, seed=12, n_train=1, n_test=1)
+        write_cohort(tmp_path / "b", cfg, seed=12, n_train=1, n_test=1)
         for rel in ["cohort.json", "subjects/sub000/sample_3.bin", "subjects/sub001/target.bin"]:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
