@@ -2,8 +2,12 @@
 and gradient verification, each deterministic given its config.
 
 Exit codes are a stable contract: 0 success, 2 bad config or unreadable input
-(a generator setting out of range, e.g. an odd ``t_per_run``, ``n_runs``
-other than 4 or a non-finite noise, deviation or mix setting; fewer than 2
+(a config value of another JSON type than its field's, e.g. ``1.5`` for an
+integer; a negative run or model ``seed``; an optimizer ``lr``, ``eps`` or
+``phase2_lr`` that is not positive and finite, or a ``beta1``/``beta2``
+outside [0, 1); a generator setting out of range, e.g. an odd ``t_per_run``,
+a negative ``smooth_steps``, ``n_runs`` other than 4 or a non-finite noise,
+deviation or mix setting; fewer than 2
 subjects in the cohort; ``baseline_parcels`` outside 1..V; a model
 ``leaky_slope`` outside [0, 1]; missing, truncated or corrupt file; a
 baseline file given as ``--model`` or a model checkpoint as ``--baseline``;
@@ -15,7 +19,8 @@ a constant target or retest map; a repeated ``--subjects`` id;
 fewer than 2 subjects to evaluate; a ``--preds`` name that is empty,
 repeated or reserved), 3 numeric failure (NaN loss; the last good checkpoint
 is retained), 4 unknown subject, 5 subject-set mismatch.
-``gradcheck`` exits 1 when the gradient check fails.
+``gradcheck`` exits 1 when the gradient check fails, and 2 on a ``--coords``
+below 1.
 """
 
 from __future__ import annotations
@@ -105,6 +110,8 @@ class RunConfig(JsonConfig):
     baseline_parcels: int = 8
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise ConfigError("phase lengths must be >= 0")
         if self.phase2_epochs > 0 and self.batch_size < 2:
@@ -118,6 +125,9 @@ class RunConfig(JsonConfig):
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in [0, 1)")
         self.generator.validate()
+        self.optimizer.validate()
+        if self.phase2_lr is not None and not 0.0 < self.phase2_lr < np.inf:  # NaN fails too
+            raise ConfigError(f"phase2_lr must be positive and finite, got {self.phase2_lr}")
         if not 1 <= self.baseline_parcels <= self.generator.n_vertices:
             raise ConfigError(
                 f"baseline_parcels must be in 1..{self.generator.n_vertices} "
@@ -148,13 +158,7 @@ class RunConfig(JsonConfig):
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         cfg = super().from_dict(d)
-        nested = {}
-        if "generator" in d:
-            nested["generator"] = GeneratorConfig.from_dict(d["generator"])
-        if "optimizer" in d:
-            nested["optimizer"] = OptimizerConfig.from_dict(d["optimizer"])
-        cfg = replace(cfg, **nested)
-        if d.get("model") is not None:
+        if cfg.model is not None:
             cfg = replace(cfg, model=cfg._model_from(d["model"]))
         cfg.validate()
         return cfg
@@ -394,6 +398,13 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return EXIT_OK if status == "PASS" else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brainsurf",
@@ -433,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model gradient")
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coords", type=int, default=200)
+    p.add_argument("--coords", type=_positive_int, default=200)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

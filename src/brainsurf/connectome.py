@@ -13,7 +13,6 @@ function of (config, seed).
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .autodiff import ShapeMismatch
 from .fileio import ConfigError, CorruptFile, JsonConfig, read_tensor, write_tensor
 from .icosphere import closed_ring_mean, icosphere, n_vertices_at_level
 
@@ -69,6 +67,8 @@ class GeneratorConfig(JsonConfig):
             raise ConfigError("generator ar_coeff must lie in (-1, 1) for a stationary AR(1)")
         if self.latent_candidates < 1:
             raise ConfigError("generator latent_candidates must be >= 1")
+        if self.smooth_steps < 0:
+            raise ConfigError("generator smooth_steps must be >= 0")
         noise = self.contrast_noise_std
         if not isinstance(noise, (int, float)) and len(noise) != self.n_contrasts:
             raise ConfigError(f"contrast_noise_std needs {self.n_contrasts} entries, got {len(noise)}")
@@ -135,34 +135,13 @@ def _standardized_rows(
     return out
 
 
-def compute_connectome(
-    vertex_ts: np.ndarray,
-    roi_ts: np.ndarray,
-    vertex_ts_right: np.ndarray | None = None,
-) -> np.ndarray:
-    """Vertex-to-ROI Pearson correlations as a [2M, V] channel stack.
-
-    Channels 0..M-1 correlate the left bank against each ROI series,
-    channels M..2M-1 the right bank.  When only one bank exists it is used
-    for both halves.
-    """
-    vertex_ts = np.asarray(vertex_ts, dtype=np.float64)
-    roi_ts = np.asarray(roi_ts, dtype=np.float64)
-    right = vertex_ts if vertex_ts_right is None else np.asarray(vertex_ts_right, np.float64)
-    if vertex_ts.shape[1] != roi_ts.shape[1] or right.shape != vertex_ts.shape:
-        raise ShapeMismatch(
-            f"compute_connectome: vertex {vertex_ts.shape}, roi {roi_ts.shape}, "
-            f"right {right.shape}"
-        )
-    out = np.empty((2 * roi_ts.shape[0], vertex_ts.shape[0]))
-    return _connectome_into(out, vertex_ts, right, roi_ts, np.empty(vertex_ts.shape))
-
-
 def _connectome_into(
     out: np.ndarray, left: np.ndarray, right: np.ndarray, roi: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """``compute_connectome`` into ``out`` [2M, V], with ``z`` (C-ordered, the
-    banks' shape) holding each standardized bank in turn."""
+    """Vertex-to-ROI Pearson correlations into ``out`` as a [2M, V] channel
+    stack: channels 0..M-1 correlate the ``left`` bank against each ROI
+    series, channels M..2M-1 the ``right`` bank.  ``z`` (C-ordered, the
+    banks' shape) holds each standardized bank in turn."""
     m = roi.shape[0]
     z_roi = _standardized_rows(roi, "roi")
     np.matmul(z_roi, _standardized_rows(left, "vertex", out=z).T, out=out[:m])
@@ -206,40 +185,6 @@ def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[Su
     """Every subject of the cohort, in order, all held in memory at once
     (``write_cohort`` writes each one as it completes instead)."""
     return list(_cohort_records(n_subjects, cfg, seed))
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _OneJobInFlight:
-    """Runs jobs on one worker thread, one at a time: ``submit`` first waits
-    for the previous job, and re-raises its exception unchanged.  With one
-    CPU a second thread only adds switches, so jobs run inline."""
-
-    def __init__(self) -> None:
-        self._pool = ThreadPoolExecutor(1, thread_name_prefix="brainsurf-gen") if _cpu_count() > 1 else None
-        self._pending: Future | None = None
-
-    def submit(self, job, *args) -> None:
-        self.wait()
-        if self._pool is None:
-            job(*args)
-        else:
-            self._pending = self._pool.submit(job, *args)
-
-    def wait(self) -> None:
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending.result()
-
-    def close(self) -> None:
-        # A job still pending here belongs to a cohort whose consumer stopped
-        # early; its outcome goes with that cohort.
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
 
 def _run_connectomes(
@@ -307,10 +252,12 @@ def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterato
 
     slots = [(np.empty((v, t)), np.empty((v, t))) for _ in range(2)]
     work = np.empty(v * t)
-    jobs = _OneJobInFlight()
+    pending: Future | None = None  # the one job in flight
     finished: SubjectRecord | None = None  # drawn, its last run still in flight
     accepted_coeffs: list[np.ndarray] = []
-    try:
+    # Leaving the block joins the worker, however the cohort ends: a job
+    # still pending then belongs to a consumer that stopped early.
+    with ThreadPoolExecutor(1, thread_name_prefix="brainsurf-gen") as worker:
         for s in range(n_subjects):
             # Draw a batch of latent candidates and keep the one whose
             # deviation directions align least with the already-drawn
@@ -333,7 +280,9 @@ def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterato
                 rng.standard_normal(out=left)
                 rng.standard_normal(out=right)
                 halves = (np.empty((2 * m, v)), np.empty((2 * m, v)))
-                jobs.submit(
+                if pending is not None:
+                    pending.result()  # re-raises the job's exception unchanged
+                pending = worker.submit(
                     _run_connectomes, weights, roi_ts, left, right, cfg.timeseries_noise_std, work, halves
                 )
                 if finished is not None:  # its last run was the job just waited for
@@ -350,10 +299,8 @@ def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterato
                 target_contrasts=target,
                 retest_contrasts=retest,
             )
-        jobs.wait()
+        pending.result()
         yield finished
-    finally:
-        jobs.close()
 
 
 # --- dataset directory layout -------------------------------------------------
@@ -390,7 +337,7 @@ class Dataset:
         return read_tensor(self._subject_dir(subject_id) / "retest.bin")
 
 
-def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: int, n_test: int) -> Dataset:
+def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: int, n_test: int) -> None:
     """Generate a cohort of ``n_train + n_test`` subjects and write each one
     as it is done, so memory holds about one subject at a time.
 
@@ -424,7 +371,6 @@ def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: 
         },
     }
     (root / "cohort.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return load_dataset(root)
 
 
 def load_dataset(root: str | Path) -> Dataset:

@@ -17,6 +17,8 @@ import hashlib
 import json
 import math
 import os
+import types
+import typing
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -113,7 +115,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 class JsonConfig:
     """Mixin for frozen dataclass configs: ``to_dict`` gives the JSON-ready
-    field dict, ``from_dict`` rebuilds the config from one."""
+    field dict, ``from_dict`` rebuilds the config from one, checking each
+    value against its field's declared type."""
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -122,11 +125,37 @@ class JsonConfig:
     def from_dict(cls, d: dict):
         if not isinstance(d, dict):
             raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        declared = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(declared)
         if unknown:
             raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        hints = typing.get_type_hints(cls)
+        values = {}
+        for name, value in d.items():
+            try:
+                values[name] = _from_json(value, hints[name])
+            except TypeError:
+                raise ConfigError(
+                    f"{cls.__name__} {name} must be {declared[name]}, got {json.dumps(value)}"
+                ) from None
+        return cls(**values)
+
+
+def _from_json(value, hint):
+    """A JSON value as a field of type ``hint``, or TypeError.  A bool is no
+    number and a float field takes an int; a ``tuple[X, ...]`` field takes a
+    list of X, a config field an object, and ``X | None`` also null."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    for option in typing.get_args(hint) if union else (hint,):
+        if typing.get_origin(option) is tuple:
+            if isinstance(value, (list, tuple)):
+                return tuple(_from_json(item, typing.get_args(option)[0]) for item in value)
+        elif isinstance(option, type) and issubclass(option, JsonConfig):
+            if isinstance(value, dict):
+                return option.from_dict(value)
+        elif isinstance(value, (int, float) if option is float else option) and not isinstance(value, bool):
+            return value
+    raise TypeError(f"{value!r} is not a {hint}")
 
 
 def git_blob_sha1(data: bytes) -> str:

@@ -19,13 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import meshlayers as ml
-from .autodiff import Param, ParamArena, ShapeMismatch, Tensor
+from .autodiff import EmptySet, Param, ParamArena, ShapeMismatch, Tensor
 from .fileio import ConfigError, CorruptFile, JsonConfig, load_checkpoint, save_checkpoint
 from .icosphere import MeshHierarchy, build_hierarchy, n_vertices_at_level
-
-
-class EmptyEnsemble(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -53,6 +49,8 @@ class ModelConfig(JsonConfig):
             raise ConfigError("encoder_widths must be nonempty")
         if any(w <= 0 for w in self.encoder_widths) or self.bottleneck_width <= 0:
             raise ConfigError("channel widths must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"model seed must be >= 0, got {self.seed}")
         if len(self.encoder_widths) > self.mesh_level:
             raise ConfigError(
                 f"encoder depth {len(self.encoder_widths)} exceeds mesh level {self.mesh_level}: "
@@ -211,7 +209,7 @@ def predict_variants(model: BrainSurfCNN, samples) -> np.ndarray:
     batched no-grad forward."""
     samples = list(samples)
     if not samples:
-        raise EmptyEnsemble("an ensemble needs at least one connectome sample")
+        raise EmptySet("an ensemble needs at least one connectome sample")
     return model.predict(np.stack(samples))
 
 

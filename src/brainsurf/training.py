@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
-from .fileio import JsonConfig
+from .fileio import ConfigError, JsonConfig
 from .model import BrainSurfCNN, save_model
 from .rcloss import BatchTooSmall, Margins, distance, init_margins, rc_loss, schedule_margins
 
@@ -34,6 +34,14 @@ class OptimizerConfig(JsonConfig):
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def validate(self) -> None:
+        for name in ("lr", "eps"):
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ConfigError(f"optimizer {name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"optimizer {name} must be in [0, 1), got {getattr(self, name)}")
 
 
 @dataclass

@@ -42,15 +42,19 @@ def standardized_rows(rows) -> np.ndarray:
     return centered / np.sqrt((centered * centered).sum(axis=1))[:, None]
 
 
+def connectome(left, right, roi) -> np.ndarray:
+    """Vertex-to-ROI Pearson correlations over whole series as a [2M, V]
+    channel stack: the left bank's M channels, then the right bank's."""
+    z_roi = standardized_rows(roi)
+    corr = [z_roi @ standardized_rows(bank).T for bank in (left, right)]
+    return np.clip(np.concatenate(corr, axis=0), -1.0, 1.0)
+
+
 def half_run_connectomes(left, right, roi) -> list[np.ndarray]:
     """The [2M, V] connectomes of a run's two contiguous halves."""
     t = roi.shape[1]
-    halves = []
-    for seg in (slice(0, t // 2), slice(t // 2, t)):
-        z_roi = standardized_rows(roi[:, seg])
-        corr = [z_roi @ standardized_rows(bank[:, seg]).T for bank in (left, right)]
-        halves.append(np.clip(np.concatenate(corr, axis=0), -1.0, 1.0))
-    return halves
+    halves = (slice(0, t // 2), slice(t // 2, t))
+    return [connectome(left[:, seg], right[:, seg], roi[:, seg]) for seg in halves]
 
 
 def sequential_cohort(n_subjects: int, cfg, seed: int) -> list:

@@ -32,6 +32,19 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def override_config(tmp_path, section, key, value):
+    """The tiny config with ``key`` set to ``value``, at the top level or in
+    ``section``."""
+    if section is None:
+        return write_config(tmp_path, **{key: value})
+    return write_config(tmp_path, **{section: {**TINY_CONFIG.get(section, {}), key: value}})
+
+
+def case_id(case):
+    section, key, value = case
+    return f"{section + '.' if section else ''}{key}={value}"
+
+
 @pytest.fixture()
 def tiny_run(tmp_path):
     cfg = write_config(tmp_path)
@@ -96,6 +109,26 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and next(iter(override)) in err and err.count("\n") == 1
         assert not (tmp_path / "d" / "subjects").exists()
+
+    @pytest.mark.parametrize("case", [
+        (None, "seed", "a"),
+        (None, "seed", 1.5),
+        (None, "seed", -1),
+        ("generator", "mesh_level", 1.5),
+        ("generator", "n_rois", 2.5),
+        ("generator", "t_per_run", 10.0),
+        ("generator", "latent_candidates", 1.5),
+        ("generator", "smooth_steps", 1.5),
+        ("generator", "smooth_steps", -1),
+        ("generator", "contrast_noise_std", [0.1, "a"]),
+        (None, "n_train_subjects", 2.5),
+    ], ids=case_id)
+    def test_wrong_value_type_exit_2(self, tmp_path, capsys, case):
+        cfg = override_config(tmp_path, *case)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and case[1] in err and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
 
     def test_memory_holds_about_one_subject(self, tmp_path):
         # Each subject is written as it completes: 6 subjects peak within one
@@ -221,6 +254,34 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "leaky_slope" in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("case", [
+        (None, "phase1_epochs", 1.5),
+        (None, "batch_size", 2.5),
+        ("optimizer", "lr", "x"),
+        (None, "phase2_lr", "x"),
+        ("model", "encoder_widths", [32.5]),
+        ("model", "bottleneck_width", True),
+        ("model", "seed", -3),
+        ("optimizer", "lr", 0),
+        ("optimizer", "lr", float("inf")),
+        ("optimizer", "beta1", 1.5),
+        ("optimizer", "beta1", -0.1),
+        ("optimizer", "beta2", 1.0),
+        ("optimizer", "eps", 0.0),
+        ("optimizer", "eps", float("nan")),
+        (None, "phase2_lr", -1e-3),
+        (None, "phase2_lr", float("nan")),
+    ], ids=case_id)
+    def test_invalid_training_setting_exit_2(self, tmp_path, capsys, case):
+        assert cli.main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "data")]) == 0
+        cfg = override_config(tmp_path, *case)
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and case[1] in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     def test_nan_loss_exit_3(self, tmp_path, tiny_run):
@@ -604,6 +665,13 @@ class TestGradcheck:
         cli.main(["gradcheck", "--coords", "25", "--seed", "3"])
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+    @pytest.mark.parametrize("coords", ["0", "-1"])
+    def test_coords_below_one_exit_2(self, capsys, coords):
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["gradcheck", "--coords", coords])
+        assert caught.value.code == 2
+        assert "--coords" in capsys.readouterr().err
 
     def test_corrupted_backward_fails(self, monkeypatch, capsys):
         # Negative control: a wrong negative-side slope in the backward pass

@@ -10,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brainsurf import connectome
-from brainsurf.autodiff import ShapeMismatch
 from brainsurf.connectome import (
     ConnectomeSample,
     GeneratorConfig,
     SubjectRecord,
     ZeroVariance,
     bank_averaged_features,
-    compute_connectome,
     ensemble_mean_features,
     generate_cohort,
     load_dataset,
@@ -26,7 +24,8 @@ from brainsurf.connectome import (
 )
 from brainsurf.evaluate import correlation_matrix
 from brainsurf.fileio import ConfigError
-from oracles import pearson, sequential_cohort
+from oracles import connectome as oracle_connectome
+from oracles import half_run_connectomes, pearson, sequential_cohort
 
 
 def textbook_pearson(x, y):
@@ -70,53 +69,6 @@ class TestPearson:
         assert -1.0 <= pearson(x, x + 1e-300) <= 1.0
 
 
-class TestComputeConnectome:
-    def test_vertex_equal_to_roi_gives_one(self):
-        rng = np.random.default_rng(3)
-        roi = rng.standard_normal((5, 40))
-        vertex = np.tile(roi[0], (7, 1))
-        out = compute_connectome(vertex, roi)
-        assert np.allclose(out[0], 1.0)
-        assert np.allclose(out[5], 1.0)  # duplicated bank
-
-    def test_output_shape(self):
-        rng = np.random.default_rng(4)
-        out = compute_connectome(
-            rng.standard_normal((162, 600)),
-            rng.standard_normal((5, 600)),
-            rng.standard_normal((162, 600)),
-        )
-        assert out.shape == (10, 162)
-
-    def test_independent_noise_near_zero(self):
-        # Monte Carlo over seeds: independent series at T=600 give |r| far
-        # below any structural signal.
-        means = []
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            out = compute_connectome(
-                rng.standard_normal((30, 600)), rng.standard_normal((4, 600))
-            )
-            means.append(np.abs(out).mean())
-        assert np.mean(means) < 0.1
-
-    def test_range(self):
-        rng = np.random.default_rng(5)
-        out = compute_connectome(rng.standard_normal((20, 50)), rng.standard_normal((3, 50)))
-        assert out.min() >= -1.0 and out.max() <= 1.0
-
-    def test_zero_variance_names_row(self):
-        rng = np.random.default_rng(6)
-        vertex = rng.standard_normal((4, 30))
-        vertex[2] = 7.0
-        with pytest.raises(ZeroVariance, match="vertex row 2"):
-            compute_connectome(vertex, rng.standard_normal((2, 30)))
-
-    def test_mismatched_t(self):
-        with pytest.raises(ShapeMismatch):
-            compute_connectome(np.zeros((4, 30)), np.zeros((2, 31)))
-
-
 def tiny_config(**overrides):
     defaults = dict(mesh_level=1, n_rois=3, n_contrasts=2, t_per_run=40, smooth_steps=3)
     defaults.update(overrides)
@@ -133,6 +85,56 @@ def run_halves(left, right, roi):
     return halves
 
 
+def assert_same_halves(left, right, roi):
+    halves = run_halves(left, right, roi)
+    for got, want in zip(halves, half_run_connectomes(left, right, roi), strict=True):
+        assert got.tobytes() == want.tobytes()
+    return halves
+
+
+class TestComputeConnectome:
+    """Each half-run's connectome as the generator's job computes it."""
+
+    def test_vertex_equal_to_roi_gives_one(self):
+        rng = np.random.default_rng(3)
+        roi = rng.standard_normal((5, 80))
+        bank = np.tile(roi[0], (7, 1))
+        for half in assert_same_halves(bank, bank, roi):
+            assert np.allclose(half[0], 1.0)
+            assert np.allclose(half[5], 1.0)  # the right bank
+
+    def test_output_shape(self):
+        rng = np.random.default_rng(4)
+        halves = assert_same_halves(
+            rng.standard_normal((162, 1200)), rng.standard_normal((162, 1200)), rng.standard_normal((5, 1200))
+        )
+        assert [h.shape for h in halves] == [(10, 162), (10, 162)]
+
+    def test_independent_noise_near_zero(self):
+        # Monte Carlo over seeds: independent series at T=600 per half give
+        # |r| far below any structural signal.
+        means = []
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            halves = assert_same_halves(
+                rng.standard_normal((30, 1200)), rng.standard_normal((30, 1200)), rng.standard_normal((4, 1200))
+            )
+            means += [np.abs(h).mean() for h in halves]
+        assert np.mean(means) < 0.1
+
+    def test_range(self):
+        rng = np.random.default_rng(5)
+        for half in assert_same_halves(*(rng.standard_normal((n, 100)) for n in (20, 20, 3))):
+            assert half.min() >= -1.0 and half.max() <= 1.0
+
+    def test_zero_variance_names_row(self):
+        rng = np.random.default_rng(6)
+        left = rng.standard_normal((4, 60))
+        left[2] = 7.0
+        with pytest.raises(ZeroVariance, match="vertex row 2"):
+            run_halves(left, rng.standard_normal((4, 60)), rng.standard_normal((2, 60)))
+
+
 class TestSplitRuns:
     def test_eight_samples_with_halved_segments(self):
         cfg = tiny_config(t_per_run=1200)
@@ -145,8 +147,8 @@ class TestSplitRuns:
         rng = np.random.default_rng(0)
         left, right, roi = (rng.standard_normal((n, 1200)) for n in (12, 12, 3))
         first, second = run_halves(left, right, roi)
-        assert np.allclose(first, compute_connectome(left[:, :600], roi[:, :600], right[:, :600]))
-        assert np.allclose(second, compute_connectome(left[:, 600:], roi[:, 600:], right[:, 600:]))
+        assert np.allclose(first, oracle_connectome(left[:, :600], right[:, :600], roi[:, :600]))
+        assert np.allclose(second, oracle_connectome(left[:, 600:], right[:, 600:], roi[:, 600:]))
 
     def test_desk_scale_halving(self):
         cfg = tiny_config(t_per_run=100)
@@ -165,8 +167,8 @@ class TestSplitRuns:
         a = [rng.standard_normal((n, 20)) for n in (12, 12, 3)]
         b = [rng.standard_normal((n, 20)) for n in (12, 12, 3)]
         halves = run_halves(*(np.concatenate([x, y], axis=1) for x, y in zip(a, b)))
-        assert np.array_equal(halves[0], compute_connectome(a[0], a[2], a[1]))
-        assert np.array_equal(halves[1], compute_connectome(b[0], b[2], b[1]))
+        assert np.array_equal(halves[0], oracle_connectome(*a))
+        assert np.array_equal(halves[1], oracle_connectome(*b))
 
     def test_segment_connectomes_stable(self):
         # With the default generator noise, the 8 variants of one subject
@@ -311,19 +313,21 @@ class TestPipelinedGeneration:
             sys.setswitchinterval(interval)
         assert_same_cohort(got, sequential_cohort(4, cfg, seed=8))
 
-    def test_one_cpu_runs_jobs_inline(self, monkeypatch):
+    def test_one_cpu_runs_jobs_on_the_worker(self, monkeypatch):
+        # The generator has one path: a process limited to one CPU hands its
+        # jobs to the worker thread too.
         job = connectome._run_connectomes
         threads = set()
 
         def recording_job(*args):
-            threads.add(threading.current_thread())
+            threads.add(threading.current_thread().name)
             job(*args)
 
         monkeypatch.setattr(connectome, "_run_connectomes", recording_job)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         cfg = tiny_config()
         assert_same_cohort(streamed(3, cfg, seed=6), sequential_cohort(3, cfg, seed=6))
-        assert threads == {threading.main_thread()}
+        assert threads and all(name.startswith("brainsurf-gen") for name in threads)
 
     def test_job_error_reaches_caller_and_worker_is_joined(self, monkeypatch, tmp_path):
         failure = RuntimeError("job failed")
@@ -365,18 +369,18 @@ class TestDatasetIO:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config()
         records = generate_cohort(4, cfg, seed=11)
-        ds = write_cohort(tmp_path / "data", cfg, seed=11, n_train=3, n_test=1)
+        write_cohort(tmp_path / "data", cfg, seed=11, n_train=3, n_test=1)
+        ds = load_dataset(tmp_path / "data")
         assert ds.train_ids == ["sub000", "sub001", "sub002"]
         assert ds.test_ids == ["sub003"]
-        reloaded = load_dataset(tmp_path / "data")
-        assert reloaded.generator == cfg
-        samples = reloaded.samples("sub001")
+        assert ds.generator == cfg
+        samples = ds.samples("sub001")
         assert len(samples) == 8
         expected = split_runs(records[1])
         for got, want in zip(samples, expected):
             assert np.array_equal(got, want.features)
-        assert np.array_equal(reloaded.target("sub003"), records[3].target_contrasts)
-        assert np.array_equal(reloaded.retest("sub000"), records[0].retest_contrasts)
+        assert np.array_equal(ds.target("sub003"), records[3].target_contrasts)
+        assert np.array_equal(ds.retest("sub000"), records[0].retest_contrasts)
 
     def test_regenerated_dataset_is_byte_identical(self, tmp_path):
         cfg = tiny_config()

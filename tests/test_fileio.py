@@ -155,6 +155,11 @@ class TestAtomicWrite:
 finite = st.floats(allow_nan=False, allow_infinity=False)
 small = st.integers(0, 1000)
 optimizer_configs = st.builds(OptimizerConfig, lr=finite, beta1=finite, beta2=finite, eps=finite)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+valid_optimizer_configs = st.builds(
+    OptimizerConfig, lr=positive, beta1=st.floats(0.0, 1.0, exclude_max=True),
+    beta2=st.floats(0.0, 1.0, exclude_max=True), eps=positive,
+)
 model_configs = st.builds(
     ModelConfig,
     input_channels=small, output_channels=small, mesh_level=small,
@@ -175,8 +180,8 @@ generator_configs = st.integers(1, 100).flatmap(lambda n_contrasts: st.builds(
 ))
 run_configs = st.builds(
     RunConfig,
-    seed=small, generator=generator_configs, model=st.none(), optimizer=optimizer_configs,
-    phase2_lr=st.none() | finite, phase1_epochs=small, phase2_epochs=small,
+    seed=small, generator=generator_configs, model=st.none(), optimizer=valid_optimizer_configs,
+    phase2_lr=st.none() | positive, phase1_epochs=small, phase2_epochs=small,
     batch_size=st.integers(2, 64), n_train_subjects=st.integers(2, 100),
     n_test_subjects=small, val_fraction=st.floats(0.0, 0.99), baseline_parcels=st.integers(1, 64),
 )

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brainsurf.autodiff import ShapeMismatch, adam_step, backward, grad_check
+from brainsurf.autodiff import EmptySet, ShapeMismatch, adam_step, backward, grad_check
 from brainsurf.fileio import CorruptFile, load_checkpoint, save_checkpoint
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import (
     ConfigError,
-    EmptyEnsemble,
     ModelConfig,
     build_model,
     load_model,
@@ -275,5 +274,5 @@ class TestPredictEnsemble:
 
     def test_empty_ensemble(self, hierarchy):
         model = build_model(ModelConfig(seed=16), hierarchy)
-        with pytest.raises(EmptyEnsemble):
+        with pytest.raises(EmptySet):
             predict_ensemble(model, [])
