@@ -1,13 +1,15 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Minimal by design: exactly the operations the mesh network, loss, and
-baseline need, each recording a backward closure on a freshly built graph.
-Gradients accumulate additively across fan-out, so diamond-shaped graphs
-come out right without any extra bookkeeping.  The backward sweep releases
-an interior node's gradient as soon as that node has passed it on, so only
-leaves hold gradients afterwards.  A model's parameters live in a
-``ParamArena``: their data and gradients are views of two flat vectors, which
-``adam_step`` updates in place.
+baseline need.  Each op is its forward value plus a gradient function that
+returns its parents' gradients; one constructor, ``_op``, records both on a
+freshly built graph.  ``backward`` alone adds those gradients into the
+parents, additively across fan-out, so diamond-shaped graphs come out right
+without any extra bookkeeping.  It releases an interior node's gradient as
+soon as that node has passed it on, so only leaves hold gradients
+afterwards.  A model's parameters live in a ``ParamArena``: their data and
+gradients are views of two flat vectors, which ``adam_step`` updates in
+place.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,23 +92,12 @@ class Tensor:
         self.grad = None
 
     def sum(self) -> "Tensor":
-        x = self
-        out = _result(x.data.sum(), (x,))
-        if out._parents:
-            def backward(g: np.ndarray) -> None:
-                _accumulate(x, np.broadcast_to(g, x.data.shape))
-            out._backward_fn = backward
-        return out
+        return _op(self.data.sum(), (self,), lambda g: (np.broadcast_to(g, self.data.shape),))
 
     def mean(self) -> "Tensor":
-        x = self
-        n = x.data.size
-        out = _result(x.data.mean(), (x,))
-        if out._parents:
-            def backward(g: np.ndarray) -> None:
-                _accumulate(x, np.broadcast_to(g / n, x.data.shape))
-            out._backward_fn = backward
-        return out
+        return _op(
+            self.data.mean(), (self,), lambda g: (np.broadcast_to(g / self.data.size, self.data.shape),)
+        )
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -114,6 +105,23 @@ class Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _op(
+    data,
+    parents: tuple[Tensor, ...],
+    grads: Callable[[np.ndarray], Sequence[np.ndarray | None]],
+) -> Tensor:
+    """The value of an op on ``parents``.  It is recorded, with ``grads`` as
+    its gradient function, only when gradients are on and some parent needs
+    one.  ``grads(g)`` maps the gradient of the value to one gradient per
+    parent, in parent order, or None for a parent that needs none."""
+    out = Tensor(data)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward_fn = grads
+    return out
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -129,14 +137,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g  # a parameter's view of its arena's flat gradient
 
 
-def _result(data, parents: tuple[Tensor, ...]) -> Tensor:
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-    return out
-
-
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
@@ -145,46 +145,24 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape(a, b, "add")
-    out = _result(a.data + b.data, (a, b))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(a, g)
-            _accumulate(b, g)
-        out._backward_fn = backward
-    return out
+    return _op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape(a, b, "sub")
-    out = _result(a.data - b.data, (a, b))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(a, g)
-            _accumulate(b, -g)
-        out._backward_fn = backward
-    return out
+    return _op(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul_scalar(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
-    out = _result(a.data * c, (a,))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(a, g * c)
-        out._backward_fn = backward
-    return out
+    return _op(a.data * c, (a,), lambda g: (g * c,))
 
 
 def add_scalar(a, c: float) -> Tensor:
     a = _as_tensor(a)
-    out = _result(a.data + float(c), (a,))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(a, g)
-        out._backward_fn = backward
-    return out
+    return _op(a.data + float(c), (a,), lambda g: (g,))
 
 
 def _along_axis0(matrix: sp.spmatrix, a: np.ndarray) -> np.ndarray:
@@ -201,12 +179,7 @@ def sparse_matmul(matrix: sp.spmatrix, x) -> Tensor:
         raise ShapeMismatch(
             f"sparse_matmul: operator {matrix.shape} against data {x.data.shape}"
         )
-    out = _result(_along_axis0(matrix, x.data), (x,))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, _along_axis0(matrix.T, g))
-        out._backward_fn = backward
-    return out
+    return _op(_along_axis0(matrix, x.data), (x,), lambda g: (_along_axis0(matrix.T, g),))
 
 
 def _record_hinge(pre: np.ndarray) -> None:
@@ -219,36 +192,24 @@ def leaky_relu(x, slope: float = 0.1) -> Tensor:
     slope*x elsewhere, signed zeros included."""
     x = _as_tensor(x)
     _record_hinge(x.data)
-    out = _result(np.maximum(x.data, slope * x.data), (x,))
-    if out._parents:
-        positive = x.data > 0.0  # one byte per entry, not a float64 scale
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, g * np.array([slope, 1.0]).take(positive.view(np.uint8)))
-        out._backward_fn = backward
-    return out
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray]:
+        # The byte mask picks slope or 1 per entry: g * where(x > 0, 1, slope).
+        return (g * np.array([slope, 1.0]).take((x.data > 0.0).view(np.uint8)),)
+
+    return _op(np.maximum(x.data, slope * x.data), (x,), grads)
 
 
 def clamp_min_zero(x) -> Tensor:
     """Hinge [x]_+; subgradient at exactly 0 is 0."""
     x = _as_tensor(x)
     _record_hinge(x.data)
-    out = _result(np.maximum(x.data, 0.0), (x,))
-    if out._parents:
-        mask = x.data > 0.0
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, g * mask)
-        out._backward_fn = backward
-    return out
+    return _op(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0.0),))
 
 
 def square(x) -> Tensor:
     x = _as_tensor(x)
-    out = _result(x.data * x.data, (x,))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, 2.0 * x.data * g)
-        out._backward_fn = backward
-    return out
+    return _op(x.data * x.data, (x,), lambda g: (2.0 * x.data * g,))
 
 
 def transpose(x, axes: Sequence[int], shape: tuple[int, ...] | None = None) -> Tensor:
@@ -256,13 +217,11 @@ def transpose(x, axes: Sequence[int], shape: tuple[int, ...] | None = None) -> T
     ``shape`` when given (a view: the permuted buffer is not copied again)."""
     x = _as_tensor(x)
     permuted = np.ascontiguousarray(x.data.transpose(axes))
-    out = _result(permuted if shape is None else permuted.reshape(shape), (x,))
-    if out._parents:
-        inverse = np.argsort(axes)
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, g.reshape(permuted.shape).transpose(inverse))
-        out._backward_fn = backward
-    return out
+    return _op(
+        permuted if shape is None else permuted.reshape(shape),
+        (x,),
+        lambda g: (g.reshape(permuted.shape).transpose(np.argsort(axes)),),
+    )
 
 
 def stack(parts: Sequence) -> Tensor:
@@ -272,13 +231,8 @@ def stack(parts: Sequence) -> Tensor:
         raise ShapeMismatch("stack: no inputs")
     if len({t.data.shape for t in tensors}) != 1:
         raise ShapeMismatch(f"stack: shapes {[t.data.shape for t in tensors]} differ")
-    out = _result(np.stack([t.data for t in tensors]), tuple(tensors))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            for t, gi in zip(tensors, g):
-                _accumulate(t, gi)
-        out._backward_fn = backward
-    return out
+    # The gradient of each part is its slice of g along the new axis.
+    return _op(np.stack([t.data for t in tensors]), tuple(tensors), tuple)
 
 
 def concat_channels(parts: Sequence) -> Tensor:
@@ -292,22 +246,25 @@ def concat_channels(parts: Sequence) -> Tensor:
             raise ShapeMismatch(
                 f"concat_channels: shapes {[t.data.shape for t in tensors]} incompatible"
             )
-    out = _result(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors))
-    if out._parents:
-        sizes = [t.data.shape[-1] for t in tensors]
-        def backward(g: np.ndarray) -> None:
-            start = 0
-            for t, c in zip(tensors, sizes):
-                _accumulate(t, g[..., start : start + c])
-                start += c
-        out._backward_fn = backward
-    return out
+
+    def grads(g: np.ndarray) -> list[np.ndarray]:
+        parts, start = [], 0
+        for t in tensors:
+            stop = start + t.data.shape[-1]
+            parts.append(g[..., start:stop])
+            start = stop
+        return parts
+
+    return _op(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors), grads)
 
 
 def backward(root: Tensor) -> None:
-    """Reverse topological sweep from a scalar root.  Accumulates into .grad
-    of every trainable leaf; an interior node's .grad is None again once its
-    own backward has run."""
+    """Reverse topological sweep from a scalar root.  Each node's gradient
+    function returns its parents' gradients, and this sweep alone adds them
+    up: an interior node keeps the array it is given, a leaf owns a copy, and
+    a parameter adds into its arena's view.  Afterwards every trainable leaf
+    the root reaches holds its gradient, and every interior node's .grad is
+    None again: it is released as soon as the node has passed it on."""
     if root.data.shape != ():
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
 
@@ -335,8 +292,11 @@ def backward(root: Tensor) -> None:
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
         elif node.grad is not None:
-            node._backward_fn(node.grad)
+            grads = node._backward_fn(node.grad)
             node.grad = None
+            for parent, g in zip(node._parents, grads):
+                if g is not None:
+                    _accumulate(parent, g)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,17 @@ subjects in the cohort; ``baseline_parcels`` outside 1..V; a model
 ``leaky_slope`` outside [0, 1]; missing, truncated or corrupt file; a
 baseline file given as ``--model`` or a model checkpoint as ``--baseline``;
 a ``--model`` whose channels or level do not fit the data;
+a dataset file whose shape is not the generator's in ``cohort.json``;
 a ``--baseline`` whose level, contrast or ROI count does not fit the data;
 a ``cohort.json`` that is not a JSON object, lacks a key or has an invalid
 generator or subject list (a missing one: an interrupted ``gen-data``);
 a constant target or retest map; a repeated ``--subjects`` id;
 fewer than 2 subjects to evaluate; a ``--preds`` name that is empty,
 repeated or reserved), 3 numeric failure (NaN loss; the last good checkpoint
-is retained), 4 unknown subject, 5 subject-set mismatch.
+is retained), 4 unknown subject, 5 subject-set mismatch (including an
+``evaluate --preds`` file of another shape than the dataset's maps).
 ``gradcheck`` exits 1 when the gradient check fails, and 2 on a ``--coords``
-below 1.
+below 1 or a negative ``--seed``.
 """
 
 from __future__ import annotations
@@ -323,13 +325,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _stack_variant(pred_dir: Path, subjects: list[str], name: str) -> np.ndarray:
+def _stack_variant(pred_dir: Path, subjects: list[str], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """One prediction map of ``shape`` per subject, stacked."""
     maps = []
     for sid in subjects:
         path = pred_dir / f"{sid}.bin"
         if not path.exists():
             raise SubjectMismatch(f"variant {name!r} is missing predictions for {sid} ({path})")
-        maps.append(read_tensor(path))
+        pred = read_tensor(path)
+        if pred.shape != shape:
+            raise SubjectMismatch(
+                f"variant {name!r}: predictions for {sid} have shape {list(pred.shape)}, "
+                f"the dataset's maps {list(shape)} ({path})"
+            )
+        maps.append(pred)
     return np.stack(maps)
 
 
@@ -353,7 +362,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ConfigError(f"--preds name {name!r} is reserved for a built-in report row")
         if name in variants:
             raise ConfigError(f"--preds name {name!r} is given twice")
-        variants[name] = _stack_variant(Path(pred_dir), subjects, name)
+        variants[name] = _stack_variant(Path(pred_dir), subjects, name, targets.shape[1:])
 
     variants["group_average"] = np.broadcast_to(_group_average(dataset), targets.shape).copy()
 
@@ -398,11 +407,17 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return EXIT_OK if status == "PASS" else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model gradient")
     p.add_argument("--level", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coords", type=_positive_int, default=200)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--coords", type=_int_at_least(1), default=200)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -326,15 +326,27 @@ class Dataset:
     def _subject_dir(self, subject_id: str) -> Path:
         return self.root / "subjects" / subject_id
 
+    def _read(self, subject_id: str, name: str, channels: int) -> np.ndarray:
+        # CorruptFile unless the file holds the [channels, V] array the
+        # generator in cohort.json says it does.
+        path = self._subject_dir(subject_id) / name
+        arr = read_tensor(path)
+        expected = (channels, self.generator.n_vertices)
+        if arr.shape != expected:
+            raise CorruptFile(f"{path}: shape {list(arr.shape)}, cohort.json expects {list(expected)}")
+        return arr
+
     def samples(self, subject_id: str) -> list[np.ndarray]:
-        d = self._subject_dir(subject_id)
-        return [read_tensor(d / f"sample_{i}.bin") for i in range(SEGMENTS_PER_SUBJECT)]
+        return [
+            self._read(subject_id, f"sample_{i}.bin", 2 * self.generator.n_rois)
+            for i in range(SEGMENTS_PER_SUBJECT)
+        ]
 
     def target(self, subject_id: str) -> np.ndarray:
-        return read_tensor(self._subject_dir(subject_id) / "target.bin")
+        return self._read(subject_id, "target.bin", self.generator.n_contrasts)
 
     def retest(self, subject_id: str) -> np.ndarray:
-        return read_tensor(self._subject_dir(subject_id) / "retest.bin")
+        return self._read(subject_id, "retest.bin", self.generator.n_contrasts)
 
 
 def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: int, n_test: int) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Param, ShapeMismatch, Tensor, _accumulate, _result
+from .autodiff import Param, ShapeMismatch, Tensor
 from .icosphere import MeshOperators, PoolMap
 
 N_OPERATORS = 4
@@ -106,18 +106,16 @@ def mesh_conv(layer: MeshConvLayer, x) -> Tensor:
     y = ops.conv @ z.reshape(N_OPERATORS * n_vertices, batch * c_out)
     y = y.reshape(n_vertices, batch, c_out)
     y += b.data
-    out = _result(y, (x, w, b))
-    if out._parents:
-        def backward(g: np.ndarray) -> None:
-            dz = ops.conv_t @ g.reshape(n_vertices, batch * c_out)
-            dz = dz.reshape(N_OPERATORS, n_vertices * batch, c_out)
-            _accumulate(w, np.matmul(rows.T, dz).transpose(2, 1, 0))
-            _accumulate(b, g.reshape(-1, c_out).sum(axis=0))
-            if x.requires_grad:
-                dx = np.tensordot(dz, w4, axes=([0, 2], [0, 2]))  # sum_k dz_k W_k^T
-                _accumulate(x, dx.reshape(x.data.shape))
-        out._backward_fn = backward
-    return out
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        dz = ops.conv_t @ g.reshape(n_vertices, batch * c_out)
+        dz = dz.reshape(N_OPERATORS, n_vertices * batch, c_out)
+        dx = None  # the input layer's x needs none: skip the largest product
+        if x.requires_grad:
+            dx = np.tensordot(dz, w4, axes=([0, 2], [0, 2])).reshape(x.data.shape)  # sum_k dz_k W_k^T
+        return dx, np.matmul(rows.T, dz).transpose(2, 1, 0), g.reshape(-1, c_out).sum(axis=0)
+
+    return ad._op(y, (x, w, b), grads)
 
 
 @_vertex_major

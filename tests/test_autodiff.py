@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import brainsurf
 from brainsurf import autodiff as ad
 from brainsurf.autodiff import (
     NonScalarRoot,
@@ -17,6 +21,8 @@ from brainsurf.autodiff import (
     grad_check,
 )
 from brainsurf.fileio import load_checkpoint, save_checkpoint
+from brainsurf.icosphere import operators
+from brainsurf.meshlayers import init_conv_layer, mesh_conv
 
 
 def trainable(arr):
@@ -213,8 +219,92 @@ class TestBackwardReleases:
         out = ad.leaky_relu(t, slope)
         assert out.data.tobytes() == np.where(x > 0.0, x, slope * x).tobytes()
         g = np.random.default_rng(0).standard_normal(x.shape)
-        out._backward_fn(g)
-        assert t.grad.tobytes() == (g * np.where(x > 0.0, 1.0, slope)).tobytes()
+        (dx,) = out._backward_fn(g)
+        assert dx.tobytes() == (g * np.where(x > 0.0, 1.0, slope)).tobytes()
+
+
+class TestGradientFunctions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(st.sampled_from(OPS), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        slope=st.floats(0.0, 1.0),
+        conv_input_needs_grad=st.booleans(),
+    )
+    def test_one_gradient_per_parent(self, ops, seed, slope, conv_input_needs_grad):
+        # Every recorded node's gradient function returns one entry per
+        # parent, in parent order: None, or an array of that parent's shape.
+        rng = np.random.default_rng(seed)
+        x, w = trainable(rng.standard_normal((5, 3))), trainable(rng.standard_normal((5, 3)))
+        h = build_chain(x, w, ops, slope)
+        batch = ad.stack([h, w, Tensor(np.ones((5, 3)))])
+        wide = ad.concat_channels([batch, Tensor(np.zeros((3, 5, 2))), ad.square(batch)])
+        layer = init_conv_layer(rng, "c", 3, 2, operators(0))
+        conv_in = Tensor(rng.standard_normal((12, 2, 3)), requires_grad=conv_input_needs_grad)
+        root = ad.add(wide.sum(), mesh_conv(layer, conv_in).mean())
+        recorded = [node for node in graph_nodes(root) if node._parents]
+        assert len(recorded) >= 6
+        for node in recorded:
+            grads = node._backward_fn(rng.standard_normal(node.data.shape))
+            assert len(grads) == len(node._parents)
+            for parent, g in zip(node._parents, grads):
+                assert g is None or np.shape(g) == parent.data.shape
+
+
+SRC = Path(brainsurf.__file__).parent
+GRAPH_INTERNALS = {"_accumulate", "_parents", "_backward_fn"}
+NODE_FIELDS = {"_parents", "_backward_fn"}
+
+
+def names_in(tree):
+    # (line, name) of every identifier, attribute, import or string naming
+    # one of the graph internals.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in GRAPH_INTERNALS:
+            yield getattr(node, "lineno", "?"), name
+
+
+def node_field_writes(node, scope=()):
+    # (enclosing def or class path, line, field) of every assignment or
+    # deletion of a node field.
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from node_field_writes(child, (*scope, child.name))
+            continue
+        if (
+            isinstance(child, ast.Attribute)
+            and isinstance(child.ctx, (ast.Store, ast.Del))
+            and child.attr in NODE_FIELDS
+        ):
+            yield ".".join(scope), child.lineno, child.attr
+        yield from node_field_writes(child, scope)
+
+
+class TestGraphBoundary:
+    def test_only_autodiff_names_graph_internals(self):
+        offenders = [
+            f"{path.name}:{line} {name}"
+            for path in sorted(SRC.glob("*.py"))
+            if path.stem != "autodiff"
+            for line, name in names_in(ast.parse(path.read_text()))
+        ]
+        assert offenders == []
+
+    def test_only_the_constructors_set_node_fields(self):
+        tree = ast.parse((SRC / "autodiff.py").read_text())
+        writes = list(node_field_writes(tree))
+        assert [w for w in writes if w[0] not in ("Tensor.__init__", "_op")] == []
+        assert {scope for scope, _, _ in writes} == {"Tensor.__init__", "_op"}
 
 
 class TestGradCheck:

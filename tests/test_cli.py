@@ -378,6 +378,27 @@ class TestPredict:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("command, subject, name, shape", [
+        ("predict", "sub004", "sample_0.bin", (4, 40)),
+        ("train", "sub000", "sample_3.bin", (4, 40)),
+        ("evaluate", "sub005", "target.bin", (2, 40)),
+    ], ids=["predict", "train", "evaluate"])
+    def test_file_shape_disagrees_with_cohort_json_exit_2(self, tiny_run, capsys, command, subject, name,
+                                                         shape):
+        from brainsurf.fileio import write_tensor
+
+        write_tensor(tiny_run / "data" / "subjects" / subject / name, np.ones(shape))
+        argv = {
+            "predict": ["--model", str(tiny_run / "run" / "checkpoint_final.bin")],
+            "train": ["--config", str(tiny_run / "cfg.json")],
+            "evaluate": [],
+        }[command]
+        capsys.readouterr()
+        assert cli.main([command, *argv, "--data", str(tiny_run / "data"), "--out", str(tiny_run / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and err.count("\n") == 1
+        assert f"{subject}/{name}" in err and str(list(shape)) in err and f"[{shape[0]}, 42]" in err
+
     @pytest.mark.parametrize("model, baseline, message", [
         ("baseline.bin", None, "not a model checkpoint"),
         ("checkpoint_final.bin", "checkpoint_final.bin", "not a baseline file"),
@@ -548,6 +569,22 @@ class TestEvaluate:
         ])
         assert rc == 5
 
+    def test_prediction_shapes_differ_between_subjects_exit_5(self, tiny_run, capsys):
+        from brainsurf.fileio import write_tensor
+
+        preds = tiny_run / "ragged"
+        preds.mkdir()
+        write_tensor(preds / "sub004.bin", np.ones((2, 42)))
+        write_tensor(preds / "sub005.bin", np.ones((2, 40)))
+        capsys.readouterr()
+        assert cli.main([
+            "evaluate", "--data", str(tiny_run / "data"), "--preds", f"model={preds}",
+            "--out", str(tiny_run / "eval_ragged"),
+        ]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'model'" in err and "sub005" in err and "[2, 40]" in err and "[2, 42]" in err
+
     def test_constant_prediction_map_reports_nan(self, tiny_run, capsys):
         # A collapsed model predicts a constant map: its correlations are
         # undefined (NaN in the report), not an input error.
@@ -673,6 +710,12 @@ class TestGradcheck:
         assert caught.value.code == 2
         assert "--coords" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["gradcheck", "--seed", "-1"])
+        assert caught.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_corrupted_backward_fails(self, monkeypatch, capsys):
         # Negative control: a wrong negative-side slope in the backward pass
         # must be caught by the finite-difference comparison.
@@ -683,11 +726,7 @@ class TestGradcheck:
             out = original(t, slope)
             if out._backward_fn is not None:
                 scale = np.where(t.data > 0.0, 1.0, 0.9)
-
-                def backward(g):
-                    ad._accumulate(t, g * scale)
-
-                out._backward_fn = backward
+                out._backward_fn = lambda g: (g * scale,)
             return out
 
         monkeypatch.setattr(ad, "leaky_relu", corrupted)

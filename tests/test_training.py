@@ -130,10 +130,10 @@ class TestTrainPhase:
         import brainsurf.training as training
 
         recorded, roots = [], []
-        original_result, original_backward = autodiff._result, training.backward
+        original_op, original_backward = autodiff._op, training.backward
 
-        def recording_result(data, parents):
-            out = original_result(data, parents)
+        def recording_op(data, parents, grads):
+            out = original_op(data, parents, grads)
             if out._parents:
                 recorded.append(out)
             return out
@@ -142,7 +142,7 @@ class TestTrainPhase:
             roots.append(root)
             original_backward(root)
 
-        monkeypatch.setattr(autodiff, "_result", recording_result)
+        monkeypatch.setattr(autodiff, "_op", recording_op)
         monkeypatch.setattr(training, "backward", recording_backward)
         train_phase(
             build_model(TINY_MODEL, hierarchy), tiny_subjects(), epochs=1, batch_size=2,
