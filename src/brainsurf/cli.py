@@ -196,7 +196,6 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, inputs: dict[str, str]) -> No
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_cohort(out, cfg.generator, cfg.seed, cfg.n_train_subjects, cfg.n_test_subjects)
     _write_manifest(out, cfg, inputs={})
     print(

@@ -3,7 +3,9 @@
 Each subject draws latent ROI loadings; two banks of vertex timeseries
 (standing in for the two hemispheres) are profile-weighted mixtures of the
 subject's ROI processes plus noise, so vertex-to-ROI correlations encode the
-latents smoothly.  Target contrast maps are a fixed group map plus a
+latents smoothly.  Each half-run connectome is drawn from the few numbers
+through which the noise reaches it, never from the vertex series
+themselves.  Target contrast maps are a fixed group map plus a
 deterministic (partly nonlinear) function of the same latents plus
 observation noise; retest maps share the deterministic part with fresh
 noise.  Everything is driven by one seeded generator, so a cohort is a pure
@@ -13,8 +15,6 @@ function of (config, seed).
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -76,6 +76,9 @@ class GeneratorConfig(JsonConfig):
                      "contrast_noise_std"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"generator {name} must be finite")
+        for name in ("timeseries_noise_std", "contrast_noise_std"):
+            if (np.asarray(getattr(self, name)) < 0).any():
+                raise ConfigError(f"generator {name} must be >= 0")
 
     def noise_per_contrast(self) -> np.ndarray:
         return np.full(self.n_contrasts, self.contrast_noise_std, dtype=np.float64)
@@ -98,30 +101,16 @@ class SubjectRecord:
     retest_contrasts: np.ndarray  # [K, V]
 
 
-def standardized_rows(
-    rows: np.ndarray, label: str, constant_rows_nan: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
+def standardized_rows(rows: np.ndarray, label: str, constant_rows_nan: bool = False) -> np.ndarray:
     """Center each row and scale it to unit norm, so that inner products of
-    standardized rows are Pearson correlations; the result goes to ``out``
-    when given.
+    standardized rows are Pearson correlations.
 
     A constant row has no correlation: it raises ZeroVariance, or becomes a
     row of NaN when ``constant_rows_nan``."""
-    return _standardized_rows(rows, label, constant_rows_nan, out)
-
-
-def _standardized_rows(
-    rows: np.ndarray, label: str, constant_rows_nan: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(rows)
     mean = rows.mean(axis=1, keepdims=True)
-    # The squares go through ``out`` too, and the rows are centered again
-    # after: a call allocates nothing of the rows' size beyond ``out``.
-    np.subtract(rows, mean, out=out)
-    np.multiply(out, out, out=out)
-    norms = np.sqrt(out.sum(axis=1))
+    centered = rows - mean
+    norms = np.sqrt((centered * centered).sum(axis=1))
     # The computed mean of a constant row can miss its value by a few ulp,
     # which leaves a tiny nonzero norm: test rows with such norms exactly.
     constant = norms <= 1e-12 * np.sqrt(rows.shape[1]) * np.abs(mean[:, 0])
@@ -130,22 +119,43 @@ def _standardized_rows(
         if constant.any() and not constant_rows_nan:
             raise ZeroVariance(f"{label} row {np.flatnonzero(constant)[0]} has zero variance")
         norms[constant] = np.nan
-    np.subtract(rows, mean, out=out)
-    np.divide(out, norms[:, None], out=out)
-    return out
+    return centered / norms[:, None]
 
 
-def _connectome_into(
-    out: np.ndarray, left: np.ndarray, right: np.ndarray, roi: np.ndarray, z: np.ndarray
+def _half_run_connectome(
+    rng: np.random.Generator, weights: np.ndarray, roi: np.ndarray, noise_std: float
 ) -> np.ndarray:
-    """Vertex-to-ROI Pearson correlations into ``out`` as a [2M, V] channel
-    stack: channels 0..M-1 correlate the ``left`` bank against each ROI
-    series, channels M..2M-1 the ``right`` bank.  ``z`` (C-ordered, the
-    banks' shape) holds each standardized bank in turn."""
-    m = roi.shape[0]
-    z_roi = _standardized_rows(roi, "roi")
-    np.matmul(z_roi, _standardized_rows(left, "vertex", out=z).T, out=out[:m])
-    np.matmul(z_roi, _standardized_rows(right, "vertex", out=z).T, out=out[m:])
+    """The [2M, V] vertex-to-ROI Pearson connectome of one half-run, drawn
+    from its sufficient statistics: channels 0..M-1 for the left bank,
+    M..2M-1 for the right.
+
+    A bank's vertex series are ``weights.T @ roi`` plus ``noise_std`` times
+    white noise over the half's n timepoints.  Let Q [n, r], r = min(M, n-1),
+    be an orthonormal basis of the centered ROI span.  A vertex's noise moves
+    its correlations only through its r coordinates in Q, which are standard
+    normals, and moves its norm only through its energy outside span(1, Q),
+    a chi-square with n-1-r degrees of freedom.  Each bank draws those, in
+    that order, and the result has the distribution of the explicit [V, n]
+    simulation."""
+    m, n = roi.shape
+    v = weights.shape[1]
+    z = standardized_rows(roi, "roi")
+    r = min(m, n - 1)
+    q = np.linalg.qr(np.column_stack([np.full(n, n**-0.5), z.T]))[0][:, 1 : r + 1]
+    u = z @ q  # [M, r]: each z row lies in span(Q), so z = u @ Q.T
+    roi_norms = np.linalg.norm(roi - roi.mean(axis=1, keepdims=True), axis=1)
+    mixture = weights.T @ (roi_norms[:, None] * u)  # [V, r]: each vertex's centered ROI mixture in Q
+    # A vertex whose norm is rounding next to its mixture terms is constant.
+    floor = 1e-12 * (np.abs(weights.T) @ roi_norms)
+    out = np.empty((2 * m, v))
+    for bank in (out[:m], out[m:]):
+        coords = mixture + noise_std * rng.standard_normal((v, r))
+        outside = rng.chisquare(n - 1 - r, v) if n - 1 > r else np.zeros(v)
+        norms = np.sqrt((coords * coords).sum(axis=1) + noise_std**2 * outside)
+        constant = norms <= floor
+        if constant.any():
+            raise ZeroVariance(f"vertex row {np.flatnonzero(constant)[0]} has zero variance")
+        np.divide(u @ coords.T, norms, out=bank)
     return np.clip(out, -1.0, 1.0, out=out)
 
 
@@ -168,6 +178,12 @@ def _orthonormal_rows(fields: np.ndarray) -> np.ndarray:
     # the given rows, so each stays a smooth field.
     gram = fields @ fields.T
     evals, evecs = np.linalg.eigh(gram)
+    if evals[0] <= 1e-12 * evals[-1]:
+        raise ConfigError(
+            f"generator n_rois is too large for the mesh: the {len(fields)} smoothed contrast basis maps "
+            f"are numerically dependent (Gram eigenvalue ratio {evals[0] / evals[-1]:.1e}); "
+            "lower n_rois or smooth_steps, or raise mesh_level"
+        )
     return (evecs * evals**-0.5) @ evecs.T @ fields
 
 
@@ -187,36 +203,15 @@ def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[Su
     return list(_cohort_records(n_subjects, cfg, seed))
 
 
-def _run_connectomes(
-    weights: np.ndarray, roi: np.ndarray, left: np.ndarray, right: np.ndarray,
-    noise_std: float, work: np.ndarray, out: tuple[np.ndarray, np.ndarray],
-) -> None:
-    """One drawn run into its two half-run connectomes ``out``: the noise
-    banks ``left`` and ``right`` [V, T] become the vertex series in place
-    (``noise*std + mixture`` is bitwise ``mixture + std*noise``).  ``work``
-    (V*T values) holds the ROI mixture, then each standardized half-bank.
-
-    The worker thread runs this: it allocates nothing of the banks' size and
-    calls no public function of the package."""
-    v, t = left.shape
-    mixture = work.reshape(v, t)
-    np.matmul(weights.T, roi, out=mixture)  # both banks share the ROI mixture, not the noise
-    for bank in (left, right):
-        bank *= noise_std
-        bank += mixture
-    z = work[: v * (t // 2)].reshape(v, t // 2)
-    for features, seg in zip(out, (slice(0, t // 2), slice(t // 2, t))):
-        _connectome_into(features, left[:, seg], right[:, seg], roi[:, seg], z)
-
-
 def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterator[SubjectRecord]:
-    """The cohort's subjects in order, each yielded as soon as its last
-    connectome is done.
+    """The cohort's subjects in order, each yielded as soon as it is drawn.
 
-    This thread makes every draw, in one fixed order, so a cohort is a pure
-    function of (config, seed).  Each run's noise is drawn into one of two
-    run slots while a worker turns the run before into its connectomes.
-    Memory holds the slots and about one subject, whatever the cohort size."""
+    The config, the subject count and the contrast basis are checked by
+    this call, before any subject is drawn or asked for.  Every
+    draw is made in one fixed order (latents, then per run the ROI series,
+    then per half and bank the connectome's statistics, then target and
+    retest), so a cohort is a pure function of (config, seed).  Memory holds
+    about one subject, whatever the cohort size."""
     cfg.validate()
     if n_subjects < 2:
         raise ValueError(f"a cohort needs at least 2 subjects, got {n_subjects}")
@@ -250,14 +245,8 @@ def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterato
             return 0.0
         return max(np.abs((coeff * prev).sum(axis=1)).max() for prev in accepted)
 
-    slots = [(np.empty((v, t)), np.empty((v, t))) for _ in range(2)]
-    work = np.empty(v * t)
-    pending: Future | None = None  # the one job in flight
-    finished: SubjectRecord | None = None  # drawn, its last run still in flight
-    accepted_coeffs: list[np.ndarray] = []
-    # Leaving the block joins the worker, however the cohort ends: a job
-    # still pending then belongs to a consumer that stopped early.
-    with ThreadPoolExecutor(1, thread_name_prefix="brainsurf-gen") as worker:
+    def records() -> Iterator[SubjectRecord]:
+        accepted_coeffs: list[np.ndarray] = []
         for s in range(n_subjects):
             # Draw a batch of latent candidates and keep the one whose
             # deviation directions align least with the already-drawn
@@ -274,33 +263,21 @@ def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterato
             samples = []
             for run_idx in range(cfg.n_runs):
                 roi_ts = _ar1(rng, m, t, cfg.ar_coeff)
-                # Free to overwrite: the job that read this slot, two runs
-                # back, was waited for when the previous run was submitted.
-                left, right = slots[run_idx % 2]
-                rng.standard_normal(out=left)
-                rng.standard_normal(out=right)
-                halves = (np.empty((2 * m, v)), np.empty((2 * m, v)))
-                if pending is not None:
-                    pending.result()  # re-raises the job's exception unchanged
-                pending = worker.submit(
-                    _run_connectomes, weights, roi_ts, left, right, cfg.timeseries_noise_std, work, halves
-                )
-                if finished is not None:  # its last run was the job just waited for
-                    yield finished
-                    finished = None
-                samples += [ConnectomeSample(2 * run_idx + h, f) for h, f in enumerate(halves)]
+                for half, seg in enumerate((slice(0, t // 2), slice(t // 2, t))):
+                    features = _half_run_connectome(rng, weights, roi_ts[:, seg], cfg.timeseries_noise_std)
+                    samples.append(ConnectomeSample(2 * run_idx + half, features))
 
             clean = group_maps + cfg.contrast_deviation * (coeff @ contrast_basis)
             target = clean + noise_k[:, None] * rng.standard_normal((k, v))
             retest = clean + noise_k[:, None] * rng.standard_normal((k, v))
-            finished = SubjectRecord(
+            yield SubjectRecord(
                 subject_id=f"sub{s:03d}",
                 samples=tuple(samples),
                 target_contrasts=target,
                 retest_contrasts=retest,
             )
-        pending.result()
-        yield finished
+
+    return records()
 
 
 # --- dataset directory layout -------------------------------------------------
@@ -351,25 +328,24 @@ class Dataset:
 
 def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: int, n_test: int) -> None:
     """Generate a cohort of ``n_train + n_test`` subjects and write each one
-    as it is done, so memory holds about one subject at a time.
+    as it is drawn, so memory holds about one subject at a time.
 
-    ``cohort.json`` goes last (a stale one is removed first): a directory
-    without it is an unfinished cohort, which ``load_dataset`` rejects."""
+    A rejected config writes nothing.  ``cohort.json`` goes last (a stale one
+    is removed first): a directory without it is an unfinished cohort, which
+    ``load_dataset`` rejects."""
+    records = _cohort_records(n_train + n_test, cfg, seed)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     (root / "cohort.json").unlink(missing_ok=True)
     ids = []
-    # When a write fails, closing() stops the generator and joins its worker
-    # here, not whenever the generator is collected.
-    with closing(_cohort_records(n_train + n_test, cfg, seed)) as records:
-        for record in records:
-            subject_dir = root / "subjects" / record.subject_id
-            subject_dir.mkdir(parents=True, exist_ok=True)
-            for sample in record.samples:
-                write_tensor(subject_dir / f"sample_{sample.segment_index}.bin", sample.features)
-            write_tensor(subject_dir / "target.bin", record.target_contrasts)
-            write_tensor(subject_dir / "retest.bin", record.retest_contrasts)
-            ids.append(record.subject_id)
+    for record in records:
+        subject_dir = root / "subjects" / record.subject_id
+        subject_dir.mkdir(parents=True, exist_ok=True)
+        for sample in record.samples:
+            write_tensor(subject_dir / f"sample_{sample.segment_index}.bin", sample.features)
+        write_tensor(subject_dir / "target.bin", record.target_contrasts)
+        write_tensor(subject_dir / "retest.bin", record.retest_contrasts)
+        ids.append(record.subject_id)
 
     manifest = {
         "seed": seed,

@@ -102,6 +102,9 @@ class TestGenData:
         {"nonlinear_mix": float("-inf")},
         {"contrast_noise_std": float("nan")},
         {"contrast_noise_std": [0.1, float("inf")]},
+        {"timeseries_noise_std": -0.1},
+        {"contrast_noise_std": -0.3},
+        {"contrast_noise_std": [0.1, -0.2]},
     ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
     def test_invalid_generator_exit_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, generator={**TINY_CONFIG["generator"], **override})
@@ -109,6 +112,17 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and next(iter(override)) in err and err.count("\n") == 1
         assert not (tmp_path / "d" / "subjects").exists()
+
+    @pytest.mark.parametrize("mesh_level, n_rois", [(0, 5), (1, 20)])
+    def test_singular_contrast_basis_exit_2(self, tmp_path, capsys, mesh_level, n_rois):
+        # 2 x n_rois smoothed contrast basis maps that nearly fill a small
+        # mesh have a numerically singular Gram matrix: rejected before
+        # anything is written, not turned into NaN targets.
+        cfg = write_config(tmp_path, generator={"mesh_level": mesh_level, "n_rois": n_rois}, model=None)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_rois" in err and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("case", [
         (None, "seed", "a"),
@@ -160,7 +174,7 @@ class TestGenData:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(connectome, "_run_connectomes", interrupted)
+        monkeypatch.setattr(connectome, "_half_run_connectome", interrupted)
         with pytest.raises(KeyboardInterrupt):
             cli.main(["gen-data", "--config", str(cfg), "--out", str(data)])
         capsys.readouterr()

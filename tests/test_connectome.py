@@ -1,19 +1,14 @@
-import os
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from brainsurf import connectome
 from brainsurf.connectome import (
-    ConnectomeSample,
     GeneratorConfig,
-    SubjectRecord,
     ZeroVariance,
     bank_averaged_features,
     ensemble_mean_features,
@@ -25,7 +20,7 @@ from brainsurf.connectome import (
 from brainsurf.evaluate import correlation_matrix
 from brainsurf.fileio import ConfigError
 from oracles import connectome as oracle_connectome
-from oracles import half_run_connectomes, pearson, sequential_cohort
+from oracles import half_run_connectomes, pearson
 
 
 def textbook_pearson(x, y):
@@ -75,80 +70,128 @@ def tiny_config(**overrides):
     return GeneratorConfig(**defaults)
 
 
-def run_halves(left, right, roi):
-    """The generator's per-run job on given banks: zero ROI weights and unit
-    noise scale leave the banks as they are."""
-    v, t = left.shape
-    halves = (np.empty((2 * roi.shape[0], v)), np.empty((2 * roi.shape[0], v)))
-    weights = np.zeros((roi.shape[0], v))
-    connectome._run_connectomes(weights, roi, left.copy(), right.copy(), 1.0, np.empty(v * t), halves)
-    return halves
-
-
-def assert_same_halves(left, right, roi):
-    halves = run_halves(left, right, roi)
-    for got, want in zip(halves, half_run_connectomes(left, right, roi), strict=True):
-        assert got.tobytes() == want.tobytes()
-    return halves
+def half_connectome(weights, roi, noise_std=0.0, seed=0):
+    """The generator's connectome of one half-run, drawn from a seeded stream."""
+    return connectome._half_run_connectome(np.random.default_rng(seed), weights, roi, noise_std)
 
 
 class TestComputeConnectome:
-    """Each half-run's connectome as the generator's job computes it."""
+    """Each half-run's connectome as the generator draws it."""
 
     def test_vertex_equal_to_roi_gives_one(self):
         rng = np.random.default_rng(3)
-        roi = rng.standard_normal((5, 80))
-        bank = np.tile(roi[0], (7, 1))
-        for half in assert_same_halves(bank, bank, roi):
-            assert np.allclose(half[0], 1.0)
-            assert np.allclose(half[5], 1.0)  # the right bank
+        roi = rng.standard_normal((5, 40))
+        weights = np.zeros((5, 7))
+        weights[0] = 2.5  # every vertex is a scaled copy of ROI 0
+        half = half_connectome(weights, roi)
+        assert np.allclose(half[0], 1.0)
+        assert np.allclose(half[5], 1.0)  # the right bank
 
     def test_output_shape(self):
         rng = np.random.default_rng(4)
-        halves = assert_same_halves(
-            rng.standard_normal((162, 1200)), rng.standard_normal((162, 1200)), rng.standard_normal((5, 1200))
-        )
-        assert [h.shape for h in halves] == [(10, 162), (10, 162)]
+        half = half_connectome(rng.standard_normal((5, 162)), rng.standard_normal((5, 600)), noise_std=1.0)
+        assert half.shape == (10, 162)
 
     def test_independent_noise_near_zero(self):
-        # Monte Carlo over seeds: independent series at T=600 per half give
+        # Monte Carlo over seeds: pure noise at 600 timepoints per half gives
         # |r| far below any structural signal.
         means = []
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            halves = assert_same_halves(
-                rng.standard_normal((30, 1200)), rng.standard_normal((30, 1200)), rng.standard_normal((4, 1200))
-            )
-            means += [np.abs(h).mean() for h in halves]
+            roi = np.random.default_rng(seed).standard_normal((4, 600))
+            means.append(np.abs(half_connectome(np.zeros((4, 30)), roi, noise_std=1.0, seed=seed)).mean())
         assert np.mean(means) < 0.1
 
     def test_range(self):
         rng = np.random.default_rng(5)
-        for half in assert_same_halves(*(rng.standard_normal((n, 100)) for n in (20, 20, 3))):
+        for m, n in ((3, 50), (6, 4)):
+            half = half_connectome(rng.standard_normal((m, 20)), rng.standard_normal((m, n)), noise_std=0.3)
             assert half.min() >= -1.0 and half.max() <= 1.0
 
     def test_zero_variance_names_row(self):
+        # A vertex with zero weights and no noise is a constant series.
         rng = np.random.default_rng(6)
-        left = rng.standard_normal((4, 60))
-        left[2] = 7.0
+        weights = rng.standard_normal((2, 4))
+        weights[:, 2] = 0.0
         with pytest.raises(ZeroVariance, match="vertex row 2"):
-            run_halves(left, rng.standard_normal((4, 60)), rng.standard_normal((2, 60)))
+            half_connectome(weights, rng.standard_normal((2, 30)))
+
+    def test_constant_roi_names_row(self):
+        rng = np.random.default_rng(7)
+        roi = rng.standard_normal((3, 30))
+        roi[1] = 4.0
+        with pytest.raises(ZeroVariance, match="roi row 1"):
+            half_connectome(rng.standard_normal((3, 4)), roi, noise_std=1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(3, 40), v=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_noiseless_equals_explicit_pearson(self, m, n, v, seed):
+        # Without noise the statistics are exact: the result is the Pearson
+        # connectome of the mixed series, for M < n-1 and for M >= n-1.
+        rng = np.random.default_rng(seed)
+        roi = rng.standard_normal((m, n))
+        weights = rng.standard_normal((m, v))
+        mixed = weights.T @ roi
+        got = half_connectome(weights, roi, seed=seed)
+        assert np.abs(got - oracle_connectome(mixed, mixed, roi)).max() <= 1e-12
+
+
+class TestHalfRunDistribution:
+    """The drawn connectome against the explicit simulation of the noisy banks."""
+
+    @pytest.mark.parametrize("m, n", [(5, 40), (5, 4)], ids=["M<n-1", "M>=n-1"])
+    def test_matches_explicit_banks(self, m, n):
+        # 20,000 seeded draws of each half of one run, two vertices: a
+        # two-sample KS test per connectome entry.  Dropping the chi-square
+        # term, or drawing it with the wrong degrees of freedom, fails here.
+        draws, v, noise_std = 20_000, 2, 0.7
+        rng = np.random.default_rng(20)
+        roi = rng.standard_normal((m, 2 * n))
+        weights = 0.5 * rng.standard_normal((m, v))
+        # The explicit banks of every draw, stacked as the vertex rows of one run.
+        mixed = np.tile(weights.T @ roi, (draws, 1))
+        banks = [mixed + noise_std * rng.standard_normal(mixed.shape) for _ in range(2)]
+        explicit = half_run_connectomes(*banks, roi)
+        del mixed, banks
+        tiled = np.tile(weights, draws)  # one independent vertex per draw
+        p_values = []
+        for seg, want in zip((slice(0, n), slice(n, 2 * n)), explicit):
+            got = connectome._half_run_connectome(rng, tiled, roi[:, seg], noise_std)
+            got, want = (x.reshape(2 * m, draws, v) for x in (got, want))
+            p_values += [
+                ks_2samp(got[c, :, j], want[c, :, j]).pvalue for c in range(2 * m) for j in range(v)
+            ]
+        assert min(p_values) > 1e-3
+
+
+def recorded_halves(monkeypatch):
+    """Patch the generator so that every AR(1) run it draws and every half
+    it turns into a connectome (weights, ROI series, result) is recorded."""
+    runs, halves = [], []
+    ar1, half_run = connectome._ar1, connectome._half_run_connectome
+
+    def recording_ar1(*args):
+        runs.append(ar1(*args))
+        return runs[-1]
+
+    def recording_half(rng, weights, roi, noise_std):
+        halves.append((weights, roi, half_run(rng, weights, roi, noise_std)))
+        return halves[-1][2]
+
+    monkeypatch.setattr(connectome, "_ar1", recording_ar1)
+    monkeypatch.setattr(connectome, "_half_run_connectome", recording_half)
+    return runs, halves
 
 
 class TestSplitRuns:
-    def test_eight_samples_with_halved_segments(self):
+    def test_eight_samples_with_halved_segments(self, monkeypatch):
         cfg = tiny_config(t_per_run=1200)
+        _, halves = recorded_halves(monkeypatch)
         record = generate_cohort(2, cfg, seed=0)[0]
         samples = split_runs(record)
         assert len(samples) == 8
         assert [s.segment_index for s in samples] == list(range(8))
         assert all(s.features.shape == (2 * cfg.n_rois, cfg.n_vertices) for s in samples)
-        # Segment length check via an independent recomputation on one run.
-        rng = np.random.default_rng(0)
-        left, right, roi = (rng.standard_normal((n, 1200)) for n in (12, 12, 3))
-        first, second = run_halves(left, right, roi)
-        assert np.allclose(first, oracle_connectome(left[:, :600], right[:, :600], roi[:, :600]))
-        assert np.allclose(second, oracle_connectome(left[:, 600:], right[:, 600:], roi[:, 600:]))
+        assert [roi.shape for _, roi, _ in halves[:8]] == [(cfg.n_rois, 600)] * 8
 
     def test_desk_scale_halving(self):
         cfg = tiny_config(t_per_run=100)
@@ -160,15 +203,17 @@ class TestSplitRuns:
         with pytest.raises(ConfigError, match="t_per_run"):
             generate_cohort(2, tiny_config(t_per_run=39), seed=2)
 
-    def test_segments_partition_run(self):
-        # A run made of two unrelated halves: each half's connectome depends
-        # on its own timepoints only, and together they cover the run.
-        rng = np.random.default_rng(3)
-        a = [rng.standard_normal((n, 20)) for n in (12, 12, 3)]
-        b = [rng.standard_normal((n, 20)) for n in (12, 12, 3)]
-        halves = run_halves(*(np.concatenate([x, y], axis=1) for x, y in zip(a, b)))
-        assert np.array_equal(halves[0], oracle_connectome(*a))
-        assert np.array_equal(halves[1], oracle_connectome(*b))
+    def test_segments_partition_run(self, monkeypatch):
+        # Each run's ROI series is cut into two contiguous halves that cover
+        # it, and each half's connectome is that of its own timepoints only.
+        runs, halves = recorded_halves(monkeypatch)
+        record = generate_cohort(2, tiny_config(timeseries_noise_std=0.0), seed=3)[0]
+        for i, run in enumerate(runs[:4]):
+            first, second = halves[2 * i][1], halves[2 * i + 1][1]
+            assert np.array_equal(np.concatenate([first, second], axis=1), run)
+        for sample, (weights, roi, _) in zip(record.samples, halves, strict=False):
+            mixed = weights.T @ roi
+            assert np.abs(sample.features - oracle_connectome(mixed, mixed, roi)).max() <= 1e-12
 
     def test_segment_connectomes_stable(self):
         # With the default generator noise, the 8 variants of one subject
@@ -236,6 +281,18 @@ class TestGenerateCohort:
         one_subject_runs = cfg.n_runs * (2 * cfg.n_vertices + cfg.n_rois) * cfg.t_per_run * 8
         assert traced_peak(6) - traced_peak(2) < one_subject_runs
 
+    def test_peak_below_one_noise_bank(self):
+        # No [V, T] array is ever built: a level-4 cohort at 1,200 timepoints
+        # peaks below one bank of 2,562 x 1,200 float64 (24.6 MB).
+        cfg = GeneratorConfig(mesh_level=4, t_per_run=1200)
+        tracemalloc.start()
+        try:
+            generate_cohort(2, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.n_vertices * cfg.t_per_run * 8
+
     def test_needs_two_subjects(self):
         with pytest.raises(ValueError):
             generate_cohort(1, tiny_config(), seed=0)
@@ -246,123 +303,6 @@ class TestGenerateCohort:
         diff = record.target_contrasts - record.retest_contrasts
         assert np.abs(diff[0]).max() == 0.0
         assert np.abs(diff[1]).max() > 0.0
-
-
-def assert_same_cohort(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.subject_id == b.subject_id
-        assert [s.segment_index for s in a.samples] == [s.segment_index for s in b.samples]
-        for sa, sb in zip(a.samples, b.samples, strict=True):
-            assert sa.features.tobytes() == sb.features.tobytes()
-        assert a.target_contrasts.tobytes() == b.target_contrasts.tobytes()
-        assert a.retest_contrasts.tobytes() == b.retest_contrasts.tobytes()
-
-
-def streamed(n_subjects, cfg, seed):
-    """The cohort as a streaming consumer sees it: each record copied the
-    moment it is yielded, as ``write_cohort`` writes it at once."""
-    return [
-        SubjectRecord(
-            r.subject_id,
-            tuple(ConnectomeSample(s.segment_index, s.features.copy()) for s in r.samples),
-            r.target_contrasts.copy(),
-            r.retest_contrasts.copy(),
-        )
-        for r in connectome._cohort_records(n_subjects, cfg, seed)
-    ]
-
-
-small_generators = st.builds(
-    GeneratorConfig,
-    mesh_level=st.integers(0, 1), n_rois=st.integers(1, 3), n_contrasts=st.integers(1, 3),
-    t_per_run=st.integers(2, 20).map(lambda n: 2 * n), ar_coeff=st.floats(-0.9, 0.9),
-    timeseries_noise_std=st.floats(0.1, 2.0), latent_candidates=st.integers(1, 4),
-    smooth_steps=st.integers(0, 3),
-)
-
-
-class TestPipelinedGeneration:
-    """The draw thread and the connectome worker against the one-thread loop."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(cfg=small_generators, n_subjects=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
-    def test_matches_sequential_loop_bitwise(self, cfg, n_subjects, seed):
-        assert_same_cohort(generate_cohort(n_subjects, cfg, seed), sequential_cohort(n_subjects, cfg, seed))
-
-    def test_slow_worker_changes_nothing(self, monkeypatch):
-        job = connectome._run_connectomes
-
-        def slow_job(*args):
-            time.sleep(0.01)
-            job(*args)
-
-        monkeypatch.setattr(connectome, "_run_connectomes", slow_job)
-        cfg = tiny_config()
-        assert_same_cohort(streamed(3, cfg, seed=5), sequential_cohort(3, cfg, seed=5))
-
-    def test_fast_thread_switching_changes_nothing(self):
-        # Switching threads every microsecond interleaves the draws and the
-        # job at many more points than the default 5 ms.
-        cfg = tiny_config(t_per_run=200)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = streamed(4, cfg, seed=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert_same_cohort(got, sequential_cohort(4, cfg, seed=8))
-
-    def test_one_cpu_runs_jobs_on_the_worker(self, monkeypatch):
-        # The generator has one path: a process limited to one CPU hands its
-        # jobs to the worker thread too.
-        job = connectome._run_connectomes
-        threads = set()
-
-        def recording_job(*args):
-            threads.add(threading.current_thread().name)
-            job(*args)
-
-        monkeypatch.setattr(connectome, "_run_connectomes", recording_job)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        cfg = tiny_config()
-        assert_same_cohort(streamed(3, cfg, seed=6), sequential_cohort(3, cfg, seed=6))
-        assert threads and all(name.startswith("brainsurf-gen") for name in threads)
-
-    def test_job_error_reaches_caller_and_worker_is_joined(self, monkeypatch, tmp_path):
-        failure = RuntimeError("job failed")
-        calls = []
-
-        def failing_job(*args):
-            calls.append(threading.current_thread().name)
-            if len(calls) == 6:  # the second subject's second run
-                raise failure
-
-        monkeypatch.setattr(connectome, "_run_connectomes", failing_job)
-        with pytest.raises(RuntimeError) as caught:
-            write_cohort(tmp_path / "d", tiny_config(), seed=7, n_train=2, n_test=1)
-        assert caught.value is failure
-        assert calls[0].startswith("brainsurf-gen")
-        assert not any(t.name.startswith("brainsurf-gen") for t in threading.enumerate())
-        assert not (tmp_path / "d" / "cohort.json").exists()
-        with pytest.raises(FileNotFoundError):
-            load_dataset(tmp_path / "d")
-
-    def test_write_error_stops_generation_and_joins_worker(self, monkeypatch, tmp_path):
-        write = connectome.write_tensor
-        failure = OSError("disk full")
-
-        def failing_write(path, array):
-            if path.name == "sample_3.bin":
-                raise failure
-            write(path, array)
-
-        monkeypatch.setattr(connectome, "write_tensor", failing_write)
-        with pytest.raises(OSError) as caught:
-            write_cohort(tmp_path / "d", tiny_config(), seed=7, n_train=2, n_test=1)
-        assert caught.value is failure
-        assert not any(t.name.startswith("brainsurf-gen") for t in threading.enumerate())
-        assert not (tmp_path / "d" / "cohort.json").exists()
 
 
 class TestDatasetIO:
@@ -381,6 +321,23 @@ class TestDatasetIO:
             assert np.array_equal(got, want.features)
         assert np.array_equal(ds.target("sub003"), records[3].target_contrasts)
         assert np.array_equal(ds.retest("sub000"), records[0].retest_contrasts)
+
+    def test_write_error_stops_generation(self, monkeypatch, tmp_path):
+        write = connectome.write_tensor
+        failure = OSError("disk full")
+
+        def failing_write(path, array):
+            if path.name == "sample_3.bin":
+                raise failure
+            write(path, array)
+
+        monkeypatch.setattr(connectome, "write_tensor", failing_write)
+        with pytest.raises(OSError) as caught:
+            write_cohort(tmp_path / "d", tiny_config(), seed=7, n_train=2, n_test=1)
+        assert caught.value is failure
+        assert not (tmp_path / "d" / "cohort.json").exists()
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "d")
 
     def test_regenerated_dataset_is_byte_identical(self, tmp_path):
         cfg = tiny_config()

@@ -156,6 +156,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 small = st.integers(0, 1000)
 optimizer_configs = st.builds(OptimizerConfig, lr=finite, beta1=finite, beta2=finite, eps=finite)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
 valid_optimizer_configs = st.builds(
     OptimizerConfig, lr=positive, beta1=st.floats(0.0, 1.0, exclude_max=True),
     beta2=st.floats(0.0, 1.0, exclude_max=True), eps=positive,
@@ -173,9 +174,9 @@ generator_configs = st.integers(1, 100).flatmap(lambda n_contrasts: st.builds(
     # them validate.
     mesh_level=st.integers(2, 6), n_rois=st.integers(1, 100), n_contrasts=st.just(n_contrasts),
     n_runs=st.just(4), t_per_run=st.integers(2, 500).map(lambda n: 2 * n),
-    ar_coeff=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), timeseries_noise_std=finite,
+    ar_coeff=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), timeseries_noise_std=non_negative,
     roi_deviation=finite, contrast_deviation=finite, nonlinear_mix=finite,
-    contrast_noise_std=finite | st.lists(finite, min_size=n_contrasts, max_size=n_contrasts).map(tuple),
+    contrast_noise_std=non_negative | st.lists(non_negative, min_size=n_contrasts, max_size=n_contrasts).map(tuple),
     latent_candidates=st.integers(1, 1000), smooth_steps=small,
 ))
 run_configs = st.builds(
