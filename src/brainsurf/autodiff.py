@@ -1,15 +1,16 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Minimal by design: exactly the operations the mesh network, loss, and
-baseline need.  Each op is its forward value plus a gradient function that
-returns its parents' gradients; one constructor, ``_op``, records both on a
-freshly built graph.  ``backward`` alone adds those gradients into the
-parents, additively across fan-out, so diamond-shaped graphs come out right
-without any extra bookkeeping.  It releases an interior node's gradient as
-soon as that node has passed it on, so only leaves hold gradients
-afterwards.  A model's parameters live in a ``ParamArena``: their data and
-gradients are views of two flat vectors, which ``adam_step`` updates in
-place.
+Minimal by design: exactly the operations the mesh network needs.  Each
+op is its forward value plus a gradient function that returns its parents'
+gradients; one constructor, ``_op``, records both on a freshly built graph.
+A caller with a closed-form gradient of its own, such as the R-C loss,
+records itself through ``_op`` as one node.  ``backward`` alone adds those
+gradients into the parents, additively across fan-out, so diamond-shaped
+graphs come out right without any extra bookkeeping.  It releases an
+interior node's gradient as soon as that node has passed it on, so only
+leaves hold gradients afterwards.  A model's parameters live in a
+``ParamArena``: their data and gradients are views of two flat vectors,
+which ``adam_step`` updates in place.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
+    # The two reductions have no caller in the package; the benchmark
+    # harness (perfbench) reduces a conv's output with .sum() and traces both.
     def sum(self) -> "Tensor":
         return _op(self.data.sum(), (self,), lambda g: (np.broadcast_to(g, self.data.shape),))
 
@@ -137,34 +140,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g  # a parameter's view of its arena's flat gradient
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape(a, b, "add")
-    return _op(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape(a, b, "sub")
-    return _op(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul_scalar(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-    return _op(a.data * c, (a,), lambda g: (g * c,))
-
-
-def add_scalar(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    return _op(a.data + float(c), (a,), lambda g: (g,))
-
-
 def _along_axis0(matrix: sp.spmatrix, a: np.ndarray) -> np.ndarray:
     # A C-contiguous a is viewed as [rows, rest] and back: no copy either way.
     out = matrix @ a.reshape(a.shape[0], -1)
@@ -200,18 +175,6 @@ def leaky_relu(x, slope: float = 0.1) -> Tensor:
     return _op(np.maximum(x.data, slope * x.data), (x,), grads)
 
 
-def clamp_min_zero(x) -> Tensor:
-    """Hinge [x]_+; subgradient at exactly 0 is 0."""
-    x = _as_tensor(x)
-    _record_hinge(x.data)
-    return _op(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0.0),))
-
-
-def square(x) -> Tensor:
-    x = _as_tensor(x)
-    return _op(x.data * x.data, (x,), lambda g: (2.0 * x.data * g,))
-
-
 def transpose(x, axes: Sequence[int], shape: tuple[int, ...] | None = None) -> Tensor:
     """Permute the axes of x into a fresh C-contiguous array, then view it in
     ``shape`` when given (a view: the permuted buffer is not copied again)."""
@@ -222,17 +185,6 @@ def transpose(x, axes: Sequence[int], shape: tuple[int, ...] | None = None) -> T
         (x,),
         lambda g: (g.reshape(permuted.shape).transpose(np.argsort(axes)),),
     )
-
-
-def stack(parts: Sequence) -> Tensor:
-    """Stack same-shape tensors along a new leading axis (a batch)."""
-    tensors = [_as_tensor(p) for p in parts]
-    if not tensors:
-        raise ShapeMismatch("stack: no inputs")
-    if len({t.data.shape for t in tensors}) != 1:
-        raise ShapeMismatch(f"stack: shapes {[t.data.shape for t in tensors]} differ")
-    # The gradient of each part is its slice of g along the new axis.
-    return _op(np.stack([t.data for t in tensors]), tuple(tensors), tuple)
 
 
 def concat_channels(parts: Sequence) -> Tensor:

@@ -240,24 +240,20 @@ def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterato
         # deviates by the same amount, in its own direction.
         return coeff / np.linalg.norm(coeff, axis=1, keepdims=True)
 
-    def alignment(coeff: np.ndarray, accepted: list[np.ndarray]) -> float:
-        if not accepted:
-            return 0.0
-        return max(np.abs((coeff * prev).sum(axis=1)).max() for prev in accepted)
-
     def records() -> Iterator[SubjectRecord]:
-        accepted_coeffs: list[np.ndarray] = []
+        accepted = np.empty((n_subjects, k, 2 * m))  # each drawn subject's coefficients
         for s in range(n_subjects):
             # Draw a batch of latent candidates and keep the one whose
             # deviation directions align least with the already-drawn
             # subjects: the fingerprint stays separable by construction while
-            # remaining a pure function of the seed.
+            # remaining a pure function of the seed.  A candidate's alignment
+            # is its largest |cosine| with any drawn subject, over contrasts.
             candidates = [rng.standard_normal(m) for _ in range(cfg.latent_candidates)]
-            scored = [(alignment(contrast_coeff(z), accepted_coeffs), i) for i, z in enumerate(candidates)]
-            _, best = min(scored)
-            latents = candidates[best]
-            coeff = contrast_coeff(latents)
-            accepted_coeffs.append(coeff)
+            coeffs = [contrast_coeff(z) for z in candidates]
+            scores = [np.abs((accepted[:s] * c).sum(axis=2)).max(initial=0.0) for c in coeffs]
+            best = int(np.argmin(scores))
+            latents, coeff = candidates[best], coeffs[best]
+            accepted[s] = coeff
             weights = roi_profiles + cfg.roi_deviation * latents[:, None] * roi_deviation_basis
 
             samples = []

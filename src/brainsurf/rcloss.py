@@ -53,59 +53,92 @@ class BatchLoss:
 
 
 def distance(a, b) -> Tensor:
-    """Mean squared difference over all entries of two same-shape maps."""
+    """Mean squared difference over all entries of two same-shape maps, as
+    one graph node."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"distance: shapes {a.data.shape} and {b.data.shape} differ")
-    return ad.square(ad.sub(a, b)).mean()
+    diff = a.data - b.data
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        grad_a = 2.0 * diff * (g / diff.size)
+        return grad_a, -grad_a if b.requires_grad else None
+
+    return ad._op((diff * diff).mean(), (a, b), grads)
 
 
-def _batch(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, np.ndarray):
-        return Tensor(x)
-    return ad.stack(list(x))
+def _stacked(x) -> tuple[tuple[Tensor, ...], np.ndarray]:
+    # The tensors of one [N, ...] batch or of a list of N maps, and their
+    # values as one [N, ...] array.
+    if isinstance(x, (Tensor, np.ndarray)):
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        return (x,), x.data
+    parts = tuple(q if isinstance(q, Tensor) else Tensor(q) for q in x)
+    if len({q.data.shape for q in parts}) > 1:
+        raise ShapeMismatch(f"rc_loss: per-subject shapes {[q.data.shape for q in parts]} differ")
+    return parts, np.stack([q.data for q in parts]) if parts else np.empty(0)
 
 
 def rc_loss(preds, targets, margins: Margins) -> BatchLoss:
     """``preds``: an [N, ...] tensor, or a list of N per-subject tensors or
-    arrays (stacked once); ``targets``: the same, constant."""
-    p = _batch(preds)
-    t = _batch(targets)
-    n = len(p.data)
-    if n != len(t.data):
-        raise ShapeMismatch(f"rc_loss: {n} predictions vs {len(t.data)} targets")
+    arrays; ``targets``: the same, constant.
+
+    ``l_rc`` is one graph node whose parents are the prediction tensors
+    (the list's slices of its gradient go to the list's tensors); ``l_r``
+    and ``l_c`` are its constant parts.  With E entries per map and t_bar
+    the mean target, the gradient is
+
+        dL_R/dp_i = 2 (p_i - t_i) / (N E)
+        dL_C/dp_i = 2 [N (p_i - t_bar) - (p_i - t_i)] / (N (N-1) E)
+        dL_RC     = [h_r] dL_R + [h_c] (dL_R - dL_C)
+
+    where h_r and h_c are the two hinges' pre-activations being positive."""
+    listed = not isinstance(preds, (Tensor, np.ndarray))
+    parents, p = _stacked(preds)
+    constants, t = _stacked(targets)
+    n = len(p)
+    if n != len(t):
+        raise ShapeMismatch(f"rc_loss: {n} predictions vs {len(t)} targets")
     if n < 2:
         raise BatchTooSmall(f"contrastive term needs at least 2 subjects, got {n}")
-    if p.data.shape != t.data.shape:
-        raise ShapeMismatch(f"rc_loss: predictions {p.data.shape} vs targets {t.data.shape}")
-    if t.requires_grad:
+    if p.shape != t.shape:
+        raise ShapeMismatch(f"rc_loss: predictions {p.shape} vs targets {t.shape}")
+    if any(c.requires_grad for c in constants):
         raise ValueError("rc_loss: targets must be constants")
-    entries = p.data[0].size
+    entries = p[0].size
 
-    own = ad.square(ad.sub(p, t))
-    own_sum = own.sum()
-    l_r = ad.mul_scalar(own_sum, 1.0 / (n * entries))
+    own = p - t
+    own_sum = (own * own).sum()
+    scale_r = 1.0 / (n * entries)
+    l_r = own_sum * scale_r
 
     # Centre on the mean target in two parts: the first-pass mean, then the
     # (tiny) mean of the residuals about it.  Subtracting them one after the
     # other keeps the targets' sum about the centre at zero to full precision
     # even when the maps sit far from zero; their rounded sum would not.
-    centre = t.data.mean(axis=0)
-    residual = (t.data - centre).mean(axis=0)
-    shape = p.data.shape
-    dev_p = ad.sub(ad.sub(p, np.broadcast_to(centre, shape)), np.broadcast_to(residual, shape))
-    spread_p = ad.square(dev_p).sum()
-    spread_t = float(np.square(t.data - centre - residual).sum())
-    cross = ad.sub(ad.add_scalar(ad.mul_scalar(spread_p, n), n * spread_t), own_sum)
-    l_c = ad.mul_scalar(cross, 1.0 / (n * (n - 1) * entries))
+    centre = t.mean(axis=0)
+    residual = (t - centre).mean(axis=0)
+    dev = p - centre - residual
+    spread_p = (dev * dev).sum()
+    spread_t = float(np.square(t - centre - residual).sum())
+    scale_c = 1.0 / (n * (n - 1) * entries)
+    l_c = ((spread_p * n + n * spread_t) - own_sum) * scale_c
 
-    hinge_r = ad.clamp_min_zero(ad.add_scalar(l_r, -margins.alpha))
-    hinge_c = ad.clamp_min_zero(ad.add_scalar(ad.sub(l_r, l_c), margins.beta))
-    l_rc = ad.add(hinge_r, hinge_c)
-    return BatchLoss(l_r=l_r, l_c=l_c, l_rc=l_rc)
+    pre_r = np.asarray(l_r - margins.alpha)
+    pre_c = np.asarray((l_r - l_c) + margins.beta)
+    ad._record_hinge(pre_r)
+    ad._record_hinge(pre_c)
+    on_r, on_c = float(pre_r > 0.0), float(pre_c > 0.0)
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        grad = own * (2.0 * g * ((on_r + on_c) * scale_r + on_c * scale_c))
+        if on_c:
+            grad -= dev * (2.0 * g * n * scale_c)
+        return tuple(grad) if listed else (grad,)
+
+    l_rc = np.maximum(pre_r, 0.0) + np.maximum(pre_c, 0.0)
+    return BatchLoss(l_r=Tensor(l_r), l_c=Tensor(l_c), l_rc=ad._op(l_rc, parents, grads))
 
 
 def init_margins(model: BrainSurfCNN, training_set) -> Margins:

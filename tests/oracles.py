@@ -2,8 +2,20 @@
 
 import numpy as np
 
-from brainsurf.autodiff import ShapeMismatch
+from brainsurf import autodiff as ad
+from brainsurf.autodiff import ShapeMismatch, Tensor
 from brainsurf.connectome import ZeroVariance
+
+
+def sum_of_squares(*parts: Tensor) -> Tensor:
+    """The sum of x^2 over every entry of every part, as one graph node with
+    gradient 2x per part: the tests' scalar root over graphs of the
+    package's ops."""
+    return ad._op(
+        sum(np.square(p.data).sum() for p in parts),
+        parts,
+        lambda g: tuple(2.0 * p.data * g for p in parts),
+    )
 
 
 def pearson(x, y) -> float:

@@ -23,32 +23,25 @@ from brainsurf.autodiff import (
 from brainsurf.fileio import load_checkpoint, save_checkpoint
 from brainsurf.icosphere import operators
 from brainsurf.meshlayers import init_conv_layer, mesh_conv
+from brainsurf.rcloss import Margins, distance, rc_loss
+from oracles import sum_of_squares
 
 
 def trainable(arr):
     return Tensor(np.asarray(arr, dtype=float), requires_grad=True)
 
 
+def mix(parts, coeffs):
+    # sum_k coeffs[k] * parts[k] of same-shape [R, C] tensors, built from the
+    # package's ops: concatenate the channels, then apply [c_0 I | c_1 I | ...]
+    # to them, moved to the front by a transpose.
+    eye = sp.identity(parts[0].shape[1])
+    fold = sp.hstack([c * eye for c in coeffs], format="csr")
+    wide = ad.transpose(ad.concat_channels(parts), (1, 0))
+    return ad.transpose(ad.sparse_matmul(fold, wide), (1, 0))
+
+
 class TestForwardOps:
-    def test_clamp_below_threshold(self):
-        x = trainable(np.array(-3.0))
-        y = ad.clamp_min_zero(x)
-        assert y.item() == 0.0
-        backward(y)
-        assert x.grad == 0.0
-
-    def test_clamp_above_threshold(self):
-        x = trainable(np.array(2.5))
-        y = ad.clamp_min_zero(x)
-        assert y.item() == 2.5
-        backward(y)
-        assert x.grad == 1.0
-
-    def test_add_shape_mismatch_reports_both_shapes(self):
-        with pytest.raises(ShapeMismatch) as exc:
-            ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-        assert "(2, 3)" in str(exc.value) and "(3, 2)" in str(exc.value)
-
     def test_sparse_matmul_matches_dense(self):
         # The operator acts along axis 0, whatever the trailing shape.
         rng = np.random.default_rng(0)
@@ -82,9 +75,10 @@ class TestForwardOps:
 
 class TestBackward:
     def test_sum_of_squares(self):
-        x = trainable([1.0, 2.0, 3.0])
-        backward(ad.square(x).sum())
-        assert np.allclose(x.grad, [2.0, 4.0, 6.0])
+        x = trainable([[1.0], [2.0], [3.0]])
+        s = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]]))
+        backward(sum_of_squares(ad.sparse_matmul(s, x)))
+        assert np.array_equal(x.grad, 2.0 * (s.T @ (s @ x.data)))
 
     def test_mean(self):
         x = trainable([1.0, 2.0, 3.0, 4.0])
@@ -92,59 +86,52 @@ class TestBackward:
         assert np.allclose(x.grad, [0.25] * 4)
 
     def test_diamond_fanout(self):
-        x = trainable(np.array(1.5))
-        y = ad.add(x, x)
-        backward(y)
-        assert x.grad == 2.0
+        x = trainable([[1.5]])
+        backward(sum_of_squares(ad.concat_channels([x, x])))
+        assert x.grad == 6.0
 
     def test_non_scalar_root(self):
         x = trainable([1.0, 2.0])
         with pytest.raises(NonScalarRoot):
-            backward(ad.square(x))
+            backward(ad.leaky_relu(x))
 
     def test_grad_accumulates_across_uses(self):
-        x = trainable([1.0, -2.0])
-        y = ad.add(ad.square(x), ad.mul_scalar(x, 3.0)).sum()
-        backward(y)
-        assert np.allclose(x.grad, 2.0 * x.data + 3.0)
+        x = trainable([[1.0], [-2.0]])
+        s = sp.csr_matrix(3.0 * np.eye(2))
+        backward(sum_of_squares(ad.leaky_relu(x, 0.5), ad.sparse_matmul(s, x)))
+        assert np.array_equal(x.grad, np.where(x.data > 0.0, 2.0, 0.5) * x.data + 18.0 * x.data)
 
     def test_no_grad_blocks_graph(self):
         x = trainable([1.0, 2.0])
         with ad.no_grad():
-            y = ad.square(x).sum()
+            y = sum_of_squares(ad.leaky_relu(x))
         assert not y.requires_grad
         assert y._backward_fn is None
 
 
-OPS = ("square", "leaky", "scale", "shift", "add_leaf", "sub_leaf", "fanout", "sparse", "transpose", "clamp")
+OPS = ("leaky", "scale", "add_leaf", "sub_leaf", "fanout", "sparse", "transpose")
 
 
 def build_chain(x, w, ops, slope):
     # A graph over two leaves of shape [5, 3] from a sequence of shape-keeping
-    # ops, short enough that repeated squaring stays finite.
+    # ops.
     s = sp.csr_matrix(np.eye(5) + np.eye(5, k=1))
     h = x
     for op in ops:
-        if op == "square":
-            h = ad.square(h)
-        elif op == "leaky":
+        if op == "leaky":
             h = ad.leaky_relu(h, slope)
         elif op == "scale":
-            h = ad.mul_scalar(h, -0.7)
-        elif op == "shift":
-            h = ad.add_scalar(h, 0.3)
+            h = ad.sparse_matmul(sp.csr_matrix(-0.7 * np.eye(5)), h)
         elif op == "add_leaf":
-            h = ad.add(h, w)
+            h = mix([h, w], [1.0, 1.0])
         elif op == "sub_leaf":
-            h = ad.sub(w, h)
+            h = mix([w, h], [1.0, -1.0])
         elif op == "fanout":
-            h = ad.add(h, ad.mul_scalar(h, 0.5))
+            h = mix([h, h], [1.0, 0.5])
         elif op == "sparse":
             h = ad.sparse_matmul(s, h)
-        elif op == "transpose":
-            h = ad.transpose(ad.transpose(h, (1, 0)), (1, 0))
         else:
-            h = ad.clamp_min_zero(h)
+            h = ad.transpose(ad.transpose(h, (1, 0)), (1, 0))
     return h
 
 
@@ -167,13 +154,11 @@ class TestBackwardReleases:
         ops=st.lists(st.sampled_from(OPS), min_size=1, max_size=6),
         seed=st.integers(0, 2**32 - 1),
         slope=st.floats(0.0, 1.0),
-        reduce_mean=st.booleans(),
     )
-    def test_only_leaves_hold_gradients(self, ops, seed, slope, reduce_mean):
+    def test_only_leaves_hold_gradients(self, ops, seed, slope):
         rng = np.random.default_rng(seed)
         x, w = trainable(rng.standard_normal((5, 3))), trainable(rng.standard_normal((5, 3)))
-        h = build_chain(x, w, ops, slope)
-        root = h.mean() if reduce_mean else h.sum()
+        root = sum_of_squares(build_chain(x, w, ops, slope))
         backward(root)
         for node in graph_nodes(root):
             if node._parents:
@@ -194,9 +179,11 @@ class TestBackwardReleases:
         params = [Param("x", x), Param("w", w)]
         if in_arena:
             ParamArena(params)
-        h = ad.square(build_chain(x, w, ops, 0.1)).sum()
-        # Pre-activation h - (h + 1) = -1: the hinge is strictly inactive.
-        loss = ad.clamp_min_zero(ad.add_scalar(h, -(h.item() + 1.0)))
+        h = build_chain(x, w, ops, 0.1)
+        # An R-C loss with both hinges inactive: L_R = 0 < alpha, and
+        # L_R - L_C + beta = -L_C <= 0.
+        zeros = np.zeros_like(h.data)
+        loss = rc_loss([h, Tensor(zeros)], [h.data, zeros], Margins(alpha=1.0, beta=0.0)).l_rc
         backward(loss)
         reached = {"x": True, "w": bool({"add_leaf", "sub_leaf"} & set(ops))}
         for p in params:
@@ -230,20 +217,26 @@ class TestGradientFunctions:
         seed=st.integers(0, 2**32 - 1),
         slope=st.floats(0.0, 1.0),
         conv_input_needs_grad=st.booleans(),
+        margins=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
     )
-    def test_one_gradient_per_parent(self, ops, seed, slope, conv_input_needs_grad):
+    def test_one_gradient_per_parent(self, ops, seed, slope, conv_input_needs_grad, margins):
         # Every recorded node's gradient function returns one entry per
         # parent, in parent order: None, or an array of that parent's shape.
         rng = np.random.default_rng(seed)
         x, w = trainable(rng.standard_normal((5, 3))), trainable(rng.standard_normal((5, 3)))
         h = build_chain(x, w, ops, slope)
-        batch = ad.stack([h, w, Tensor(np.ones((5, 3)))])
-        wide = ad.concat_channels([batch, Tensor(np.zeros((3, 5, 2))), ad.square(batch)])
+        wide = ad.concat_channels([h, w, Tensor(np.ones((5, 2))), ad.leaky_relu(h, slope)])
         layer = init_conv_layer(rng, "c", 3, 2, operators(0))
         conv_in = Tensor(rng.standard_normal((12, 2, 3)), requires_grad=conv_input_needs_grad)
-        root = ad.add(wide.sum(), mesh_conv(layer, conv_in).mean())
+        targets = rng.standard_normal((2, 5, 3))
+        losses = [
+            rc_loss([h, w], targets, Margins(*margins)).l_rc,
+            rc_loss(ad.transpose(wide, (1, 0)), rng.standard_normal((11, 5)), Margins(*margins)).l_rc,
+            distance(h, w),
+        ]
+        root = sum_of_squares(wide, mesh_conv(layer, conv_in), *losses)
         recorded = [node for node in graph_nodes(root) if node._parents]
-        assert len(recorded) >= 6
+        assert len(recorded) >= 8
         for node in recorded:
             grads = node._backward_fn(rng.standard_normal(node.data.shape))
             assert len(grads) == len(node._parents)
@@ -300,6 +293,28 @@ class TestGraphBoundary:
         ]
         assert offenders == []
 
+    def test_every_public_op_has_a_caller(self):
+        # Ops that no caller reads are deleted: every public autodiff
+        # function that returns a Tensor is named in another package module.
+        tree = ast.parse((SRC / "autodiff.py").read_text())
+        ops = {
+            f.name
+            for f in tree.body
+            if isinstance(f, ast.FunctionDef)
+            and not f.name.startswith("_")
+            and f.returns is not None
+            and ast.unparse(f.returns).strip("'\"") == "Tensor"
+        }
+        named = {
+            node.attr if isinstance(node, ast.Attribute) else node.name
+            for path in SRC.glob("*.py")
+            if path.stem != "autodiff"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Attribute, ast.alias))
+        }
+        assert ops
+        assert sorted(ops - named) == []
+
     def test_only_the_constructors_set_node_fields(self):
         tree = ast.parse((SRC / "autodiff.py").read_text())
         writes = list(node_field_writes(tree))
@@ -310,7 +325,7 @@ class TestGraphBoundary:
 class TestGradCheck:
     def test_sum_of_squares(self):
         x = Param("x", trainable([0.3, -1.2, 2.0]))
-        err = grad_check(lambda: ad.square(x.tensor).sum(), [x])
+        err = grad_check(lambda: sum_of_squares(ad.leaky_relu(x.tensor, 0.3)), [x])
         assert err < 1e-8
 
     def test_linear_layer(self):
@@ -323,24 +338,35 @@ class TestGradCheck:
         ones = sp.csr_matrix(np.ones((9, 1)))
 
         def f():
-            y = ad.add(ad.sparse_matmul(x, w.tensor), ad.sparse_matmul(ones, b.tensor))
-            return ad.square(y).mean()
+            # (x w + 1 b) / 6, whose sum of squares is the mean square of its 36 entries.
+            y = mix([ad.sparse_matmul(x, w.tensor), ad.sparse_matmul(ones, b.tensor)], [1 / 6, 1 / 6])
+            return sum_of_squares(y)
 
         assert grad_check(f, [w, b]) < 1e-9
 
     def test_hinge_boundary_coordinate_skipped(self):
-        # A pre-activation exactly at the kink: finite differences would
-        # disagree with the chosen subgradient, so the coordinate is skipped.
-        x = Param("x", trainable(np.array([0.0])))
-        err = grad_check(lambda: ad.clamp_min_zero(x.tensor).sum(), [x])
-        assert err == 0.0
+        # alpha set at L_R puts the R-C loss's own R hinge exactly at its kink
+        # (the C hinge is strictly inactive): every perturbation crosses it,
+        # where finite differences disagree with the chosen subgradient, so
+        # every coordinate is skipped.
+        rng = np.random.default_rng(6)
+        preds = rng.standard_normal((2, 3)) + np.array([[0.0], [5.0]])
+        targets = preds + 0.1 * rng.standard_normal((2, 3))
+        x = Param("x", trainable(preds))
+        alpha = rc_loss(preds, targets, Margins(0.0, 0.0)).l_r.item()
+
+        def f():
+            return rc_loss(x.tensor, targets, Margins(alpha, 0.0)).l_rc
+
+        assert f().item() == 0.0
+        assert grad_check(f, [x]) == 0.0
 
     def test_subsampling_deterministic(self):
         rng = np.random.default_rng(4)
         w = Param("w", trainable(rng.standard_normal(500)))
 
         def f():
-            return ad.square(w.tensor).sum()
+            return sum_of_squares(ad.leaky_relu(w.tensor))
 
         e1 = grad_check(f, [w], max_coords=50, seed=9)
         e2 = grad_check(f, [w], max_coords=50, seed=9)
@@ -399,7 +425,7 @@ class TestAdam:
             state = None
             for _ in range(25):
                 arena.zero_grad()
-                backward(ad.square(p.tensor).sum())
+                backward(sum_of_squares(p.tensor))
                 state = adam_step(arena.data, arena.grad, state)
             return p.tensor.data.copy()
 
@@ -461,10 +487,10 @@ class TestParamArena:
     def test_zero_grad_restores_views(self):
         p = Param("p", trainable([1.0, -2.0]))
         arena = ParamArena([p])
-        backward(ad.square(p.tensor).sum())
+        backward(sum_of_squares(p.tensor))
         assert np.array_equal(arena.grad, [2.0, -4.0])  # accumulated into the view
         p.tensor.zero_grad()
-        backward(ad.square(p.tensor).sum())
+        backward(sum_of_squares(p.tensor))
         assert not np.shares_memory(p.tensor.grad, arena.grad)  # a fresh leaf buffer
         arena.zero_grad()
         assert np.shares_memory(p.tensor.grad, arena.grad) and not arena.grad.any()

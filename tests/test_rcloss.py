@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brainsurf import autodiff as ad
 from brainsurf.autodiff import ShapeMismatch, Tensor, backward
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import ModelConfig, build_model
@@ -27,6 +26,18 @@ def brute_force_rc(preds, targets, alpha, beta):
     l_c = sum(cross) / len(cross)
     l_rc = max(l_r - alpha, 0.0) + max(l_r - l_c + beta, 0.0)
     return l_r, l_c, l_rc
+
+
+def pair_gradients(preds, targets):
+    """Independent oracle: dL_R/dp and dL_C/dp by pair enumeration,
+    dL_C/dp_i = sum over j != i of 2 (p_i - t_j) / (N (N-1) E)."""
+    n, entries = len(preds), preds[0].size
+    d_r = np.stack([2.0 * (preds[i] - targets[i]) / (n * entries) for i in range(n)])
+    d_c = np.stack([
+        sum(2.0 * (preds[i] - targets[j]) for j in range(n) if j != i) / (n * (n - 1) * entries)
+        for i in range(n)
+    ])
+    return d_r, d_c
 
 
 class TestDistance:
@@ -128,19 +139,16 @@ class TestRcLoss:
             assert p.grad is None or np.abs(p.grad).max() == 0.0
 
     def test_huge_alpha_leaves_contrastive_gradient_only(self):
+        # alpha = beta = 1e9: the R hinge is off and the C hinge on, so the
+        # gradient is dL_R - dL_C alone.
         rng = np.random.default_rng(9)
         preds = [Tensor(rng.standard_normal((2, 20)), requires_grad=True) for _ in range(2)]
-        targets = [rng.standard_normal((2, 20)) for _ in range(2)]
+        targets = rng.standard_normal((2, 2, 20))
         out = rc_loss(preds, targets, Margins(alpha=1e9, beta=1e9))
         backward(out.l_rc)
-        grads_full = [p.grad.copy() for p in preds]
-
-        # Reference: gradient of (L_R - L_C) alone.
-        preds2 = [Tensor(p.data.copy(), requires_grad=True) for p in preds]
-        out2 = rc_loss(preds2, targets, Margins(alpha=1e9, beta=1e9))
-        backward(ad.sub(out2.l_r, out2.l_c))
-        for g, p2 in zip(grads_full, preds2):
-            assert np.allclose(g, p2.grad, atol=1e-14)
+        d_r, d_c = pair_gradients(np.stack([p.data for p in preds]), targets)
+        for p, expected in zip(preds, d_r - d_c):
+            assert np.allclose(p.grad, expected, rtol=0.0, atol=1e-14)
 
 
 class TestRcLossProperties:
@@ -172,6 +180,41 @@ class TestRcLossProperties:
             assert abs(out.l_c.item() - l_c) <= 1e-12 * l_c
             assert abs(out.l_rc.item() - l_rc) <= tol_rc
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 50)),
+        offsets=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        same_offset=st.booleans(),
+        log_scale=st.floats(-3.0, 2.0),
+        hinges_on=st.tuples(st.booleans(), st.booleans()),
+        listed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_matches_pair_oracle(self, n, shape, offsets, same_offset, log_scale, hinges_on, listed, seed):
+        # The closed-form gradient against dL_RC = [h_r] dL_R + [h_c] (dL_R - dL_C)
+        # from the pairs, with margins that put each hinge on or off.  The
+        # terms can cancel, so agreement is relative to their size.
+        rng = np.random.default_rng(seed)
+        off_p, off_t = (offsets[0], offsets[0]) if same_offset else offsets
+        scale = 10.0**log_scale
+        preds = off_p + scale * rng.standard_normal((n, *shape))
+        targets = off_t + scale * rng.standard_normal((n, *shape))
+        l_r, l_c, _ = brute_force_rc(preds, targets, 0.0, 0.0)
+        r_on, c_on = hinges_on
+        alpha = l_r * (0.5 if r_on else 2.0)
+        beta = max(0.0, (l_c - l_r) * (1.5 if c_on else 0.5))
+        pre_c = l_r - l_c + beta
+        assume(abs(pre_c) > 1e-9 * max(l_r, l_c))
+        d_r, d_c = pair_gradients(preds, targets)
+        expected = r_on * d_r + (pre_c > 0.0) * (d_r - d_c)
+
+        parts = [Tensor(p, requires_grad=True) for p in preds] if listed else [Tensor(preds, requires_grad=True)]
+        backward(rc_loss(parts if listed else parts[0], targets, Margins(alpha, beta)).l_rc)
+        grad = np.stack([p.grad for p in parts]) if listed else parts[0].grad
+        size = max(np.abs(d_r).max(), np.abs(d_c).max())
+        assert np.abs(grad - expected).max() <= 1e-12 * size
+
     def test_list_and_batch_gradients_agree(self):
         rng = np.random.default_rng(14)
         preds = rng.standard_normal((3, 2, 20))
@@ -181,6 +224,40 @@ class TestRcLossProperties:
         batch = Tensor(preds, requires_grad=True)
         backward(rc_loss(batch, targets, Margins(0.0, 1.0)).l_rc)
         assert np.abs(np.stack([p.grad for p in listed]) - batch.grad).max() == 0.0
+
+
+def recorded_nodes(root):
+    seen, todo = {}, [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node._parents)
+    return [node for node in seen.values() if node._parents]
+
+
+class TestLossGraph:
+    def test_a_step_records_one_loss_node(self):
+        # A desk-shape batch-2 step: the model's nodes plus one for the loss,
+        # in phase 2 (rc_loss) and in phase 1 (distance) alike.
+        model = build_model(ModelConfig(seed=0), build_hierarchy(2))
+        rng = np.random.default_rng(15)
+        preds = model.forward(rng.standard_normal((2, 10, 162)))
+        targets = rng.standard_normal((2, 4, 162))
+        out = rc_loss(preds, targets, Margins(0.0, 1.0))
+        model_nodes = len(recorded_nodes(preds))
+        assert len(recorded_nodes(out.l_rc)) == model_nodes + 1
+        assert len(recorded_nodes(distance(preds, targets))) == model_nodes + 1
+        assert out.l_rc._parents == (preds,)
+        assert not out.l_r.requires_grad and not out.l_c.requires_grad
+
+    def test_list_form_parents_are_the_subject_outputs(self):
+        model = build_model(ModelConfig(seed=0), build_hierarchy(2))
+        rng = np.random.default_rng(16)
+        outputs = [model.forward(x) for x in rng.standard_normal((3, 10, 162))]
+        l_rc = rc_loss(outputs, rng.standard_normal((3, 4, 162)), Margins(0.0, 1.0)).l_rc
+        assert len(l_rc._parents) == 3
+        assert all(a is b for a, b in zip(l_rc._parents, outputs))
 
 
 class TestSchedule:

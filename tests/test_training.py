@@ -7,7 +7,7 @@ import pytest
 from brainsurf.connectome import GeneratorConfig, generate_cohort, split_runs
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import ModelConfig, build_model, load_model
-from brainsurf.rcloss import BatchTooSmall, Margins, rc_loss
+from brainsurf.rcloss import BatchTooSmall, Margins, distance, rc_loss
 from brainsurf.training import (
     NaNLossError,
     OptimizerConfig,
@@ -206,7 +206,7 @@ class TestTrainPhaseMemory:
             for i in range(4)
         ]
         preds = model.forward(np.stack([s.samples[0] for s in subjects[:2]]))
-        graph = interior_bytes(rc_loss(preds, np.stack([s.target for s in subjects[:2]]), Margins(0.0, 0.0)).l_r)
+        graph = interior_bytes(distance(preds, np.stack([s.target for s in subjects[:2]])))
         del preds
         adam_state = 4 * sum(p.tensor.data.nbytes for p in model.parameters())
         tracemalloc.start()
