@@ -6,7 +6,7 @@ from .autodiff import Param, Tensor, adam_step, backward, grad_check
 from .connectome import GeneratorConfig, generate_cohort
 from .icosphere import Icosphere, build_hierarchy, icosphere
 from .model import BrainSurfCNN, ModelConfig, build_model, predict_ensemble
-from .rcloss import Margins, distance, init_margins, rc_loss, schedule_margins
+from .rcloss import Margins, init_margins, rc_loss, schedule_margins
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "backward",
     "build_hierarchy",
     "build_model",
-    "distance",
     "generate_cohort",
     "grad_check",
     "icosphere",

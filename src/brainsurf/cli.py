@@ -16,9 +16,13 @@ a dataset file whose shape is not the generator's in ``cohort.json``;
 a ``--baseline`` whose level, contrast or ROI count does not fit the data;
 a ``cohort.json`` that is not a JSON object, lacks a key or has an invalid
 generator or subject list (a missing one: an interrupted ``gen-data``);
+a ``cohort.json`` with no training subject or an id listed twice;
 a constant target or retest map; a repeated ``--subjects`` id;
 fewer than 2 subjects to evaluate; a ``--preds`` name that is empty,
-repeated or reserved), 3 numeric failure (NaN loss; the last good checkpoint
+repeated or reserved; a path of the wrong kind: an ``--out`` that is an
+existing file, a ``--data`` that is a file, a ``--config`` or ``--model``
+that is a directory, or a ``--preds`` map that is a directory),
+3 numeric failure (NaN loss; the last good checkpoint
 is retained), 4 unknown subject, 5 subject-set mismatch (including an
 ``evaluate --preds`` file of another shape than the dataset's maps).
 ``gradcheck`` exits 1 when the gradient check fails, and 2 on a ``--coords``
@@ -342,6 +346,8 @@ def _stack_variant(pred_dir: Path, subjects: list[str], name: str, shape: tuple[
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if Path(args.out).is_file():
+        raise NotADirectoryError(f"--out {args.out} is a file")
     dataset = load_dataset(args.data)
     subjects = _subject_list(dataset, args.subjects)
     if len(subjects) < 2:
@@ -473,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
+        print(f"bad path: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CorruptFile as exc:
         print(f"corrupt input: {exc}", file=sys.stderr)

@@ -360,7 +360,8 @@ def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: 
 def load_dataset(root: str | Path) -> Dataset:
     """The dataset ``write_cohort`` wrote under ``root``; ``CorruptFile``
     when its ``cohort.json`` is not a JSON object with the keys read here,
-    a valid generator and lists of subject-id strings."""
+    a valid generator and lists of subject-id strings, at least one of them
+    for training and none listed twice."""
     path = Path(root) / "cohort.json"
     try:
         manifest = json.loads(path.read_bytes())
@@ -375,6 +376,13 @@ def load_dataset(root: str | Path) -> Dataset:
         ids = manifest[key]
         if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
             raise CorruptFile(f"{path}: {key} is not a list of subject-id strings")
+    train_ids, test_ids = manifest["train_subjects"], manifest["test_subjects"]
+    if not train_ids:
+        raise CorruptFile(f"{path}: train_subjects is empty")
+    listed = train_ids + test_ids
+    repeated = sorted({sid for sid in listed if listed.count(sid) > 1})
+    if repeated:
+        raise CorruptFile(f"{path}: train_subjects and test_subjects list {', '.join(repeated)} twice")
     try:
         generator = GeneratorConfig.from_dict(manifest["generator"])
         generator.validate()
@@ -383,8 +391,8 @@ def load_dataset(root: str | Path) -> Dataset:
     return Dataset(
         root=Path(root),
         generator=generator,
-        train_ids=manifest["train_subjects"],
-        test_ids=manifest["test_subjects"],
+        train_ids=train_ids,
+        test_ids=test_ids,
     )
 
 

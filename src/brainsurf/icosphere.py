@@ -102,8 +102,6 @@ class PoolMap:
     of its two parent edge endpoints.
     """
 
-    fine_level: int
-    coarse_level: int
     pool_matrix: sp.csr_matrix
     unpool_matrix: sp.csr_matrix
 
@@ -289,28 +287,19 @@ def build_pool_map(fine: Icosphere, coarse: Icosphere) -> PoolMap:
     up_vals = np.concatenate([np.ones(n_coarse), np.full(2 * (n_fine - n_coarse), 0.5)])
     unpool = sp.coo_matrix((up_vals, (up_rows, up_cols)), shape=(n_fine, n_coarse)).tocsr()
 
-    return PoolMap(
-        fine_level=fine.level,
-        coarse_level=coarse.level,
-        pool_matrix=pool,
-        unpool_matrix=unpool,
-    )
+    return PoolMap(pool_matrix=pool, unpool_matrix=unpool)
 
 
 @dataclass(frozen=True)
 class MeshHierarchy:
-    """Meshes, operators, and pooling maps for levels 0..max_level.
+    """Operators and pooling maps for levels 0..max_level.
 
     ``pool_maps[k]`` maps level k+1 (fine) down to level k (coarse).
     """
 
     max_level: int
-    meshes: tuple[Icosphere, ...]
     operators: tuple[MeshOperators, ...]
     pool_maps: tuple[PoolMap, ...]
-
-    def mesh(self, level: int) -> Icosphere:
-        return self.meshes[level]
 
     def ops(self, level: int) -> MeshOperators:
         return self.operators[level]
@@ -324,5 +313,5 @@ def build_hierarchy(max_level: int) -> MeshHierarchy:
     meshes = tuple(icosphere(k) for k in range(max_level + 1))
     ops = tuple(operators(k) for k in range(max_level + 1))
     pools = tuple(build_pool_map(meshes[k + 1], meshes[k]) for k in range(max_level))
-    return MeshHierarchy(max_level=max_level, meshes=meshes, operators=ops, pool_maps=pools)
+    return MeshHierarchy(max_level=max_level, operators=ops, pool_maps=pools)
 

@@ -7,10 +7,12 @@ For a batch of N subjects with predictions x_hat and targets x:
     L_RC = [L_R - alpha]_+ + [L_R - L_C + beta]_+
 
 d is the mean squared difference over all channel-vertex entries, which
-keeps the margins comparable across mesh resolutions.  L_C averages over
-all N*(N-1) ordered pairs; d is asymmetric in its arguments, so ordered
-pairs give a true average.  It is computed in closed form from batch sums,
-centred on the mean target t_bar:
+keeps the margins comparable across mesh resolutions.  ``rc_loss`` is the
+one definition of all three: training backpropagates its L_R node in the
+reconstruction-only warmup and its L_RC node in fine-tuning, and validation
+logs its L_R.  L_C averages over all N*(N-1) ordered pairs; d is asymmetric
+in its arguments, so ordered pairs give a true average.  It is computed in
+closed form from batch sums, centred on the mean target t_bar:
 
     sum_{i != j} |x_hat_i - x_j|^2 = N sum_i |x_hat_i - t_bar|^2
                                    + N sum_j |x_j - t_bar|^2
@@ -48,24 +50,8 @@ class Margins:
 @dataclass
 class BatchLoss:
     l_r: Tensor
-    l_c: Tensor
-    l_rc: Tensor
-
-
-def distance(a, b) -> Tensor:
-    """Mean squared difference over all entries of two same-shape maps, as
-    one graph node."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"distance: shapes {a.data.shape} and {b.data.shape} differ")
-    diff = a.data - b.data
-
-    def grads(g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        grad_a = 2.0 * diff * (g / diff.size)
-        return grad_a, -grad_a if b.requires_grad else None
-
-    return ad._op((diff * diff).mean(), (a, b), grads)
+    l_c: Tensor | None  # None for one subject
+    l_rc: Tensor | None  # None without margins
 
 
 def _stacked(x) -> tuple[tuple[Tensor, ...], np.ndarray]:
@@ -80,14 +66,15 @@ def _stacked(x) -> tuple[tuple[Tensor, ...], np.ndarray]:
     return parts, np.stack([q.data for q in parts]) if parts else np.empty(0)
 
 
-def rc_loss(preds, targets, margins: Margins) -> BatchLoss:
+def rc_loss(preds, targets, margins: Margins | None) -> BatchLoss:
     """``preds``: an [N, ...] tensor, or a list of N per-subject tensors or
-    arrays; ``targets``: the same, constant.
+    arrays; ``targets``: the same, constant.  ``margins`` None asks for the
+    reconstruction term alone: no hinge node is built and ``l_rc`` is None.
 
-    ``l_rc`` is one graph node whose parents are the prediction tensors
-    (the list's slices of its gradient go to the list's tensors); ``l_r``
-    and ``l_c`` are its constant parts.  With E entries per map and t_bar
-    the mean target, the gradient is
+    ``l_r`` and ``l_rc`` are graph nodes whose parents are the prediction
+    tensors (the list's slices of a gradient go to the list's tensors);
+    ``l_c`` is constant, and None for one subject, which defines no pair.
+    With E entries per map and t_bar the mean target, the gradients are
 
         dL_R/dp_i = 2 (p_i - t_i) / (N E)
         dL_C/dp_i = 2 [N (p_i - t_bar) - (p_i - t_i)] / (N (N-1) E)
@@ -100,8 +87,9 @@ def rc_loss(preds, targets, margins: Margins) -> BatchLoss:
     n = len(p)
     if n != len(t):
         raise ShapeMismatch(f"rc_loss: {n} predictions vs {len(t)} targets")
-    if n < 2:
-        raise BatchTooSmall(f"contrastive term needs at least 2 subjects, got {n}")
+    needed = 1 if margins is None else 2  # the contrastive term needs a pair
+    if n < needed:
+        raise BatchTooSmall(f"rc_loss needs at least {needed} subjects, got {n}")
     if p.shape != t.shape:
         raise ShapeMismatch(f"rc_loss: predictions {p.shape} vs targets {t.shape}")
     if any(c.requires_grad for c in constants):
@@ -111,7 +99,15 @@ def rc_loss(preds, targets, margins: Margins) -> BatchLoss:
     own = p - t
     own_sum = (own * own).sum()
     scale_r = 1.0 / (n * entries)
-    l_r = own_sum * scale_r
+    r = own_sum * scale_r
+
+    def grads_r(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        grad = 2.0 * own * (g / own.size)
+        return tuple(grad) if listed else (grad,)
+
+    l_r = ad._op(r, parents, grads_r)
+    if n < 2:
+        return BatchLoss(l_r=l_r, l_c=None, l_rc=None)
 
     # Centre on the mean target in two parts: the first-pass mean, then the
     # (tiny) mean of the residuals about it.  Subtracting them one after the
@@ -123,10 +119,12 @@ def rc_loss(preds, targets, margins: Margins) -> BatchLoss:
     spread_p = (dev * dev).sum()
     spread_t = float(np.square(t - centre - residual).sum())
     scale_c = 1.0 / (n * (n - 1) * entries)
-    l_c = ((spread_p * n + n * spread_t) - own_sum) * scale_c
+    c = ((spread_p * n + n * spread_t) - own_sum) * scale_c
+    if margins is None:
+        return BatchLoss(l_r=l_r, l_c=Tensor(c), l_rc=None)
 
-    pre_r = np.asarray(l_r - margins.alpha)
-    pre_c = np.asarray((l_r - l_c) + margins.beta)
+    pre_r = np.asarray(r - margins.alpha)
+    pre_c = np.asarray((r - c) + margins.beta)
     ad._record_hinge(pre_r)
     ad._record_hinge(pre_c)
     on_r, on_c = float(pre_r > 0.0), float(pre_c > 0.0)
@@ -138,7 +136,7 @@ def rc_loss(preds, targets, margins: Margins) -> BatchLoss:
         return tuple(grad) if listed else (grad,)
 
     l_rc = np.maximum(pre_r, 0.0) + np.maximum(pre_c, 0.0)
-    return BatchLoss(l_r=Tensor(l_r), l_c=Tensor(l_c), l_rc=ad._op(l_rc, parents, grads))
+    return BatchLoss(l_r=l_r, l_c=Tensor(c), l_rc=ad._op(l_rc, parents, grads))
 
 
 def init_margins(model: BrainSurfCNN, training_set) -> Margins:

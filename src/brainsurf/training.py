@@ -19,7 +19,7 @@ from .autodiff import adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
 from .fileio import ConfigError, JsonConfig
 from .model import BrainSurfCNN, save_model
-from .rcloss import BatchTooSmall, Margins, distance, init_margins, rc_loss, schedule_margins
+from .rcloss import BatchTooSmall, Margins, init_margins, rc_loss, schedule_margins
 
 LOG_COLUMNS = ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta"]
 
@@ -135,21 +135,14 @@ def train_phase(
             )
             targets = np.stack([subjects[i].target for i in batch])
 
-            if use_rc_loss:
-                # rc_loss raises BatchTooSmall for singleton phase-2 batches.
-                batch_loss = rc_loss(preds, targets, margins)
-                loss = batch_loss.l_rc
-            else:
-                # Phase 1 backpropagates L_R alone; a pair batch logs L_C from
-                # the batch's values, which records no graph.
-                loss = distance(preds, targets)
-                batch_loss = rc_loss(preds.data, targets, Margins(0.0, 0.0)) if batch.size >= 2 else None
-            if batch_loss is None:
-                sums["l_r"] += loss.item()
-            else:
-                for key in sums:
+            # Phase 1 backpropagates L_R alone; rc_loss raises BatchTooSmall
+            # for singleton phase-2 batches and leaves L_C None for phase-1 ones.
+            batch_loss = rc_loss(preds, targets, margins)
+            loss = batch_loss.l_rc if use_rc_loss else batch_loss.l_r
+            for key in sums:  # by name: a loop variable would keep a node, so the graph, alive
+                if getattr(batch_loss, key) is not None:
                     sums[key] += getattr(batch_loss, key).item()
-                n_pair_batches += 1
+            n_pair_batches += batch_loss.l_c is not None
 
             model.zero_grad()
             backward(loss)
@@ -249,8 +242,7 @@ def validation_hook(val_subjects: list[TrainSubject], out_path: str | Path):
     def hook(epoch: int, model: BrainSurfCNN) -> None:
         preds = model.predict(np.stack([s.samples[0] for s in val_subjects]))
         targets = np.stack([s.target for s in val_subjects])
-        losses = np.mean((preds - targets) ** 2, axis=(1, 2))
-        rows.append((epoch, float(np.mean(losses))))
+        rows.append((epoch, rc_loss(preds, targets, None).l_r.item()))
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["epoch", "val_l_r"])

@@ -487,6 +487,9 @@ class TestPredict:
         ("test_subjects", "sub004"),
         ("train_subjects", ["sub000", 1]),
         ("test_subjects", None),
+        ("train_subjects", []),
+        ("test_subjects", ["sub004", "sub000"]),  # sub000 is a training subject too
+        ("train_subjects", ["sub000", "sub001", "sub001", "sub002", "sub003"]),
     ])
     def test_cohort_json_field_types_exit_2(self, tiny_run, capsys, key, value):
         path = tiny_run / "data" / "cohort.json"
@@ -702,6 +705,46 @@ class TestEvaluate:
             ])
         assert (tiny_run / "e1" / "report.csv").read_bytes() == (tiny_run / "e2" / "report.csv").read_bytes()
         assert (tiny_run / "e1" / "report.json").read_bytes() == (tiny_run / "e2" / "report.json").read_bytes()
+
+
+def _model(run):
+    return str(run / "run" / "checkpoint_final.bin")
+
+
+PATH_ERRORS = {
+    "gen-data --out file": lambda run: ["gen-data", "--config", str(run / "cfg.json"), "--out", str(run / "file")],
+    "train --out file": lambda run: [
+        "train", "--data", str(run / "data"), "--config", str(run / "cfg.json"), "--out", str(run / "file"),
+    ],
+    "predict --out file": lambda run: [
+        "predict", "--model", _model(run), "--data", str(run / "data"), "--out", str(run / "file"),
+    ],
+    "evaluate --out file": lambda run: ["evaluate", "--data", str(run / "data"), "--out", str(run / "file")],
+    "train --data file": lambda run: [
+        "train", "--data", str(run / "file"), "--config", str(run / "cfg.json"), "--out", str(run / "t"),
+    ],
+    "gen-data --config dir": lambda run: ["gen-data", "--config", str(run / "dir"), "--out", str(run / "g")],
+    "predict --model dir": lambda run: [
+        "predict", "--model", str(run / "dir"), "--data", str(run / "data"), "--out", str(run / "p"),
+    ],
+    "evaluate --preds map dir": lambda run: [
+        "evaluate", "--data", str(run / "data"), "--preds", f"m={run / 'dir'}", "--out", str(run / "e"),
+    ],
+}
+
+
+class TestPathErrors:
+    @pytest.mark.parametrize("case", PATH_ERRORS)
+    def test_path_of_the_wrong_kind_exit_2(self, tiny_run, capsys, case):
+        # A file where a directory belongs, or the reverse: one line, exit 2.
+        (tiny_run / "file").write_text("not a directory\n")
+        for sid in ("sub004", "sub005"):  # the test subjects' maps, as directories
+            (tiny_run / "dir" / f"{sid}.bin").mkdir(parents=True)
+        capsys.readouterr()
+        assert cli.main(PATH_ERRORS[case](tiny_run)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad path:") and err.count("\n") == 1
+        assert (tiny_run / "file").read_text() == "not a directory\n"
 
 
 class TestGradcheck:

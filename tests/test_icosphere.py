@@ -275,6 +275,6 @@ class TestClosedRingMean:
 class TestHierarchy:
     def test_build(self):
         h = build_hierarchy(2)
-        assert h.mesh(2).n_vertices == 162
-        assert h.pool_map(2).coarse_level == 1
+        assert h.pool_map(2).pool_matrix.shape == (42, 162)
+        assert h.pool_map(2).unpool_matrix.shape == (162, 42)
         assert h.ops(1).level == 1

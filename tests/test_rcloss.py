@@ -10,7 +10,6 @@ from brainsurf.rcloss import (
     BatchTooSmall,
     EmptySet,
     Margins,
-    distance,
     init_margins,
     rc_loss,
     schedule_margins,
@@ -38,6 +37,11 @@ def pair_gradients(preds, targets):
         for i in range(n)
     ])
     return d_r, d_c
+
+
+def distance(a, b):
+    # d(a, b) as rc_loss's L_R of one subject.
+    return rc_loss(np.asarray(a)[None], np.asarray(b)[None], None).l_r
 
 
 class TestDistance:
@@ -93,6 +97,8 @@ class TestRcLoss:
         x = np.zeros((1, 10))
         with pytest.raises(BatchTooSmall):
             rc_loss([Tensor(x)], [x], Margins(0.0, 0.0))
+        with pytest.raises(BatchTooSmall):
+            rc_loss([], [], None)
 
     def test_subject_permutation_symmetry(self):
         rng = np.random.default_rng(5)
@@ -215,6 +221,37 @@ class TestRcLossProperties:
         size = max(np.abs(d_r).max(), np.abs(d_c).max())
         assert np.abs(grad - expected).max() <= 1e-12 * size
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 30)),
+        listed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_l_r_gradient_is_bitwise_closed_form(self, n, shape, listed, seed):
+        # dL_R/dp = 2 (p - t) (g / size), operation for operation, for both
+        # input forms.  Without margins there is no hinge node, and the values
+        # are those of a call with margins; one subject defines no L_C, and
+        # no contrastive term.
+        rng = np.random.default_rng(seed)
+        preds = rng.standard_normal((n, *shape))
+        targets = rng.standard_normal((n, *shape))
+        g = rng.standard_normal(())
+        parts = [Tensor(p, requires_grad=True) for p in preds] if listed else [Tensor(preds, requires_grad=True)]
+        out = rc_loss(parts if listed else parts[0], targets, None)
+        grads = out.l_r._backward_fn(g)
+        assert len(grads) == len(parts)
+        grad = np.stack(grads) if listed else grads[0]
+        assert grad.tobytes() == (2.0 * (preds - targets) * (g / preds.size)).tobytes()
+        assert out.l_rc is None
+        if n == 1:
+            assert out.l_c is None
+            with pytest.raises(BatchTooSmall):
+                rc_loss(parts if listed else parts[0], targets, Margins(0.0, 0.0))
+        else:
+            with_margins = rc_loss(preds, targets, Margins(0.0, 0.0))
+            assert (out.l_r.item(), out.l_c.item()) == (with_margins.l_r.item(), with_margins.l_c.item())
+
     def test_list_and_batch_gradients_agree(self):
         rng = np.random.default_rng(14)
         preds = rng.standard_normal((3, 2, 20))
@@ -239,7 +276,7 @@ def recorded_nodes(root):
 class TestLossGraph:
     def test_a_step_records_one_loss_node(self):
         # A desk-shape batch-2 step: the model's nodes plus one for the loss,
-        # in phase 2 (rc_loss) and in phase 1 (distance) alike.
+        # in phase 2 (l_rc) and in phase 1 (l_r) alike.
         model = build_model(ModelConfig(seed=0), build_hierarchy(2))
         rng = np.random.default_rng(15)
         preds = model.forward(rng.standard_normal((2, 10, 162)))
@@ -247,9 +284,9 @@ class TestLossGraph:
         out = rc_loss(preds, targets, Margins(0.0, 1.0))
         model_nodes = len(recorded_nodes(preds))
         assert len(recorded_nodes(out.l_rc)) == model_nodes + 1
-        assert len(recorded_nodes(distance(preds, targets))) == model_nodes + 1
-        assert out.l_rc._parents == (preds,)
-        assert not out.l_r.requires_grad and not out.l_c.requires_grad
+        assert len(recorded_nodes(out.l_r)) == model_nodes + 1
+        assert out.l_rc._parents == out.l_r._parents == (preds,)
+        assert not out.l_c.requires_grad
 
     def test_list_form_parents_are_the_subject_outputs(self):
         model = build_model(ModelConfig(seed=0), build_hierarchy(2))

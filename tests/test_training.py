@@ -7,7 +7,7 @@ import pytest
 from brainsurf.connectome import GeneratorConfig, generate_cohort, split_runs
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import ModelConfig, build_model, load_model
-from brainsurf.rcloss import BatchTooSmall, Margins, distance, rc_loss
+from brainsurf.rcloss import BatchTooSmall, Margins, rc_loss
 from brainsurf.training import (
     NaNLossError,
     OptimizerConfig,
@@ -101,7 +101,8 @@ class TestTrainPhase:
 
         def recording_rc_loss(*args, **kwargs):
             out = original(*args, **kwargs)
-            seen.append(out.l_c.item())
+            if out.l_c is not None:
+                seen.append(out.l_c.item())
             return out
 
         original = training.rc_loss
@@ -122,6 +123,35 @@ class TestTrainPhase:
         log.write_csv(tmp_path / "log.csv")
         with open(tmp_path / "log.csv") as f:
             assert list(csv.reader(f))[1][2] == ""
+
+    @pytest.mark.parametrize("use_rc_loss, batch_size, sizes", [(False, 1, [1, 1, 2]), (True, 2, [2, 2])])
+    def test_one_rc_loss_call_per_batch(self, hierarchy, monkeypatch, use_rc_loss, batch_size, sizes):
+        # Both phases take the loss they backpropagate and the values they
+        # log from one rc_loss call: L_R in phase 1, L_RC in phase 2.
+        import brainsurf.training as training
+
+        calls, roots = [], []
+        original_rc_loss, original_backward = training.rc_loss, training.backward
+
+        def recording_rc_loss(preds, targets, margins):
+            out = original_rc_loss(preds, targets, margins)
+            calls.append((len(targets), margins, out))
+            return out
+
+        def recording_backward(root):
+            roots.append(root)
+            original_backward(root)
+
+        monkeypatch.setattr(training, "rc_loss", recording_rc_loss)
+        monkeypatch.setattr(training, "backward", recording_backward)
+        train_phase(
+            build_model(TINY_MODEL, hierarchy), tiny_subjects(), epochs=1, batch_size=batch_size,
+            rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=use_rc_loss,
+            margins0=Margins(0.1, 0.1) if use_rc_loss else None,
+        )
+        assert sorted(n for n, _, _ in calls) == sizes
+        assert all((margins is None) != use_rc_loss for _, margins, _ in calls)
+        assert roots == [out.l_rc if use_rc_loss else out.l_r for _, _, out in calls]
 
     def test_phase1_records_only_the_graph_it_backpropagates(self, hierarchy, monkeypatch):
         # Every node a phase-1 step records is reachable from the root it
@@ -193,12 +223,13 @@ def interior_bytes(root):
 
 class TestTrainPhaseMemory:
     def test_epoch_peak_bounded_by_one_graph_of_gradients(self):
-        # A level-3, batch-2 epoch at the default widths.  The backward sweep
-        # releases each interior gradient once passed on, and a step's graph
-        # is dropped before the next forward, so the traced peak stays below
-        # Adam's four flat vectors plus twice one step's graph.  Keeping every
-        # interior gradient until its graph dies, and the previous graph alive
-        # during the next forward, peaks at about four graphs.
+        # A level-3, batch-2 epoch of each phase at the default widths.  The
+        # backward sweep releases each interior gradient once passed on, and a
+        # step's graph is dropped before the next forward, so the traced peak
+        # stays below Adam's four flat vectors plus twice one step's graph.
+        # Keeping every interior gradient until its graph dies, and the
+        # previous graph alive during the next forward, peaks at about four
+        # graphs.
         model = build_model(ModelConfig(mesh_level=3), build_hierarchy(3))
         rng = np.random.default_rng(0)
         subjects = [
@@ -206,19 +237,21 @@ class TestTrainPhaseMemory:
             for i in range(4)
         ]
         preds = model.forward(np.stack([s.samples[0] for s in subjects[:2]]))
-        graph = interior_bytes(distance(preds, np.stack([s.target for s in subjects[:2]])))
+        graph = interior_bytes(rc_loss(preds, np.stack([s.target for s in subjects[:2]]), None).l_r)
         del preds
         adam_state = 4 * sum(p.tensor.data.nbytes for p in model.parameters())
-        tracemalloc.start()
-        try:
-            train_phase(
-                model, subjects, epochs=1, batch_size=2,
-                rng=np.random.default_rng(1), opt=OptimizerConfig(), use_rc_loss=False,
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < adam_state + 2 * graph
+        for use_rc_loss in (False, True):
+            tracemalloc.start()
+            try:
+                train_phase(
+                    model, subjects, epochs=1, batch_size=2,
+                    rng=np.random.default_rng(1), opt=OptimizerConfig(), use_rc_loss=use_rc_loss,
+                    margins0=Margins(0.0, 1.0) if use_rc_loss else None,
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < adam_state + 2 * graph, use_rc_loss
 
 
 class TestTwoPhase:
