@@ -96,8 +96,7 @@ def fit_subject(
             rank_warnings.append(msg)
             warnings.warn(msg, RankDeficientWarning)
         solve = np.linalg.solve(gram + RIDGE_JITTER * np.eye(m + 1), x.T)
-        for c in range(k):
-            coeffs[p, c] = solve @ contrasts[c, idx]
+        coeffs[p] = contrasts[:, idx] @ solve.T
     return ParcelRegressor(coeffs=coeffs, labels=parcellation.labels.copy(), rank_warnings=rank_warnings)
 
 

@@ -20,7 +20,8 @@ a ``cohort.json`` with no training subject or an id listed twice;
 a constant target or retest map; a repeated ``--subjects`` id;
 fewer than 2 subjects to evaluate; a ``--preds`` name that is empty,
 repeated or reserved; a path of the wrong kind: an ``--out`` that is an
-existing file, a ``--data`` that is a file, a ``--config`` or ``--model``
+existing file (for ``evaluate`` also one below a file, checked before any
+work), a ``--data`` that is a file, a ``--config`` or ``--model``
 that is a directory, or a ``--preds`` map that is a directory),
 3 numeric failure (NaN loss; the last good checkpoint
 is retained), 4 unknown subject, 5 subject-set mismatch (including an
@@ -250,7 +251,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fit_ids, val_ids = _split_validation(dataset.train_ids, cfg.val_fraction)
     subjects = _train_subjects(dataset, fit_ids)
-    val_subjects = _train_subjects(dataset, val_ids)
+    # The validation hook predicts from each held-out subject's first sample only.
+    val_subjects = [TrainSubject(sid, [dataset.sample(sid, 0)], dataset.target(sid)) for sid in val_ids]
 
     hierarchy = build_hierarchy(model_cfg.mesh_level)
     model = build_model(model_cfg, hierarchy)
@@ -345,9 +347,18 @@ def _stack_variant(pred_dir: Path, subjects: list[str], name: str, shape: tuple[
     return np.stack(maps)
 
 
+def _check_out_dir(out: str) -> None:
+    """NotADirectoryError unless ``out`` is a directory or can be made one,
+    i.e. its nearest existing ancestor is a directory."""
+    path = Path(out)
+    while not path.exists() and path != path.parent:
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(f"--out {out}: {path} is a file")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if Path(args.out).is_file():
-        raise NotADirectoryError(f"--out {args.out} is a file")
+    _check_out_dir(args.out)
     dataset = load_dataset(args.data)
     subjects = _subject_list(dataset, args.subjects)
     if len(subjects) < 2:

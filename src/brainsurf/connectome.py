@@ -26,6 +26,7 @@ from .fileio import ConfigError, CorruptFile, JsonConfig, read_tensor, write_ten
 from .icosphere import closed_ring_mean, icosphere, n_vertices_at_level
 
 SEGMENTS_PER_SUBJECT = 8  # 4 runs x 2 halves
+_AR1_BLOCK = 64  # timepoints per product of the blocked AR(1) recursion
 
 
 class ZeroVariance(ValueError):
@@ -122,6 +123,16 @@ def standardized_rows(rows: np.ndarray, label: str, constant_rows_nan: bool = Fa
     return centered / norms[:, None]
 
 
+def _span_coordinates(z: np.ndarray) -> np.ndarray:
+    """The [M, r] coordinates, r = min(M, n-1), of the standardized rows
+    z [M, n] in columns 1..r of Q, where [1/sqrt(n), z.T] = Q R.  Since
+    z.T = Q R[:, 1:], they are rows 1..r of R transposed, and Q itself is
+    never formed."""
+    m, n = z.shape
+    r = min(m, n - 1)
+    return np.linalg.qr(np.column_stack([np.full(n, n**-0.5), z.T]), mode="r")[1 : r + 1, 1:].T
+
+
 def _half_run_connectome(
     rng: np.random.Generator, weights: np.ndarray, roi: np.ndarray, noise_std: float
 ) -> np.ndarray:
@@ -140,9 +151,8 @@ def _half_run_connectome(
     m, n = roi.shape
     v = weights.shape[1]
     z = standardized_rows(roi, "roi")
-    r = min(m, n - 1)
-    q = np.linalg.qr(np.column_stack([np.full(n, n**-0.5), z.T]))[0][:, 1 : r + 1]
-    u = z @ q  # [M, r]: each z row lies in span(Q), so z = u @ Q.T
+    u = _span_coordinates(z)  # [M, r]: each z row lies in span(Q), so z = u @ Q.T
+    r = u.shape[1]
     roi_norms = np.linalg.norm(roi - roi.mean(axis=1, keepdims=True), axis=1)
     mixture = weights.T @ (roi_norms[:, None] * u)  # [V, r]: each vertex's centered ROI mixture in Q
     # A vertex whose norm is rounding next to its mixture terms is constant.
@@ -188,13 +198,39 @@ def _orthonormal_rows(fields: np.ndarray) -> np.ndarray:
 
 
 def _ar1(rng: np.random.Generator, n_series: int, t: int, coeff: float) -> np.ndarray:
-    # Stationary AR(1) with unit marginal variance.
+    # Stationary AR(1) with unit marginal variance, x_i = c x_(i-1) + e_i,
+    # solved a block of b timepoints at a time: with L the lower-triangular
+    # Toeplitz matrix of c^(l-j), a block is E @ L.T + c^(l+1) x_prev.
     out = np.empty((n_series, t))
     out[:, 0] = rng.standard_normal(n_series)
     innov = np.sqrt(1.0 - coeff**2) * rng.standard_normal((n_series, t - 1))
-    for i in range(1, t):
-        out[:, i] = coeff * out[:, i - 1] + innov[:, i - 1]
+    b = min(_AR1_BLOCK, t - 1)
+    lags = np.arange(b)
+    lower_t = np.triu(coeff ** np.maximum(lags[None, :] - lags[:, None], 0))  # L.T
+    decay = coeff ** (lags + 1.0)
+    for start in range(1, t, b):
+        w = min(b, t - start)
+        block = out[:, start : start + w]
+        np.matmul(innov[:, start - 1 : start - 1 + w], lower_t[:w, :w], out=block)
+        block += decay[:w] * out[:, start - 1 : start]
     return out
+
+
+def _contrast_coeffs(contrast_mix: np.ndarray, latents: np.ndarray, nonlinear_mix: float) -> np.ndarray:
+    """The [K, 2M, C] contrast coefficients of C latent rows [C, M]: a dense
+    mix [K, 2M, 2M] of [tanh(z); nonlinear_mix (z^2 - 1)], unit-normalized
+    per contrast, so every subject deviates by the same amount, in its own
+    direction."""
+    feats = np.concatenate([np.tanh(latents), nonlinear_mix * (latents**2 - 1.0)], axis=1)  # [C, 2M]
+    coeffs = np.matmul(contrast_mix, feats.T)
+    return coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
+
+
+def _least_aligned(coeffs: np.ndarray, accepted: np.ndarray) -> int:
+    """The index of the candidate in ``coeffs`` [K, 2M, C] whose largest
+    |cosine| with any accepted subject in ``accepted`` [K, s, 2M], over
+    contrasts, is smallest (the first candidate when s is 0)."""
+    return int(np.argmin(np.abs(np.matmul(accepted, coeffs)).max(axis=(0, 1), initial=0.0)))
 
 
 def generate_cohort(n_subjects: int, cfg: GeneratorConfig, seed: int) -> list[SubjectRecord]:
@@ -233,27 +269,18 @@ def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterato
     contrast_mix = rng.standard_normal((k, 2 * m, 2 * m)) / np.sqrt(2 * m)
     noise_k = cfg.noise_per_contrast()
 
-    def contrast_coeff(latents: np.ndarray) -> np.ndarray:
-        feats = np.concatenate([np.tanh(latents), cfg.nonlinear_mix * (latents**2 - 1.0)])
-        coeff = contrast_mix @ feats  # [K, 2M]
-        # Unit-normalize each contrast's coefficient vector: every subject
-        # deviates by the same amount, in its own direction.
-        return coeff / np.linalg.norm(coeff, axis=1, keepdims=True)
-
     def records() -> Iterator[SubjectRecord]:
-        accepted = np.empty((n_subjects, k, 2 * m))  # each drawn subject's coefficients
+        accepted = np.empty((k, n_subjects, 2 * m))  # each drawn subject's coefficients
         for s in range(n_subjects):
             # Draw a batch of latent candidates and keep the one whose
             # deviation directions align least with the already-drawn
             # subjects: the fingerprint stays separable by construction while
-            # remaining a pure function of the seed.  A candidate's alignment
-            # is its largest |cosine| with any drawn subject, over contrasts.
-            candidates = [rng.standard_normal(m) for _ in range(cfg.latent_candidates)]
-            coeffs = [contrast_coeff(z) for z in candidates]
-            scores = [np.abs((accepted[:s] * c).sum(axis=2)).max(initial=0.0) for c in coeffs]
-            best = int(np.argmin(scores))
-            latents, coeff = candidates[best], coeffs[best]
-            accepted[s] = coeff
+            # remaining a pure function of the seed.
+            candidates = rng.standard_normal((cfg.latent_candidates, m))
+            coeffs = _contrast_coeffs(contrast_mix, candidates, cfg.nonlinear_mix)
+            best = _least_aligned(coeffs, accepted[:, :s])
+            latents, coeff = candidates[best], coeffs[:, :, best]
+            accepted[:, s] = coeff
             weights = roi_profiles + cfg.roi_deviation * latents[:, None] * roi_deviation_basis
 
             samples = []
@@ -309,11 +336,11 @@ class Dataset:
             raise CorruptFile(f"{path}: shape {list(arr.shape)}, cohort.json expects {list(expected)}")
         return arr
 
+    def sample(self, subject_id: str, index: int) -> np.ndarray:
+        return self._read(subject_id, f"sample_{index}.bin", 2 * self.generator.n_rois)
+
     def samples(self, subject_id: str) -> list[np.ndarray]:
-        return [
-            self._read(subject_id, f"sample_{i}.bin", 2 * self.generator.n_rois)
-            for i in range(SEGMENTS_PER_SUBJECT)
-        ]
+        return [self.sample(subject_id, i) for i in range(SEGMENTS_PER_SUBJECT)]
 
     def target(self, subject_id: str) -> np.ndarray:
         return self._read(subject_id, "target.bin", self.generator.n_contrasts)

@@ -59,3 +59,37 @@ def half_run_connectomes(left, right, roi) -> list[np.ndarray]:
     t = roi.shape[1]
     halves = (slice(0, t // 2), slice(t // 2, t))
     return [connectome(left[:, seg], right[:, seg], roi[:, seg]) for seg in halves]
+
+
+def ar1(rng, n_series, t, coeff) -> np.ndarray:
+    """Stationary AR(1) with unit marginal variance, one timepoint at a time,
+    with the generator's draws in the generator's order."""
+    out = np.empty((n_series, t))
+    out[:, 0] = rng.standard_normal(n_series)
+    innov = np.sqrt(1.0 - coeff**2) * rng.standard_normal((n_series, t - 1))
+    for i in range(1, t):
+        out[:, i] = coeff * out[:, i - 1] + innov[:, i - 1]
+    return out
+
+
+def contrast_coeff(contrast_mix, latents, nonlinear_mix) -> np.ndarray:
+    """One latent vector's unit-norm [K, 2M] contrast coefficients."""
+    feats = np.concatenate([np.tanh(latents), nonlinear_mix * (latents**2 - 1.0)])
+    coeff = contrast_mix @ feats
+    return coeff / np.linalg.norm(coeff, axis=1, keepdims=True)
+
+
+def least_aligned(coeffs, accepted) -> int:
+    """The candidate, of a list of [K, 2M] coefficients, whose largest
+    |cosine| with any accepted subject's [K, 2M] (stacked [s, K, 2M]), over
+    contrasts, is smallest; scored one candidate at a time."""
+    scores = [np.abs((accepted * c).sum(axis=2)).max(initial=0.0) for c in coeffs]
+    return int(np.argmin(scores))
+
+
+def span_coordinates(z) -> np.ndarray:
+    """The coordinates z @ Q[:, 1:r+1] of standardized rows z [M, n] in the
+    orthonormal factor Q of [1/sqrt(n), z.T], r = min(M, n-1)."""
+    m, n = z.shape
+    q = np.linalg.qr(np.column_stack([np.full(n, n**-0.5), z.T]))[0]
+    return z @ q[:, 1 : min(m, n - 1) + 1]

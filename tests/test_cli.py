@@ -235,6 +235,27 @@ class TestTrain:
         expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
         assert np.array_equal(read_tensor(tmp_path / "run" / "group_average.bin"), expected)
 
+    def test_validation_subjects_read_only_their_first_sample(self, tmp_path, monkeypatch):
+        # val_fraction 0.2 of 5 subjects -> sub004 is held out; the hook
+        # predicts from its sample_0 alone, so its other 7 are never opened.
+        from brainsurf import connectome
+
+        cfg = write_config(tmp_path, n_train_subjects=5, phase2_epochs=0)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        reads = []
+        read_tensor = connectome.read_tensor
+
+        def spying(path):
+            reads.append(f"{path.parent.name}/{path.name}")
+            return read_tensor(path)
+
+        monkeypatch.setattr(connectome, "read_tensor", spying)
+        assert cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "val_log.csv").exists()
+        assert "sub004/sample_0.bin" in reads
+        assert not [r for r in reads if r.startswith("sub004/sample_") and r != "sub004/sample_0.bin"]
+        assert all(f"sub000/sample_{i}.bin" in reads for i in range(8))
+
     def test_single_training_subject_phase2_aborts(self, tmp_path, capsys):
         # One fit subject, directly or after the validation split: phase 2
         # cannot run, so train stops before phase 1 and writes no checkpoint.
@@ -744,6 +765,24 @@ class TestPathErrors:
         assert cli.main(PATH_ERRORS[case](tiny_run)) == 2
         err = capsys.readouterr().err
         assert err.startswith("bad path:") and err.count("\n") == 1
+        assert (tiny_run / "file").read_text() == "not a directory\n"
+
+    def test_evaluate_out_below_a_file_exit_2_before_any_work(self, tiny_run, capsys, monkeypatch):
+        (tiny_run / "file").write_text("not a directory\n")
+        calls = []
+        original = cli.ablation_report
+
+        def spying(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "ablation_report", spying)
+        capsys.readouterr()
+        argv = ["evaluate", "--data", str(tiny_run / "data"), "--out", str(tiny_run / "file" / "sub" / "dir")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad path:") and err.count("\n") == 1 and str(tiny_run / "file") in err
+        assert calls == []
         assert (tiny_run / "file").read_text() == "not a directory\n"
 
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -19,6 +19,7 @@ from brainsurf.connectome import (
 )
 from brainsurf.evaluate import correlation_matrix
 from brainsurf.fileio import ConfigError
+import oracles
 from oracles import connectome as oracle_connectome
 from oracles import half_run_connectomes, pearson
 
@@ -161,6 +162,74 @@ class TestHalfRunDistribution:
                 ks_2samp(got[c, :, j], want[c, :, j]).pvalue for c in range(2 * m) for j in range(v)
             ]
         assert min(p_values) > 1e-3
+
+
+class TestBlockedDraws:
+    """The generator's vectorized draw steps against their one-item-at-a-time
+    references in ``oracles``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_series=st.integers(1, 60),
+        t=st.integers(4, 2000),
+        coeff=st.one_of(st.sampled_from([-0.999, 0.0, 0.999]), st.floats(-0.999, 0.999)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_series=1, t=4, coeff=0.999, seed=0)  # one partial block
+    @example(n_series=3, t=connectome._AR1_BLOCK + 1, coeff=-0.999, seed=1)  # exactly one block
+    @example(n_series=2, t=2 * connectome._AR1_BLOCK + 1, coeff=0.5, seed=2)  # whole blocks only
+    @example(n_series=60, t=2000, coeff=0.0, seed=3)  # a partial last block
+    def test_blocked_ar1_matches_loop(self, n_series, t, coeff, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = connectome._ar1(rng, n_series, t, coeff)
+        want = oracles.ar1(ref_rng, n_series, t, coeff)
+        assert np.abs(got - want).max() <= 1e-13
+        if coeff == 0.0:
+            assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 12), n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+    @example(m=8, n=5, seed=0)  # n - 1 < M
+    def test_span_coordinates_from_r_alone(self, m, n, seed):
+        z = connectome.standardized_rows(np.random.default_rng(seed).standard_normal((m, n)), "roi")
+        got = connectome._span_coordinates(z)
+        assert got.shape == (m, min(m, n - 1))
+        assert np.abs(got - oracles.span_coordinates(z)).max() <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 6), m=st.integers(1, 6), n_candidates=st.integers(1, 40), s=st.integers(0, 10),
+        nonlinear_mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=4, m=5, n_candidates=32, s=0, nonlinear_mix=0.2, seed=0)
+    def test_batched_latent_pick_matches_loop(self, k, m, n_candidates, s, nonlinear_mix, seed):
+        rng = np.random.default_rng(seed)
+        contrast_mix = rng.standard_normal((k, 2 * m, 2 * m)) / np.sqrt(2 * m)
+        accepted = connectome._contrast_coeffs(contrast_mix, rng.standard_normal((s, m)), nonlinear_mix)
+        candidates = rng.standard_normal((n_candidates, m))
+        coeffs = connectome._contrast_coeffs(contrast_mix, candidates, nonlinear_mix)
+        for c, z in enumerate(candidates):
+            want = oracles.contrast_coeff(contrast_mix, z, nonlinear_mix)
+            assert np.abs(coeffs[:, :, c] - want).max() <= 1e-14
+        picked = connectome._least_aligned(coeffs, accepted.transpose(0, 2, 1))
+        assert picked == oracles.least_aligned(list(coeffs.transpose(2, 0, 1)), accepted.transpose(2, 0, 1))
+
+    def test_cohort_picks_match_loop(self, monkeypatch):
+        # Every pick of a generated cohort, including the first subject's
+        # against an empty stack, is the one the per-candidate loop makes.
+        picks = []
+        least_aligned = connectome._least_aligned
+
+        def recording(coeffs, accepted):
+            picks.append((least_aligned(coeffs, accepted), coeffs, accepted.transpose(1, 0, 2).copy()))
+            return picks[-1][0]
+
+        monkeypatch.setattr(connectome, "_least_aligned", recording)
+        generate_cohort(6, tiny_config(), seed=14)
+        assert [a.shape[0] for _, _, a in picks] == list(range(6))
+        for picked, coeffs, accepted in picks:
+            assert picked == oracles.least_aligned(list(coeffs.transpose(2, 0, 1)), accepted)
 
 
 def recorded_halves(monkeypatch):
