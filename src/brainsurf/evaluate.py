@@ -9,7 +9,6 @@ maximum.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from .autodiff import ShapeMismatch
 from .connectome import ZeroVariance, standardized_rows  # noqa: F401 (ZeroVariance: re-export)
+from .fileio import FLOAT_FORMAT, write_csv
 
 
 class SubjectMismatch(ValueError):
@@ -172,23 +172,15 @@ def row_zscore(matrix: np.ndarray) -> np.ndarray:
 
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["variant", "contrast", "self_corr_mean", "self_corr_sd", "diag_gap", "id_accuracy", "reliable"]
-        )
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.variant,
-                    r.contrast,
-                    f"{r.self_corr_mean:.10g}",
-                    f"{r.self_corr_sd:.10g}",
-                    f"{r.diag_gap:.10g}",
-                    f"{r.id_accuracy:.10g}",
-                    int(report.reliable_mask[r.contrast]),
-                ]
-            )
+    write_csv(
+        path,
+        ["variant", "contrast", "self_corr_mean", "self_corr_sd", "diag_gap", "id_accuracy", "reliable"],
+        [
+            (r.variant, r.contrast, r.self_corr_mean, r.self_corr_sd, r.diag_gap, r.id_accuracy,
+             int(report.reliable_mask[r.contrast]))
+            for r in report.rows
+        ],
+    )
 
 
 def _json_number(x: float) -> float | None:
@@ -213,9 +205,7 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
 
 
 def save_corr_matrix_txt(m: CorrMatrix, path: str | Path, zscore: bool = False) -> None:
-    mat = row_zscore(m.matrix) if zscore else m.matrix
-    lines = [" ".join(f"{x:.10g}" for x in row) for row in mat]
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, row_zscore(m.matrix) if zscore else m.matrix, fmt=FLOAT_FORMAT)
 
 
 def write_report(report: EvalReport, out: str | Path, zscore: bool = False) -> None:

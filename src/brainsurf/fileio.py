@@ -1,4 +1,4 @@
-"""On-disk formats: framed binary files, config dicts, content hashes.
+"""On-disk formats: framed binary files, text tables, config dicts, hashes.
 
 Every array this package writes, a single tensor or a named checkpoint,
 uses one framing so that external tools can read it with a dozen lines of
@@ -12,6 +12,7 @@ mid-write leaves the previous file intact.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -23,6 +24,8 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
+
+FLOAT_FORMAT = "%.10g"  # every float of a text table: CSV logs, reports, matrix dumps
 
 
 class CorruptFile(ValueError):
@@ -111,6 +114,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(meta, dict):
         raise CorruptFile(f"{path}: malformed header: meta is not an object")
     return arrays, meta
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """A CSV table: ``header``, then one line per row.  A float cell (numpy
+    ``float64`` included) is written in ``FLOAT_FORMAT``, ``None`` as an empty
+    cell, anything else as ``csv`` writes it."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([FLOAT_FORMAT % x if isinstance(x, float) else x for x in row] for row in rows)
 
 
 class JsonConfig:

@@ -136,43 +136,29 @@ def build_model(config: ModelConfig, hierarchy: MeshHierarchy) -> BrainSurfCNN:
             f"hierarchy covers levels 0..{hierarchy.max_level}, model needs {config.mesh_level}"
         )
     rng = np.random.default_rng(config.seed)
-    widths = config.encoder_widths
+    widths = tuple(config.encoder_widths)
     depth = len(widths)
     level = config.mesh_level
 
-    encoder = []
-    in_ch = config.input_channels
-    for d, w in enumerate(widths):
+    def pair(name: str, in_ch: int, out_ch: int, d: int) -> tuple[ml.MeshConvLayer, ml.MeshConvLayer]:
         ops = hierarchy.ops(level - d)
-        conv_a = ml.init_conv_layer(rng, f"enc{d}.conv0", in_ch, w, ops)
-        conv_b = ml.init_conv_layer(rng, f"enc{d}.conv1", w, w, ops)
-        encoder.append((conv_a, conv_b))
-        in_ch = w
+        return (
+            ml.init_conv_layer(rng, f"{name}.conv0", in_ch, out_ch, ops),
+            ml.init_conv_layer(rng, f"{name}.conv1", out_ch, out_ch, ops),
+        )
 
-    bneck_ops = hierarchy.ops(level - depth)
-    bottleneck = (
-        ml.init_conv_layer(rng, "bneck.conv0", widths[-1], config.bottleneck_width, bneck_ops),
-        ml.init_conv_layer(rng, "bneck.conv1", config.bottleneck_width, config.bottleneck_width, bneck_ops),
-    )
-
-    decoder: list[tuple[ml.MeshConvLayer, ml.MeshConvLayer]] = [None] * depth  # type: ignore[list-item]
-    below = config.bottleneck_width
-    for d in reversed(range(depth)):
-        ops = hierarchy.ops(level - d)
-        concat_ch = widths[d] + below
-        conv_a = ml.init_conv_layer(rng, f"dec{d}.conv0", concat_ch, widths[d], ops)
-        conv_b = ml.init_conv_layer(rng, f"dec{d}.conv1", widths[d], widths[d], ops)
-        decoder[d] = (conv_a, conv_b)
-        below = widths[d]
-
+    # The call order is the RNG draw order, so it fixes every initial weight:
+    # encoder shallow to deep, bottleneck, decoder deep to shallow, output.
+    encoder = [pair(f"enc{d}", c, w, d) for d, (c, w) in enumerate(zip((config.input_channels,) + widths, widths))]
+    bottleneck = pair("bneck", widths[-1], config.bottleneck_width, depth)
+    below = widths[1:] + (config.bottleneck_width,)  # channels unpooled into each level
+    decoder = [pair(f"dec{d}", widths[d] + below[d], widths[d], d) for d in reversed(range(depth))][::-1]
     output_layer = ml.init_conv_layer(
         rng, "out.conv", widths[0], config.output_channels, hierarchy.ops(level)
     )
 
-    params: list[Param] = []
-    for conv_a, conv_b in encoder + [bottleneck] + decoder:
-        params += [conv_a.weights, conv_a.bias, conv_b.weights, conv_b.bias]
-    params += [output_layer.weights, output_layer.bias]
+    convs = [conv for block in encoder + [bottleneck] + decoder for conv in block] + [output_layer]
+    params: list[Param] = [p for conv in convs for p in (conv.weights, conv.bias)]
 
     return BrainSurfCNN(
         config=config,

@@ -9,15 +9,14 @@ comes from one seeded generator, so a run is a pure function of its config.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
-from .fileio import ConfigError, JsonConfig
+from .fileio import ConfigError, JsonConfig, write_csv
 from .model import BrainSurfCNN, save_model
 from .rcloss import BatchTooSmall, Margins, init_margins, rc_loss, schedule_margins
 
@@ -66,20 +65,7 @@ class TrainLog:
     rows: list[EpochStats] = field(default_factory=list)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(LOG_COLUMNS)
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.epoch,
-                        f"{r.l_r:.10g}",
-                        "" if r.l_c is None else f"{r.l_c:.10g}",
-                        "" if r.l_rc is None else f"{r.l_rc:.10g}",
-                        "" if r.alpha is None else f"{r.alpha:.10g}",
-                        "" if r.beta is None else f"{r.beta:.10g}",
-                    ]
-                )
+        write_csv(path, LOG_COLUMNS, [astuple(r) for r in self.rows])
 
 
 def _make_batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -243,10 +229,6 @@ def validation_hook(val_subjects: list[TrainSubject], out_path: str | Path):
         preds = model.predict(np.stack([s.samples[0] for s in val_subjects]))
         targets = np.stack([s.target for s in val_subjects])
         rows.append((epoch, rc_loss(preds, targets, None).l_r.item()))
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "val_l_r"])
-            for ep, v in rows:
-                writer.writerow([ep, f"{v:.10g}"])
+        write_csv(path, ["epoch", "val_l_r"], rows)
 
     return hook
