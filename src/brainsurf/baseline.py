@@ -162,9 +162,10 @@ def load_baseline(path) -> tuple[ParcelRegressor, Parcellation]:
     empty = [p for p, idx in enumerate(parcellation.parcels) if idx.size == 0]
     if empty:
         raise CorruptFile(f"{path}: parcel {empty[0]} has no vertices")
-    regressor = ParcelRegressor(
-        coeffs=coeffs, labels=parcellation.labels, rank_warnings=list(meta.get("rank_warnings", []))
-    )
+    rank_warnings = meta.get("rank_warnings", [])
+    if not isinstance(rank_warnings, list) or not all(isinstance(w, str) for w in rank_warnings):
+        raise CorruptFile(f"{path}: rank_warnings is not a list of strings")
+    regressor = ParcelRegressor(coeffs=coeffs, labels=parcellation.labels, rank_warnings=rank_warnings)
     return regressor, parcellation
 
 

@@ -11,12 +11,16 @@ deviation or mix setting; fewer than 2
 subjects in the cohort; ``baseline_parcels`` outside 1..V; a model
 ``leaky_slope`` outside [0, 1]; missing, truncated or corrupt file; a
 baseline file given as ``--model`` or a model checkpoint as ``--baseline``;
+a checkpoint or baseline header whose entries lack a string name, repeat a
+name or give an offset other than the entry's place in the payload; a
+baseline whose ``rank_warnings`` is not a list of strings;
 a ``--model`` whose channels or level do not fit the data;
 a dataset file whose shape is not the generator's in ``cohort.json``;
 a ``--baseline`` whose level, contrast or ROI count does not fit the data;
 a ``cohort.json`` that is not a JSON object, lacks a key or has an invalid
 generator or subject list (a missing one: an interrupted ``gen-data``);
-a ``cohort.json`` with no training subject or an id listed twice;
+a ``cohort.json`` with no training subject or an id listed twice, or an id
+that is not a plain file name (empty, ``.``, ``..``, a NUL byte or a ``/``);
 a constant target or retest map; a repeated ``--subjects`` id;
 fewer than 2 subjects to evaluate; a ``--preds`` name that is empty,
 repeated or reserved; a path of the wrong kind: an ``--out`` that is an

@@ -387,8 +387,8 @@ def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: 
 def load_dataset(root: str | Path) -> Dataset:
     """The dataset ``write_cohort`` wrote under ``root``; ``CorruptFile``
     when its ``cohort.json`` is not a JSON object with the keys read here,
-    a valid generator and lists of subject-id strings, at least one of them
-    for training and none listed twice."""
+    a valid generator and lists of subject ids that are plain file names, at
+    least one of them for training and none listed twice."""
     path = Path(root) / "cohort.json"
     try:
         manifest = json.loads(path.read_bytes())
@@ -403,6 +403,10 @@ def load_dataset(root: str | Path) -> Dataset:
         ids = manifest[key]
         if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
             raise CorruptFile(f"{path}: {key} is not a list of subject-id strings")
+        # An id names a directory under subjects/ and an output file: a plain file name.
+        bad = [sid for sid in ids if sid in ("", ".", "..") or "\0" in sid or Path(sid).name != sid]
+        if bad:
+            raise CorruptFile(f"{path}: {key} lists {bad[0]!r}, which is not a plain file name")
     train_ids, test_ids = manifest["train_subjects"], manifest["test_subjects"]
     if not train_ids:
         raise CorruptFile(f"{path}: train_subjects is empty")

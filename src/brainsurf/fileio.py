@@ -100,15 +100,27 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    header, values = _read_framed(
-        path, lambda h: sum(_size(e["shape"]) for e in h["entries"])
-    )
+    shapes: dict[str, tuple] = {}
+
+    def n_values(header: dict) -> int:
+        # Entries are parsed once, here, so that a malformed one is a CorruptFile.
+        n = 0
+        for entry in header["entries"]:
+            name, shape = entry["name"], tuple(entry["shape"])
+            if not isinstance(name, str) or name in shapes:
+                raise ValueError(f"entry name {name!r} is not a string or is listed twice")
+            if entry["offset"] != 8 * n:
+                raise ValueError(f"entry {name!r} has offset {entry['offset']!r}, its data starts at byte {8 * n}")
+            shapes[name] = shape
+            n += _size(shape)
+        return n
+
+    header, values = _read_framed(path, n_values)
     arrays: dict[str, np.ndarray] = {}
     start = 0
-    for entry in header["entries"]:
-        shape = tuple(entry["shape"])
-        n = _size(shape)
-        arrays[entry["name"]] = values[start : start + n].reshape(shape)
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        arrays[name] = values[start : start + n].reshape(shape)
         start += n
     meta = header.get("meta", {})
     if not isinstance(meta, dict):

@@ -312,6 +312,12 @@ class TestBaselineFile:
         with pytest.raises(CorruptFile, match="outside 0..7"):
             load_baseline(self.rewritten(tmp_path, arrays, meta))
 
+    @pytest.mark.parametrize("rank_warnings", [5, None, "rank", [1], ["ok", None]])
+    def test_rank_warnings_not_a_list_of_strings(self, saved, tmp_path, rank_warnings):
+        arrays, meta = saved
+        with pytest.raises(CorruptFile, match="rank_warnings"):
+            load_baseline(self.rewritten(tmp_path, arrays, meta | {"rank_warnings": rank_warnings}))
+
     def test_empty_parcel(self, saved, tmp_path):
         arrays, meta = saved
         arrays["labels"] = np.where(arrays["labels"] == 3, 4, arrays["labels"])

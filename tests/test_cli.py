@@ -511,6 +511,13 @@ class TestPredict:
         ("train_subjects", []),
         ("test_subjects", ["sub004", "sub000"]),  # sub000 is a training subject too
         ("train_subjects", ["sub000", "sub001", "sub001", "sub002", "sub003"]),
+        # Subject ids name directories and output files, so each must be a plain file name.
+        ("test_subjects", ["sub004", ""]),
+        ("test_subjects", ["sub004", "."]),
+        ("train_subjects", ["sub000", "sub001", "sub002", ".."]),
+        ("test_subjects", ["sub004", "sub\x00005"]),
+        ("test_subjects", ["../../elsewhere/sub005"]),
+        ("train_subjects", ["sub000", "sub001", "sub002", "subjects/sub003"]),
     ])
     def test_cohort_json_field_types_exit_2(self, tiny_run, capsys, key, value):
         path = tiny_run / "data" / "cohort.json"
@@ -527,6 +534,43 @@ class TestPredict:
             err = capsys.readouterr().err
             assert err.startswith("corrupt input:") and key in err and err.count("\n") == 1
         assert not any((tiny_run / d).exists() for d in ("rt", "pt", "et"))
+
+    def test_subject_id_outside_the_dataset_exit_2(self, tiny_run, capsys):
+        path = tiny_run / "data" / "cohort.json"
+        manifest = json.loads(path.read_text())
+        manifest["test_subjects"] = ["../../elsewhere/sub005"]
+        path.write_text(json.dumps(manifest))
+        (tiny_run / "elsewhere").mkdir()
+        (tiny_run / "data" / "subjects" / "sub005").rename(tiny_run / "elsewhere" / "sub005")
+        capsys.readouterr()
+        assert cli.main([
+            "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
+            "--data", str(tiny_run / "data"), "--out", str(tiny_run / "o" / "p"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and "test_subjects" in err and err.count("\n") == 1
+        # --out/../../elsewhere/sub005.bin would land beside the moved subject.
+        assert not (tiny_run / "o").exists()
+        assert [p.name for p in (tiny_run / "elsewhere").iterdir()] == ["sub005"]
+
+    @pytest.mark.parametrize("flag, name, edit, message", [
+        ("--model", "checkpoint_final.bin", lambda h: h["entries"][0].pop("name"), "malformed header"),
+        ("--baseline", "baseline.bin", lambda h: h["entries"][1].update(offset=0), "offset"),
+    ], ids=["model-entry-without-name", "baseline-entry-offset"])
+    def test_malformed_checkpoint_entries_exit_2(self, tiny_run, capsys, flag, name, edit, message):
+        header, payload = (tiny_run / "run" / name).read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        edit(header)
+        bad = tiny_run / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        model = bad if flag == "--model" else tiny_run / "run" / "checkpoint_final.bin"
+        args = ["predict", "--model", str(model), "--data", str(tiny_run / "data"), "--out", str(tiny_run / "pm")]
+        if flag == "--baseline":
+            args += ["--baseline", str(bad)]
+        capsys.readouterr()
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and message in err and err.count("\n") == 1
 
     def test_baseline_predictions_written(self, tiny_run):
         assert cli.main([

@@ -1,3 +1,4 @@
+import ast
 import json
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -17,6 +18,7 @@ from brainsurf.fileio import (
     load_checkpoint,
     read_tensor,
     save_checkpoint,
+    write_csv,
     write_tensor,
 )
 from brainsurf.model import ModelConfig
@@ -93,6 +95,11 @@ class TestFraming:
     @pytest.mark.parametrize("header", [
         b"\xff not json", b"[1, 2]", b'{"shape": "ab"}', b'{"shape": [-1, -1]}',
         b'{"entries": [{"name": "x", "shape": [2.5]}]}',
+        b'{"entries": [{"shape": [1], "offset": 0}]}',
+        b'{"entries": [{"name": ["x"], "shape": [1], "offset": 0}]}',
+        # A name listed twice; the empty first entry keeps the payload at one value.
+        b'{"entries": [{"name": "x", "shape": [0], "offset": 0}, {"name": "x", "shape": [1], "offset": 0}]}',
+        b'{"entries": [{"name": "x", "shape": [1], "offset": 8}]}',
     ])
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "g.bin"
@@ -107,6 +114,32 @@ class TestFraming:
         path.write_bytes(b'{"entries": [], "meta": [1]}\n')
         with pytest.raises(CorruptFile, match="meta"):
             load_checkpoint(path)
+
+
+class TestTextTable:
+    def test_write_csv_cells(self, tmp_path):
+        cells = [None, float("nan"), float("inf"), -float("inf"), -0.0, np.float64(1 / 3), 7, "a,b"]
+        write_csv(tmp_path / "t.csv", ["x", "y"], [cells, [2.5e-300, 12345678901.0]])
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b'x,y\r\n,nan,inf,-inf,-0,0.3333333333,7,"a,b"\r\n2.5e-300,1.23456789e+10\r\n'
+        )
+
+    def test_only_fileio_writes_tables(self):
+        # One table writer: no other module imports csv or spells the float format.
+        def imported(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    yield from (alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    yield node.module
+
+        offenders = [
+            path.name
+            for path in Path(fileio.__file__).parent.glob("*.py")
+            if path.name != "fileio.py"
+            and ("csv" in imported(ast.parse(path.read_text())) or "10g" in path.read_text())
+        ]
+        assert offenders == []
 
 
 class _FailingPayload:

@@ -69,6 +69,21 @@ class TestBuildModel:
         assert np.abs(w).max() > 0.5 * a  # actually fills the range
         assert np.array_equal(first.bias.tensor.data, np.zeros(first.out_channels))
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_parameter_order_pinned(self, depth):
+        # The checkpoint's order: encoder shallow to deep, bottleneck, decoder
+        # shallow to deep, output; weight before bias in each conv.
+        cfg = ModelConfig() if depth == 2 else ModelConfig(mesh_level=3, encoder_widths=(4, 8, 16))
+        model = build_model(cfg, build_hierarchy(cfg.mesh_level))
+        convs = {
+            2: ["enc0.conv0", "enc0.conv1", "enc1.conv0", "enc1.conv1", "bneck.conv0", "bneck.conv1",
+                "dec0.conv0", "dec0.conv1", "dec1.conv0", "dec1.conv1", "out.conv"],
+            3: ["enc0.conv0", "enc0.conv1", "enc1.conv0", "enc1.conv1", "enc2.conv0", "enc2.conv1",
+                "bneck.conv0", "bneck.conv1", "dec0.conv0", "dec0.conv1", "dec1.conv0", "dec1.conv1",
+                "dec2.conv0", "dec2.conv1", "out.conv"],
+        }[depth]
+        assert [p.name for p in model.parameters()] == [f"{c}.{p}" for c in convs for p in ("weight", "bias")]
+
     def test_param_names_unique(self, hierarchy):
         model = build_model(ModelConfig(), hierarchy)
         names = [p.name for p in model.parameters()]
