@@ -100,28 +100,23 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    shapes: dict[str, tuple] = {}
+    entries: dict[str, tuple[int, tuple]] = {}  # name -> (index of its first value, shape)
 
     def n_values(header: dict) -> int:
         # Entries are parsed once, here, so that a malformed one is a CorruptFile.
         n = 0
         for entry in header["entries"]:
             name, shape = entry["name"], tuple(entry["shape"])
-            if not isinstance(name, str) or name in shapes:
+            if not isinstance(name, str) or name in entries:
                 raise ValueError(f"entry name {name!r} is not a string or is listed twice")
             if entry["offset"] != 8 * n:
-                raise ValueError(f"entry {name!r} has offset {entry['offset']!r}, its data starts at byte {8 * n}")
-            shapes[name] = shape
+                raise ValueError(f"entry {name!r} has offset {entry['offset']!r}, its data is at byte {8 * n}")
+            entries[name] = (n, shape)
             n += _size(shape)
         return n
 
     header, values = _read_framed(path, n_values)
-    arrays: dict[str, np.ndarray] = {}
-    start = 0
-    for name, shape in shapes.items():
-        n = math.prod(shape)
-        arrays[name] = values[start : start + n].reshape(shape)
-        start += n
+    arrays = {name: values[i : i + math.prod(shape)].reshape(shape) for name, (i, shape) in entries.items()}
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise CorruptFile(f"{path}: malformed header: meta is not an object")

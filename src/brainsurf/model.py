@@ -136,20 +136,19 @@ def build_model(config: ModelConfig, hierarchy: MeshHierarchy) -> BrainSurfCNN:
             f"hierarchy covers levels 0..{hierarchy.max_level}, model needs {config.mesh_level}"
         )
     rng = np.random.default_rng(config.seed)
-    widths = tuple(config.encoder_widths)
+    widths = config.encoder_widths
     depth = len(widths)
     level = config.mesh_level
 
     def pair(name: str, in_ch: int, out_ch: int, d: int) -> tuple[ml.MeshConvLayer, ml.MeshConvLayer]:
         ops = hierarchy.ops(level - d)
-        return (
-            ml.init_conv_layer(rng, f"{name}.conv0", in_ch, out_ch, ops),
-            ml.init_conv_layer(rng, f"{name}.conv1", out_ch, out_ch, ops),
-        )
+        conv0 = ml.init_conv_layer(rng, f"{name}.conv0", in_ch, out_ch, ops)
+        return conv0, ml.init_conv_layer(rng, f"{name}.conv1", out_ch, out_ch, ops)
 
     # The call order is the RNG draw order, so it fixes every initial weight:
     # encoder shallow to deep, bottleneck, decoder deep to shallow, output.
-    encoder = [pair(f"enc{d}", c, w, d) for d, (c, w) in enumerate(zip((config.input_channels,) + widths, widths))]
+    ins = (config.input_channels,) + widths
+    encoder = [pair(f"enc{d}", ins[d], w, d) for d, w in enumerate(widths)]
     bottleneck = pair("bneck", widths[-1], config.bottleneck_width, depth)
     below = widths[1:] + (config.bottleneck_width,)  # channels unpooled into each level
     decoder = [pair(f"dec{d}", widths[d] + below[d], widths[d], d) for d in reversed(range(depth))][::-1]
