@@ -205,7 +205,9 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
 
 
 def save_corr_matrix_txt(m: CorrMatrix, path: str | Path, zscore: bool = False) -> None:
-    np.savetxt(path, row_zscore(m.matrix) if zscore else m.matrix, fmt=FLOAT_FORMAT)
+    mat = row_zscore(m.matrix) if zscore else m.matrix
+    lines = [" ".join(FLOAT_FORMAT % x for x in row) for row in mat]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_report(report: EvalReport, out: str | Path, zscore: bool = False) -> None:

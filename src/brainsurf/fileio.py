@@ -100,7 +100,7 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    entries: dict[str, tuple[int, tuple]] = {}  # name -> (index of its first value, shape)
+    entries: dict[str, tuple[slice, tuple]] = {}  # name -> (its values in the payload, shape)
 
     def n_values(header: dict) -> int:
         # Entries are parsed once, here, so that a malformed one is a CorruptFile.
@@ -111,12 +111,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                 raise ValueError(f"entry name {name!r} is not a string or is listed twice")
             if entry["offset"] != 8 * n:
                 raise ValueError(f"entry {name!r} has offset {entry['offset']!r}, its data is at byte {8 * n}")
-            entries[name] = (n, shape)
-            n += _size(shape)
+            size = _size(shape)
+            entries[name] = (slice(n, n + size), shape)
+            n += size
         return n
 
     header, values = _read_framed(path, n_values)
-    arrays = {name: values[i : i + math.prod(shape)].reshape(shape) for name, (i, shape) in entries.items()}
+    arrays = {name: values[s].reshape(shape) for name, (s, shape) in entries.items()}
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise CorruptFile(f"{path}: malformed header: meta is not an object")

@@ -79,16 +79,12 @@ def contrast_coeff(contrast_mix, latents, nonlinear_mix) -> np.ndarray:
     return coeff / np.linalg.norm(coeff, axis=1, keepdims=True)
 
 
-def alignment_scores(coeffs, accepted) -> list[float]:
-    """Per candidate, of a list of [K, 2M] coefficients, its largest |cosine|
-    with any accepted subject's [K, 2M] (stacked [s, K, 2M]), over contrasts;
-    scored one candidate at a time."""
-    return [np.abs((accepted * c).sum(axis=2)).max(initial=0.0) for c in coeffs]
-
-
 def least_aligned(coeffs, accepted) -> int:
-    """The candidate whose ``alignment_scores`` entry is smallest."""
-    return int(np.argmin(alignment_scores(coeffs, accepted)))
+    """The candidate, of a list of [K, 2M] coefficients, whose largest
+    |cosine| with any accepted subject's [K, 2M] (stacked [s, K, 2M]), over
+    contrasts, is smallest; scored one candidate at a time."""
+    scores = [np.abs((accepted * c).sum(axis=2)).max(initial=0.0) for c in coeffs]
+    return int(np.argmin(scores))
 
 
 def span_coordinates(z) -> np.ndarray:

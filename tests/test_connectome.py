@@ -211,16 +211,9 @@ class TestBlockedDraws:
         coeffs = connectome._contrast_coeffs(contrast_mix, candidates, nonlinear_mix)
         for c, z in enumerate(candidates):
             want = oracles.contrast_coeff(contrast_mix, z, nonlinear_mix)
-            # Unit-normalizing a short mixed vector scales up the product's
-            # rounding: 2.1e-14 seen at M = 1.
-            assert np.abs(coeffs[:, :, c] - want).max() <= 1e-12
+            assert np.abs(coeffs[:, :, c] - want).max() <= 1e-14
         picked = connectome._least_aligned(coeffs, accepted.transpose(0, 2, 1))
-        scores = oracles.alignment_scores(list(coeffs.transpose(2, 0, 1)), accepted.transpose(2, 0, 1))
-        # The batched product rounds otherwise than the loop, so candidates
-        # whose scores tie up to rounding (at M = 1 with no nonlinear mix,
-        # every candidate has one direction up to sign) may be picked in
-        # either order; any other pick must be the loop's.
-        assert scores[picked] <= min(scores) + 1e-12
+        assert picked == oracles.least_aligned(list(coeffs.transpose(2, 0, 1)), accepted.transpose(2, 0, 1))
 
     def test_cohort_picks_match_loop(self, monkeypatch):
         # Every pick of a generated cohort, including the first subject's
