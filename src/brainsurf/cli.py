@@ -1,37 +1,10 @@
 """Command-line interface: data generation, training, prediction, evaluation,
 and gradient verification, each deterministic given its config.
 
-Exit codes are a stable contract: 0 success, 2 bad config or unreadable input
-(a config value of another JSON type than its field's, e.g. ``1.5`` for an
-integer; a negative run or model ``seed``; an optimizer ``lr``, ``eps`` or
-``phase2_lr`` that is not positive and finite, or a ``beta1``/``beta2``
-outside [0, 1); a generator setting out of range, e.g. an odd ``t_per_run``,
-a negative ``smooth_steps``, ``n_runs`` other than 4 or a non-finite noise,
-deviation or mix setting; fewer than 2
-subjects in the cohort; ``baseline_parcels`` outside 1..V; a model
-``leaky_slope`` outside [0, 1]; missing, truncated or corrupt file; a
-baseline file given as ``--model`` or a model checkpoint as ``--baseline``;
-a checkpoint or baseline header whose entries lack a string name, repeat a
-name or give an offset other than the entry's place in the payload; a
-baseline whose ``rank_warnings`` is not a list of strings;
-a ``--model`` whose channels or level do not fit the data;
-a dataset file whose shape is not the generator's in ``cohort.json``;
-a ``--baseline`` whose level, contrast or ROI count does not fit the data;
-a ``cohort.json`` that is not a JSON object, lacks a key or has an invalid
-generator or subject list (a missing one: an interrupted ``gen-data``);
-a ``cohort.json`` with no training subject or an id listed twice, or an id
-that is not a plain file name (empty, ``.``, ``..``, a NUL byte or a ``/``);
-a constant target or retest map; a repeated ``--subjects`` id;
-fewer than 2 subjects to evaluate; a ``--preds`` name that is empty,
-repeated or reserved; a path of the wrong kind: an ``--out`` that is an
-existing file (for ``evaluate`` also one below a file, checked before any
-work), a ``--data`` that is a file, a ``--config`` or ``--model``
-that is a directory, or a ``--preds`` map that is a directory),
-3 numeric failure (NaN loss; the last good checkpoint
-is retained), 4 unknown subject, 5 subject-set mismatch (including an
-``evaluate --preds`` file of another shape than the dataset's maps).
-``gradcheck`` exits 1 when the gradient check fails, and 2 on a ``--coords``
-below 1 or a negative ``--seed``.
+Exit codes are a stable contract: 0 success, 2 bad config or unreadable
+input, 3 numeric failure (NaN loss; the last good checkpoint is retained),
+4 unknown subject, 5 subject-set mismatch, and 1 from ``gradcheck`` when the
+gradient check fails.  README.md lists the cases of each code.
 """
 
 from __future__ import annotations
@@ -64,7 +37,16 @@ from .connectome import (
     write_cohort,
 )
 from .evaluate import SubjectMismatch, ZeroVariance, ablation_report, write_report
-from .fileio import ConfigError, CorruptFile, JsonConfig, git_blob_sha1, hash_file, read_tensor, write_tensor
+from .fileio import (
+    ConfigError,
+    CorruptFile,
+    JsonConfig,
+    git_blob_sha1,
+    hash_file,
+    is_plain_file_name,
+    read_tensor,
+    write_tensor,
+)
 from .icosphere import build_hierarchy, icosphere, n_vertices_at_level
 from .model import ModelConfig, build_model, load_model, predict_variants, save_model
 from .rcloss import BatchTooSmall, Margins, rc_loss
@@ -361,8 +343,28 @@ def _check_out_dir(out: str) -> None:
         raise NotADirectoryError(f"--out {out}: {path} is a file")
 
 
+def _pred_dirs(specs: list[str]) -> dict[str, Path]:
+    """The ``--preds NAME=DIR`` directories by name.  A name is a report row
+    and part of its matrix dumps' file names, so it must be a plain file name
+    that is neither given twice nor a built-in row's."""
+    dirs: dict[str, Path] = {}
+    for spec in specs:
+        if "=" not in spec:
+            raise ConfigError(f"--preds expects NAME=DIR, got {spec!r}")
+        name, pred_dir = spec.split("=", 1)
+        if not is_plain_file_name(name):
+            raise ConfigError(f"--preds name {name!r} is not a plain file name")
+        if name in ("group_average", "retest"):
+            raise ConfigError(f"--preds name {name!r} is reserved for a built-in report row")
+        if name in dirs:
+            raise ConfigError(f"--preds name {name!r} is given twice")
+        dirs[name] = Path(pred_dir)
+    return dirs
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_out_dir(args.out)
+    pred_dirs = _pred_dirs(args.preds)
     dataset = load_dataset(args.data)
     subjects = _subject_list(dataset, args.subjects)
     if len(subjects) < 2:
@@ -371,19 +373,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     targets = np.stack([dataset.target(sid) for sid in subjects])
     retest = np.stack([dataset.retest(sid) for sid in subjects])
 
-    variants: dict[str, np.ndarray] = {}
-    for spec_arg in args.preds or []:
-        if "=" not in spec_arg:
-            raise ConfigError(f"--preds expects NAME=DIR, got {spec_arg!r}")
-        name, pred_dir = spec_arg.split("=", 1)
-        if not name:
-            raise ConfigError(f"--preds name {name!r} is empty")
-        if name in ("group_average", "retest"):
-            raise ConfigError(f"--preds name {name!r} is reserved for a built-in report row")
-        if name in variants:
-            raise ConfigError(f"--preds name {name!r} is given twice")
-        variants[name] = _stack_variant(Path(pred_dir), subjects, name, targets.shape[1:])
-
+    variants = {name: _stack_variant(d, subjects, name, targets.shape[1:]) for name, d in pred_dirs.items()}
     variants["group_average"] = np.broadcast_to(_group_average(dataset), targets.shape).copy()
 
     report = ablation_report(variants, targets, retest)

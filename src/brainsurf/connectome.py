@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .fileio import ConfigError, CorruptFile, JsonConfig, read_tensor, write_tensor
+from .fileio import ConfigError, CorruptFile, JsonConfig, is_plain_file_name, read_tensor, write_tensor
 from .icosphere import closed_ring_mean, icosphere, n_vertices_at_level
 
 SEGMENTS_PER_SUBJECT = 8  # 4 runs x 2 halves
@@ -404,7 +404,7 @@ def load_dataset(root: str | Path) -> Dataset:
         if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
             raise CorruptFile(f"{path}: {key} is not a list of subject-id strings")
         # An id names a directory under subjects/ and an output file: a plain file name.
-        bad = [sid for sid in ids if sid in ("", "..") or "\0" in sid or Path(sid).name != sid]
+        bad = [sid for sid in ids if not is_plain_file_name(sid)]
         if bad:
             raise CorruptFile(f"{path}: {key} lists {bad[0]!r}, which is not a plain file name")
     train_ids, test_ids = manifest["train_subjects"], manifest["test_subjects"]

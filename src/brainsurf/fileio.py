@@ -62,17 +62,29 @@ def _read_framed(path: str | Path, n_values: Callable[[dict], int]) -> tuple[dic
     exactly ``n_values(header)`` values."""
     with open(path, "rb") as f:
         line = f.readline()
-        payload = f.read()
-    try:
-        if not line.endswith(b"\n"):
-            raise ValueError("header line is not terminated")
-        header = json.loads(line.decode("ascii"))
-        expected = 8 * n_values(header)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise CorruptFile(f"{path}: malformed header: {exc}") from exc
-    if len(payload) != expected:
-        raise CorruptFile(f"{path}: payload holds {len(payload)} bytes, header promises {expected}")
-    return header, np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        try:
+            if not line.endswith(b"\n"):
+                raise ValueError("header line is not terminated")
+            header = json.loads(line.decode("ascii"))
+            expected = 8 * n_values(header)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise CorruptFile(f"{path}: malformed header: {exc}") from exc
+        # The length is checked before the array is made, so that a corrupt
+        # header cannot ask for more memory than the file holds.
+        held = os.fstat(f.fileno()).st_size - len(line)
+        if held != expected:
+            raise CorruptFile(f"{path}: payload holds {held} bytes, header promises {expected}")
+        values = np.empty(expected // 8, dtype="<f8")
+        held = f.readinto(values)
+        if held != expected:  # the file shrank after the fstat
+            raise CorruptFile(f"{path}: payload holds {held} bytes, header promises {expected}")
+    return header, values.astype(np.float64, copy=False)
+
+
+def is_plain_file_name(name: str) -> bool:
+    """Whether ``name`` names a file in the directory it is joined to, and
+    nothing else: not empty, ``.`` or ``..``, no NUL byte, no path separator."""
+    return name not in ("", "..") and "\0" not in name and Path(name).name == name
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:

@@ -24,6 +24,12 @@ from .fileio import ConfigError, CorruptFile, JsonConfig, load_checkpoint, save_
 from .icosphere import MeshHierarchy, build_hierarchy, n_vertices_at_level
 
 
+# Bytes of one conv intermediate that a no-grad forward may hold: about one
+# L2 cache.  A larger one is page-faulted in anew by every conv, which costs
+# more than the per-forward overhead of a smaller batch.
+_PREDICT_BUDGET = 2 * 1024 * 1024
+
+
 @dataclass(frozen=True)
 class ModelConfig(JsonConfig):
     """Desk-scale defaults: level-2 mesh (162 vertices), 10 input channels
@@ -88,16 +94,17 @@ class BrainSurfCNN:
     def zero_grad(self) -> None:
         self.arena.zero_grad()
 
+    def _check_input(self, shape: tuple[int, ...]) -> None:
+        expected = (self.config.input_channels, n_vertices_at_level(self.config.mesh_level))
+        if len(shape) not in (2, 3) or shape[-2:] != expected:
+            raise ShapeMismatch(f"forward: input {shape}, model expects {expected} or (B, *{expected})")
+
     def forward(self, x) -> Tensor:
         """Contrast maps [K, V] for one connectome [2M, V], or [B, K, V] for a
         batch [B, 2M, V]; inside, activations are vertex-major [V, B, C]."""
         cfg = self.config
         x = x if isinstance(x, Tensor) else Tensor(x)
-        expected = (cfg.input_channels, n_vertices_at_level(cfg.mesh_level))
-        if x.data.ndim not in (2, 3) or x.data.shape[-2:] != expected:
-            raise ShapeMismatch(
-                f"forward: input {x.data.shape}, model expects {expected} or (B, *{expected})"
-            )
+        self._check_input(x.data.shape)
 
         slope = cfg.leaky_slope
         skips = []
@@ -122,9 +129,22 @@ class BrainSurfCNN:
         out = ml.mesh_conv(self.output_layer, h)  # linear: contrasts are signed
         return ml.from_vertex_major(out, single=x.data.ndim == 2)
 
-    def predict(self, connectome) -> np.ndarray:
+    def predict(self, connectome: np.ndarray) -> np.ndarray:
+        """No-grad ``forward`` of one connectome [2M, V] or a batch [B, 2M, V].
+        A batch runs in consecutive chunks of as many samples as keep a
+        top-level conv's float64 intermediate [4, V·chunk, C] within
+        ``_PREDICT_BUDGET`` bytes (C the wider of the first encoder and the
+        output conv), at least 1.  Output rows do not depend on each other,
+        so the result is the full-batch forward's."""
+        cfg = self.config
+        x = np.asarray(connectome)
+        self._check_input(x.shape)
         with ad.no_grad():
-            return self.forward(connectome).data
+            if x.ndim == 2:
+                return self.forward(x).data
+            per_sample = 8 * ml.N_OPERATORS * x.shape[-1] * max(cfg.encoder_widths[0], cfg.output_channels)
+            c = max(1, _PREDICT_BUDGET // per_sample)
+            return np.concatenate([self.forward(x[i : i + c]).data for i in range(0, len(x), c)])
 
 
 def build_model(config: ModelConfig, hierarchy: MeshHierarchy) -> BrainSurfCNN:
@@ -190,8 +210,8 @@ def load_model(path) -> BrainSurfCNN:
 
 
 def predict_variants(model: BrainSurfCNN, samples) -> np.ndarray:
-    """Predictions [S, K, V] for a subject's S connectome variants, from one
-    batched no-grad forward."""
+    """Predictions [S, K, V] for a subject's S connectome variants, from
+    ``model.predict`` of their stack."""
     samples = list(samples)
     if not samples:
         raise EmptySet("an ensemble needs at least one connectome sample")

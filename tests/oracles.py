@@ -46,6 +46,17 @@ def standardized_rows(rows) -> np.ndarray:
     return centered / np.sqrt((centered * centered).sum(axis=1))[:, None]
 
 
+def subject_id_accuracy(matrix) -> float:
+    """Fraction of rows whose diagonal entry strictly exceeds every other
+    entry of the row, one row at a time; NaN when any entry is NaN."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if np.isnan(matrix).any():
+        return float("nan")
+    n = matrix.shape[0]
+    hits = sum(int(matrix[i, i] > np.delete(matrix[i], i).max()) for i in range(n))
+    return hits / n
+
+
 def connectome(left, right, roi) -> np.ndarray:
     """Vertex-to-ROI Pearson correlations over whole series as a [2M, V]
     channel stack: the left bank's M channels, then the right bank's."""
@@ -79,12 +90,16 @@ def contrast_coeff(contrast_mix, latents, nonlinear_mix) -> np.ndarray:
     return coeff / np.linalg.norm(coeff, axis=1, keepdims=True)
 
 
+def alignment_scores(coeffs, accepted) -> list[float]:
+    """Each candidate's largest |cosine| with any accepted subject, over
+    contrasts: candidates a list of [K, 2M] coefficients, the accepted
+    subjects stacked [s, K, 2M]; scored one candidate at a time."""
+    return [float(np.abs((accepted * c).sum(axis=2)).max(initial=0.0)) for c in coeffs]
+
+
 def least_aligned(coeffs, accepted) -> int:
-    """The candidate, of a list of [K, 2M] coefficients, whose largest
-    |cosine| with any accepted subject's [K, 2M] (stacked [s, K, 2M]), over
-    contrasts, is smallest; scored one candidate at a time."""
-    scores = [np.abs((accepted * c).sum(axis=2)).max(initial=0.0) for c in coeffs]
-    return int(np.argmin(scores))
+    """The candidate whose ``alignment_scores`` entry is smallest."""
+    return int(np.argmin(alignment_scores(coeffs, accepted)))
 
 
 def span_coordinates(z) -> np.ndarray:

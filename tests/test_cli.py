@@ -738,7 +738,11 @@ class TestEvaluate:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("names", [["group_average"], ["retest"], ["model", "model"], [""]])
+    # A name is part of the matrix dumps' file names: "../../esc" would write
+    # them two levels above --out, and "a/b" into a directory that is not there.
+    @pytest.mark.parametrize(
+        "names", [["group_average"], ["retest"], ["model", "model"], [""], ["../../esc"], ["a/b"]]
+    )
     def test_reserved_or_repeated_preds_name_exit_2(self, tiny_run, capsys, names):
         from brainsurf.connectome import load_dataset
         from brainsurf.fileio import write_tensor
@@ -748,6 +752,7 @@ class TestEvaluate:
         preds.mkdir()
         for sid in ds.test_ids:
             write_tensor(preds / f"{sid}.bin", ds.target(sid))
+        before = sorted(tiny_run.rglob("*"))
         capsys.readouterr()
         args = ["evaluate", "--data", str(tiny_run / "data"), "--out", str(tiny_run / "eval_names")]
         for name in names:
@@ -755,7 +760,7 @@ class TestEvaluate:
         assert cli.main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and repr(names[-1]) in err and err.count("\n") == 1
-        assert not (tiny_run / "eval_names").exists()
+        assert sorted(tiny_run.rglob("*")) == before
 
     def test_report_deterministic(self, tiny_run):
         cli.main([

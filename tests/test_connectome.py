@@ -213,7 +213,12 @@ class TestBlockedDraws:
             want = oracles.contrast_coeff(contrast_mix, z, nonlinear_mix)
             assert np.abs(coeffs[:, :, c] - want).max() <= 1e-14
         picked = connectome._least_aligned(coeffs, accepted.transpose(0, 2, 1))
-        assert picked == oracles.least_aligned(list(coeffs.transpose(2, 0, 1)), accepted.transpose(2, 0, 1))
+        # At m=1 with no nonlinear mix every candidate has one direction up
+        # to sign, so all scores tie up to rounding and either member of the
+        # tie is a least-aligned pick: the pick's oracle score must be within
+        # 4 ulps of the oracle's minimum.
+        scores = oracles.alignment_scores(list(coeffs.transpose(2, 0, 1)), accepted.transpose(2, 0, 1))
+        assert scores[picked] <= min(scores) + 4 * np.spacing(min(scores))
 
     def test_cohort_picks_match_loop(self, monkeypatch):
         # Every pick of a generated cohort, including the first subject's

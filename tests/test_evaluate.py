@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from brainsurf.autodiff import ShapeMismatch
 from brainsurf.evaluate import (
@@ -19,6 +22,7 @@ from brainsurf.evaluate import (
     write_report_csv,
     write_report_json,
 )
+import oracles
 from oracles import pearson
 
 
@@ -109,6 +113,17 @@ class TestSubjectId:
         perm = rng.permutation(5)
         permuted = mat[np.ix_(perm, perm)]
         assert subject_id_accuracy(CorrMatrix(0, permuted)) == acc
+
+    # Few distinct values, so that rows tie; NaN too, which makes the whole
+    # matrix's accuracy NaN.
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 7))
+    def test_matches_per_row_loop(self, data, n):
+        values = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]) | st.floats(-1.0, 1.0) | st.just(np.nan)
+        mat = data.draw(arrays(np.float64, (n, n), elements=values))
+        got = subject_id_accuracy(CorrMatrix(0, mat))
+        want = oracles.subject_id_accuracy(mat)
+        assert got == want or (np.isnan(got) and np.isnan(want))
 
     def test_better_than_chance_for_generated_fingerprints(self):
         from brainsurf.connectome import GeneratorConfig, generate_cohort

@@ -109,6 +109,13 @@ class TestFraming:
         with pytest.raises(CorruptFile):
             load_checkpoint(path)
 
+    def test_huge_shape_rejected_before_allocation(self, tmp_path):
+        # 2**40 values would be 8 TiB: the payload length is checked first.
+        path = tmp_path / "h.bin"
+        path.write_bytes(b'{"shape": [1099511627776], "dtype": "<f8"}\n' + bytes(8))
+        with pytest.raises(CorruptFile, match="payload holds 8 bytes, header promises 8796093022208"):
+            read_tensor(path)
+
     def test_checkpoint_meta_must_be_an_object(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(b'{"entries": [], "meta": [1]}\n')

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brainsurf.autodiff import EmptySet, ShapeMismatch, adam_step, backward, grad_check
+from brainsurf.autodiff import EmptySet, ShapeMismatch, adam_step, backward, grad_check, no_grad
 from brainsurf.fileio import CorruptFile, load_checkpoint, save_checkpoint
-from brainsurf.icosphere import build_hierarchy
+from brainsurf.icosphere import build_hierarchy, n_vertices_at_level
 from brainsurf.model import (
     ConfigError,
     ModelConfig,
@@ -291,3 +291,37 @@ class TestPredictEnsemble:
         model = build_model(ModelConfig(seed=16), hierarchy)
         with pytest.raises(EmptySet):
             predict_ensemble(model, [])
+
+
+class TestPredictChunks:
+    """``predict`` runs a batch in chunks whose top-level conv intermediate
+    fits the cache budget; the result is the full-batch forward's."""
+
+    @pytest.mark.parametrize("cfg, batch, sizes", [
+        (ModelConfig(), 8, [8]),  # desk: 12 samples fit
+        (ModelConfig(input_channels=100, output_channels=47, mesh_level=3), 8, [2, 2, 2, 2]),
+        (ModelConfig(mesh_level=4), 3, [1, 1, 1]),  # one sample exceeds the budget
+    ])
+    def test_forward_batch_sizes(self, monkeypatch, cfg, batch, sizes):
+        model = build_model(cfg, build_hierarchy(cfg.mesh_level))
+        shape = (batch, cfg.input_channels, n_vertices_at_level(cfg.mesh_level))
+        x = np.random.default_rng(19).standard_normal(shape)
+        seen = []
+        forward = model.forward
+
+        def spy(chunk):
+            seen.append(len(chunk))
+            return forward(chunk)
+
+        monkeypatch.setattr(model, "forward", spy)
+        out = model.predict(x)
+        assert seen == sizes
+        monkeypatch.undo()
+        with no_grad():
+            full = model.forward(x).data
+        assert out.shape == full.shape and max_rel(out, full) <= 1e-12
+
+    def test_batch_shape_mismatch_names_the_whole_batch(self, hierarchy):
+        model = build_model(ModelConfig(), hierarchy)
+        with pytest.raises(ShapeMismatch, match=r"input \(5, 10, 42\)"):
+            model.predict(np.zeros((5, 10, 42)))
