@@ -48,9 +48,9 @@ from .fileio import (
     write_tensor,
 )
 from .icosphere import build_hierarchy, icosphere, n_vertices_at_level
-from .model import ModelConfig, build_model, load_model, predict_variants, save_model
+from .model import BrainSurfCNN, ModelConfig, build_model, load_model, predict_variants, save_model
 from .rcloss import BatchTooSmall, Margins, rc_loss
-from .training import NaNLossError, OptimizerConfig, TrainSubject, train_two_phase, validation_hook
+from .training import NaNLossError, OptimizerConfig, TrainState, TrainSubject, train_two_phase, validation_hook
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,6 +63,21 @@ GRADCHECK_THRESHOLD = 1e-4
 
 class MissingSubjects(ValueError):
     pass
+
+
+# What ``main`` does with each failure: the first row whose classes match
+# gives the exit code and the stderr line.  Any other exception propagates.
+EXITS: list[tuple[tuple[type[Exception], ...], int, str]] = [
+    ((ConfigError, BatchTooSmall), EXIT_CONFIG, "config error: {}"),
+    ((FileNotFoundError,), EXIT_CONFIG, "missing input: {}"),
+    ((FileExistsError, NotADirectoryError, IsADirectoryError), EXIT_CONFIG, "bad path: {}"),
+    ((CorruptFile,), EXIT_CONFIG, "corrupt input: {}"),
+    ((ZeroVariance,), EXIT_CONFIG, "invalid input: {}"),
+    ((NaNLossError,), EXIT_NUMERIC, "numeric failure: {} (last good checkpoint retained)"),
+    ((MissingSubjects,), EXIT_MISSING_SUBJECT, "{}"),
+    ((SubjectMismatch,), EXIT_MISMATCH, "{}"),
+]
+_HANDLED = tuple(cls for classes, _, _ in EXITS for cls in classes)
 
 
 def _check_model_fits(model: ModelConfig, gen: GeneratorConfig, source: str) -> None:
@@ -233,19 +248,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_cfg = cfg.resolved_model()
     _check_model_fits(model_cfg, dataset.generator, "dataset")
 
+    # Built before --out exists: a model config the mesh cannot hold exits 2 with nothing written.
+    model = build_model(model_cfg, build_hierarchy(model_cfg.mesh_level))
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fit_ids, val_ids = _split_validation(dataset.train_ids, cfg.val_fraction)
     subjects = _train_subjects(dataset, fit_ids)
     # The validation hook predicts from each held-out subject's first sample only.
     val_subjects = [TrainSubject(sid, [dataset.sample(sid, 0)], dataset.target(sid)) for sid in val_ids]
-
-    hierarchy = build_hierarchy(model_cfg.mesh_level)
-    model = build_model(model_cfg, hierarchy)
     hook = validation_hook(val_subjects, out / "val_log.csv") if val_subjects else None
 
+    def on_epoch_end(model: BrainSurfCNN, state: TrainState) -> None:
+        save_model(out / ("checkpoint_phase1.bin" if state.phase == 1 else "checkpoint_last.bin"), model)
+        if hook is not None:
+            hook(model, state)
+
     phase2_opt = None if cfg.phase2_lr is None else replace(cfg.optimizer, lr=cfg.phase2_lr)
-    log, margins0 = train_two_phase(
+    state = train_two_phase(
         model,
         subjects,
         phase1_epochs=cfg.phase1_epochs,
@@ -254,15 +274,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=cfg.seed,
         opt=cfg.optimizer,
         phase2_opt=phase2_opt,
-        checkpoint_path=out / "checkpoint_last.bin",
-        phase1_checkpoint_path=out / "checkpoint_phase1.bin",
-        val_hook=hook,
+        on_epoch_end=on_epoch_end,
     )
-    log.write_csv(out / "training_log.csv")
+    state.write_csv(out / "training_log.csv")
     save_model(out / "checkpoint_final.bin", model)
-    if margins0 is not None:
+    if state.margins0 is not None:
         (out / "margins.json").write_text(
-            json.dumps({"alpha0": margins0.alpha, "beta0": margins0.beta}, sort_keys=True) + "\n"
+            json.dumps({"alpha0": state.margins0.alpha, "beta0": state.margins0.beta}, sort_keys=True) + "\n"
         )
 
     save_baseline(out / "baseline.bin", _fit_baseline(subjects, cfg))
@@ -479,30 +497,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BatchTooSmall) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
-        print(f"bad path: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CorruptFile as exc:
-        print(f"corrupt input: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ZeroVariance as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NaNLossError as exc:
-        print(f"numeric failure: {exc} (last good checkpoint retained)", file=sys.stderr)
-        return EXIT_NUMERIC
-    except MissingSubjects as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MISSING_SUBJECT
-    except SubjectMismatch as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MISMATCH
+    except _HANDLED as exc:
+        code, message = next((code, message) for classes, code, message in EXITS if isinstance(exc, classes))
+        print(message.format(exc), file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -4,20 +4,23 @@ reconstructive-contrastive fine-tuning.
 Epochs are numbered globally: 0..P1-1 for phase 1, P1..P1+P2-1 for phase 2;
 the margin schedule receives the epoch counted from the start of phase 2.
 Every source of randomness (batch order, per-subject connectome sampling)
-comes from one seeded generator, so a run is a pure function of its config.
+comes from one seeded generator per phase, so a run is a pure function of
+its config.  Per-epoch side effects (checkpoints, validation) are one
+``on_epoch_end(model, state)`` callback.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import adam_step, backward
+from .autodiff import AdamState, adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
 from .fileio import ConfigError, JsonConfig, write_csv
-from .model import BrainSurfCNN, save_model
+from .model import BrainSurfCNN
 from .rcloss import BatchTooSmall, Margins, init_margins, rc_loss, schedule_margins
 
 LOG_COLUMNS = ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta"]
@@ -61,11 +64,24 @@ class EpochStats:
 
 
 @dataclass
-class TrainLog:
+class TrainState:
+    """What a run carries from one epoch to the next: the phase's RNG, the
+    global number of the next epoch, the phase (2 runs the R-C loss from
+    ``margins0``), the phase's Adam state (None until its first step: each
+    phase starts from zero moments) and one log row per finished epoch."""
+
+    rng: np.random.Generator
+    epoch: int = 0
+    phase: int = 1
+    margins0: Margins | None = None
+    adam: AdamState | None = None
     rows: list[EpochStats] = field(default_factory=list)
 
     def write_csv(self, path: str | Path) -> None:
         write_csv(path, LOG_COLUMNS, [astuple(r) for r in self.rows])
+
+
+EpochEnd = Callable[[BrainSurfCNN, TrainState], None]
 
 
 def _make_batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -88,32 +104,33 @@ def train_phase(
     margins0: Margins | None = None,
     start_epoch: int = 0,
     ensemble_sampling: bool = True,
-    log: TrainLog | None = None,
-    checkpoint_path: str | Path | None = None,
-    val_hook=None,
-) -> TrainLog:
-    """Run one training phase; returns (and extends) the epoch log.
+    on_epoch_end: EpochEnd | None = None,
+    state: TrainState | None = None,
+) -> TrainState:
+    """Run one training phase; returns its state: ``state`` (the run so far)
+    when given, moved on to this phase, else a new one.
 
     ``ensemble_sampling`` draws one of the subject's 8 connectome variants
     per batch; when off, segment 0 is always used (the single-sample
     ablation).  ``use_rc_loss`` selects the phase-2 objective; it requires
     ``margins0`` and schedules the margins from the within-phase epoch.
+    ``on_epoch_end`` runs after each epoch whose losses are finite.
     """
     if use_rc_loss and margins0 is None:
         raise ValueError("phase 2 needs initial margins")
-    log = log if log is not None else TrainLog()
+    state = state if state is not None else TrainState(rng)
+    state.rng, state.epoch, state.margins0 = rng, start_epoch, margins0
+    state.phase, state.adam = 2 if use_rc_loss else 1, None  # each phase starts from zero Adam moments
     arena = model.arena
-    state = None
 
-    for e in range(epochs):
-        epoch = start_epoch + e
-        margins = schedule_margins(margins0, e) if use_rc_loss else None
-        order = rng.permutation(len(subjects))
+    for _ in range(epochs):
+        margins = schedule_margins(state.margins0, state.epoch - start_epoch) if use_rc_loss else None
+        order = state.rng.permutation(len(subjects))
         sums = {"l_r": 0.0, "l_c": 0.0, "l_rc": 0.0}
         n_batches = n_pair_batches = 0
         for batch in _make_batches(order, batch_size):
             if ensemble_sampling:
-                segment = rng.integers(0, SEGMENTS_PER_SUBJECT, size=batch.size)
+                segment = state.rng.integers(0, SEGMENTS_PER_SUBJECT, size=batch.size)
             else:
                 segment = np.zeros(batch.size, dtype=int)
             preds = model.forward(
@@ -132,12 +149,12 @@ def train_phase(
 
             model.zero_grad()
             backward(loss)
-            state = adam_step(arena.data, arena.grad, state, opt.lr, opt.beta1, opt.beta2, opt.eps)
+            state.adam = adam_step(arena.data, arena.grad, state.adam, opt.lr, opt.beta1, opt.beta2, opt.eps)
             preds = loss = batch_loss = None  # drop this step's graph before the next forward
             n_batches += 1
 
         stats = EpochStats(
-            epoch=epoch,
+            epoch=state.epoch,
             l_r=sums["l_r"] / n_batches,
             l_c=sums["l_c"] / n_pair_batches if n_pair_batches else None,
             l_rc=sums["l_rc"] / n_batches if use_rc_loss else None,
@@ -145,14 +162,12 @@ def train_phase(
             beta=margins.beta if margins is not None else None,
         )
         if not all(np.isfinite(x) for x in (stats.l_r, stats.l_c, stats.l_rc) if x is not None):
-            raise NaNLossError(f"non-finite loss at epoch {epoch}")
-        log.rows.append(stats)
-
-        if checkpoint_path is not None:
-            save_model(checkpoint_path, model)
-        if val_hook is not None:
-            val_hook(epoch, model)
-    return log
+            raise NaNLossError(f"non-finite loss at epoch {state.epoch}")
+        state.rows.append(stats)
+        state.epoch += 1
+        if on_epoch_end is not None:
+            on_epoch_end(model, state)
+    return state
 
 
 def margin_init_set(subjects: list[TrainSubject]) -> list[tuple[list[np.ndarray], np.ndarray]]:
@@ -168,13 +183,12 @@ def train_two_phase(
     seed: int,
     opt: OptimizerConfig = OptimizerConfig(),
     phase2_opt: OptimizerConfig | None = None,
-    checkpoint_path: str | Path | None = None,
-    phase1_checkpoint_path: str | Path | None = None,
-    val_hook=None,
-) -> tuple[TrainLog, Margins | None]:
+    on_epoch_end: EpochEnd | None = None,
+) -> TrainState:
     """Full protocol: reconstruction-only warmup, margin initialization from
     the converged model, then margin-scheduled fine-tuning (optionally with
-    its own optimizer settings).
+    its own optimizer settings).  Returns the final state, which carries the
+    initial margins when phase 2 ran.
 
     Raises ``BatchTooSmall`` before any training when phase 2 is enabled with
     fewer than 2 subjects, which its contrastive term needs.
@@ -183,52 +197,31 @@ def train_two_phase(
         raise BatchTooSmall(
             f"phase 2 needs at least 2 training subjects for its contrastive term, got {len(subjects)}"
         )
-    log = TrainLog()
-    rng1 = np.random.default_rng([seed, 1])
-    train_phase(
-        model,
-        subjects,
-        epochs=phase1_epochs,
-        batch_size=batch_size,
-        rng=rng1,
-        opt=opt,
-        use_rc_loss=False,
-        start_epoch=0,
-        log=log,
-        checkpoint_path=phase1_checkpoint_path or checkpoint_path,
-        val_hook=val_hook,
+    state = train_phase(
+        model, subjects, phase1_epochs, batch_size, rng=np.random.default_rng([seed, 1]), opt=opt,
+        use_rc_loss=False, on_epoch_end=on_epoch_end,
     )
-    margins0: Margins | None = None
     if phase2_epochs > 0:
         margins0 = init_margins(model, margin_init_set(subjects))
-        rng2 = np.random.default_rng([seed, 2])
-        train_phase(
-            model,
-            subjects,
-            epochs=phase2_epochs,
-            batch_size=batch_size,
-            rng=rng2,
-            opt=phase2_opt if phase2_opt is not None else opt,
-            use_rc_loss=True,
-            margins0=margins0,
-            start_epoch=phase1_epochs,
-            log=log,
-            checkpoint_path=checkpoint_path,
-            val_hook=val_hook,
+        state = train_phase(
+            model, subjects, phase2_epochs, batch_size, rng=np.random.default_rng([seed, 2]),
+            opt=phase2_opt if phase2_opt is not None else opt, use_rc_loss=True, margins0=margins0,
+            start_epoch=state.epoch, on_epoch_end=on_epoch_end, state=state,
         )
-    return log, margins0
+    return state
 
 
 def validation_hook(val_subjects: list[TrainSubject], out_path: str | Path):
     """Early-warning monitoring on held-out training subjects; no early
-    stopping, just a CSV of per-epoch reconstruction loss."""
+    stopping, just a CSV of per-epoch reconstruction loss, written by the
+    ``on_epoch_end`` callback this returns."""
     rows: list[tuple[int, float]] = []
     path = Path(out_path)
 
-    def hook(epoch: int, model: BrainSurfCNN) -> None:
+    def hook(model: BrainSurfCNN, state: TrainState) -> None:
         preds = model.predict(np.stack([s.samples[0] for s in val_subjects]))
         targets = np.stack([s.target for s in val_subjects])
-        rows.append((epoch, rc_loss(preds, targets, None).l_r.item()))
+        rows.append((state.rows[-1].epoch, rc_loss(preds, targets, None).l_r.item()))
         write_csv(path, ["epoch", "val_l_r"], rows)
 
     return hook

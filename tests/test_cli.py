@@ -6,8 +6,11 @@ import pytest
 
 from brainsurf import autodiff as ad
 from brainsurf import cli, evaluate
-from brainsurf.fileio import read_tensor
+from brainsurf.connectome import ZeroVariance
+from brainsurf.fileio import ConfigError, CorruptFile, read_tensor
 from brainsurf.model import load_model
+from brainsurf.rcloss import BatchTooSmall
+from brainsurf.training import NaNLossError
 
 TINY_CONFIG = {
     "seed": 5,
@@ -291,6 +294,18 @@ class TestTrain:
         assert err.startswith("config error:") and "leaky_slope" in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    def test_default_model_too_deep_for_the_mesh_exit_2(self, tmp_path, capsys):
+        # No model section: the default encoder pools twice, below level 0
+        # on a level-1 mesh.  The cohort is valid; the model is not.
+        cfg = write_config(tmp_path, model=None)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "encoder depth" in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("case", [
         (None, "phase1_epochs", 1.5),
         (None, "batch_size", 2.5),
@@ -323,6 +338,20 @@ class TestTrain:
         cfg = write_config(tmp_path, optimizer={"lr": 1e120}, phase1_epochs=4, phase2_epochs=0)
         rc = cli.main(["train", "--data", str(tiny_run / "data"), "--config", str(cfg), "--out", str(tmp_path / "r3")])
         assert rc == 3
+
+    def test_nan_in_phase2_keeps_the_phase1_checkpoint(self, tmp_path, tiny_run, capsys):
+        data = str(tiny_run / "data")
+        cfg = write_config(tmp_path, phase1_epochs=2, phase2_epochs=0)
+        assert cli.main(["train", "--data", data, "--config", str(cfg), "--out", str(tmp_path / "warm")]) == 0
+        cfg = write_config(tmp_path, phase1_epochs=2, phase2_epochs=3, phase2_lr=1e120)
+        capsys.readouterr()
+        assert cli.main(["train", "--data", data, "--config", str(cfg), "--out", str(tmp_path / "r3")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.endswith("(last good checkpoint retained)\n")
+        run = tmp_path / "r3"
+        assert (run / "checkpoint_phase1.bin").read_bytes() == (tmp_path / "warm" / "checkpoint_phase1.bin").read_bytes()
+        for name in ("checkpoint_last.bin", "checkpoint_final.bin", "training_log.csv"):
+            assert not (run / name).exists(), name
 
     def test_partial_model_section_takes_the_run_seed(self, tmp_path, tiny_run):
         # The section gives only widths: channels and level come from the
@@ -878,3 +907,34 @@ class TestGradcheck:
         rc = cli.main(["gradcheck", "--coords", "40"])
         assert rc == 1
         assert "worst coordinate" in capsys.readouterr().out
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code, err", [
+        (ConfigError("x"), 2, "config error: x\n"),
+        (BatchTooSmall("x"), 2, "config error: x\n"),
+        (FileNotFoundError("x"), 2, "missing input: x\n"),
+        (FileExistsError("x"), 2, "bad path: x\n"),
+        (NotADirectoryError("x"), 2, "bad path: x\n"),
+        (IsADirectoryError("x"), 2, "bad path: x\n"),
+        (CorruptFile("x"), 2, "corrupt input: x\n"),
+        (ZeroVariance("x"), 2, "invalid input: x\n"),
+        (NaNLossError("x"), 3, "numeric failure: x (last good checkpoint retained)\n"),
+        (cli.MissingSubjects("x"), 4, "x\n"),
+        (evaluate.SubjectMismatch("x"), 5, "x\n"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_failure_maps_to_code_and_one_stderr_line(self, monkeypatch, capsys, exc, code, err):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", failing)
+        assert cli.main(["gradcheck"]) == code
+        assert capsys.readouterr().err == err
+
+    def test_unlisted_exception_propagates(self, monkeypatch):
+        def failing(args):
+            raise RuntimeError("x")
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", failing)
+        with pytest.raises(RuntimeError):
+            cli.main(["gradcheck"])

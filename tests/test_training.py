@@ -6,7 +6,7 @@ import pytest
 
 from brainsurf.connectome import GeneratorConfig, generate_cohort, split_runs
 from brainsurf.icosphere import build_hierarchy
-from brainsurf.model import ModelConfig, build_model, load_model
+from brainsurf.model import ModelConfig, build_model, load_model, save_model
 from brainsurf.rcloss import BatchTooSmall, Margins, rc_loss
 from brainsurf.training import (
     NaNLossError,
@@ -194,7 +194,7 @@ class TestTrainPhase:
         train_phase(
             model, subjects, epochs=2, batch_size=2,
             rng=np.random.default_rng(1), opt=OptimizerConfig(), use_rc_loss=False,
-            checkpoint_path=ckpt,
+            on_epoch_end=lambda model, state: save_model(ckpt, model),
         )
         good = {k: v.copy() for k, v in model.param_arrays().items()}
         # An absurd learning rate overflows the activations within one epoch;
@@ -203,7 +203,7 @@ class TestTrainPhase:
             train_phase(
                 model, subjects, epochs=5, batch_size=2,
                 rng=np.random.default_rng(2), opt=OptimizerConfig(lr=1e120),
-                use_rc_loss=False, start_epoch=2, checkpoint_path=ckpt,
+                use_rc_loss=False, start_epoch=2, on_epoch_end=lambda model, state: save_model(ckpt, model),
             )
         arrays = load_model(ckpt).param_arrays()
         for name in good:
@@ -257,12 +257,13 @@ class TestTrainPhaseMemory:
 class TestTwoPhase:
     def test_margin_columns_and_schedule(self, hierarchy):
         model = build_model(TINY_MODEL, hierarchy)
-        log, margins0 = train_two_phase(
+        state = train_two_phase(
             model, tiny_subjects(), phase1_epochs=3, phase2_epochs=45,
             batch_size=2, seed=5,
         )
+        margins0 = state.margins0
         assert margins0 is not None
-        rows = log.rows
+        rows = state.rows
         assert len(rows) == 48
         # Phase 1 rows carry no margins; phase 2 margins follow the halving /
         # doubling schedule in global epoch numbering.
@@ -271,6 +272,29 @@ class TestTwoPhase:
         assert rows[3 + 20].alpha == margins0.alpha / 2
         assert rows[3 + 20].beta == margins0.beta * 2
         assert rows[3 + 40].alpha == margins0.alpha / 4
+
+    def test_epoch_end_sees_one_state_per_epoch(self, hierarchy):
+        # 4 subjects at batch size 2 make 2 batches, so 2 Adam steps, per
+        # epoch; each phase starts a new Adam state from zero moments.
+        seen = []
+
+        def record(model, state):
+            seen.append({
+                "epoch": state.rows[-1].epoch, "next": state.epoch, "rows": len(state.rows),
+                "phase": state.phase, "step": state.adam.step, "margins0": state.margins0,
+            })
+
+        p1, p2 = 3, 2
+        final = train_two_phase(
+            build_model(TINY_MODEL, hierarchy), tiny_subjects(), phase1_epochs=p1, phase2_epochs=p2,
+            batch_size=2, seed=4, on_epoch_end=record,
+        )
+        assert [r["epoch"] for r in seen] == list(range(p1 + p2))
+        assert [r["phase"] for r in seen] == [1] * p1 + [2] * p2
+        assert all(r["rows"] == r["next"] == r["epoch"] + 1 for r in seen)
+        assert [r["step"] for r in seen] == [2, 4, 6] + [2, 4]
+        assert [r["margins0"] for r in seen] == [None] * p1 + [final.margins0] * p2
+        assert final.margins0 is not None and final.epoch == len(final.rows) == p1 + p2
 
     def test_phase2_disabled_equals_phase1_model(self, hierarchy):
         def run(phase2):
@@ -292,8 +316,7 @@ class TestTwoPhase:
         with pytest.raises(BatchTooSmall):
             train_two_phase(
                 model, tiny_subjects(2)[:1], phase1_epochs=2, phase2_epochs=2, batch_size=2,
-                seed=0, checkpoint_path=tmp_path / "last.bin",
-                phase1_checkpoint_path=tmp_path / "phase1.bin",
+                seed=0, on_epoch_end=lambda model, state: save_model(tmp_path / "last.bin", model),
             )
         assert list(tmp_path.iterdir()) == []
         for name, value in model.param_arrays().items():
@@ -301,11 +324,11 @@ class TestTwoPhase:
 
     def test_log_csv_columns(self, hierarchy, tmp_path):
         model = build_model(TINY_MODEL, hierarchy)
-        log, _ = train_two_phase(
+        state = train_two_phase(
             model, tiny_subjects(), phase1_epochs=2, phase2_epochs=2, batch_size=2, seed=3
         )
         path = tmp_path / "log.csv"
-        log.write_csv(path)
+        state.write_csv(path)
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta"]
@@ -319,7 +342,7 @@ class TestTwoPhase:
         train_phase(
             model, subjects[:4], epochs=3, batch_size=2,
             rng=np.random.default_rng(2), opt=OptimizerConfig(), use_rc_loss=False,
-            val_hook=hook,
+            on_epoch_end=hook,
         )
         with open(tmp_path / "val.csv") as f:
             rows = list(csv.reader(f))
