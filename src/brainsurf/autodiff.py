@@ -162,19 +162,6 @@ def _record_hinge(pre: np.ndarray) -> None:
         _hinge_trace.append(pre.copy())
 
 
-def leaky_relu(x, slope: float = 0.1) -> Tensor:
-    """max(x, slope*x): for finite x and a slope in [0, 1], x where x > 0 and
-    slope*x elsewhere, signed zeros included."""
-    x = _as_tensor(x)
-    _record_hinge(x.data)
-
-    def grads(g: np.ndarray) -> tuple[np.ndarray]:
-        # The byte mask picks slope or 1 per entry: g * where(x > 0, 1, slope).
-        return (g * np.array([slope, 1.0]).take((x.data > 0.0).view(np.uint8)),)
-
-    return _op(np.maximum(x.data, slope * x.data), (x,), grads)
-
-
 def transpose(x, axes: Sequence[int], shape: tuple[int, ...] | None = None) -> Tensor:
     """Permute the axes of x into a fresh C-contiguous array, then view it in
     ``shape`` when given (a view: the permuted buffer is not copied again)."""

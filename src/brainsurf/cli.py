@@ -210,13 +210,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _train_subjects(dataset: Dataset, ids: list[str]) -> list[TrainSubject]:
-    return [
-        TrainSubject(subject_id=sid, samples=dataset.samples(sid), target=dataset.target(sid))
-        for sid in ids
-    ]
-
-
 def _split_validation(train_ids: list[str], val_fraction: float) -> tuple[list[str], list[str]]:
     n_val = int(len(train_ids) * val_fraction)
     if n_val == 0:
@@ -248,15 +241,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_cfg = cfg.resolved_model()
     _check_model_fits(model_cfg, dataset.generator, "dataset")
 
-    # Built before --out exists: a model config the mesh cannot hold exits 2 with nothing written.
+    # Built before --out exists: a model config the mesh cannot hold, or a
+    # corrupt input file, exits 2 with nothing written.
     model = build_model(model_cfg, build_hierarchy(model_cfg.mesh_level))
+    fit_ids, val_ids = _split_validation(dataset.train_ids, cfg.val_fraction)
+    # Each sample is read when it is used, so train holds one batch of them,
+    # not the cohort; sample_files checks every file it will read now.
+    subjects = [TrainSubject(sid, dataset.sample_files(sid), dataset.target(sid)) for sid in fit_ids]
+    # The validation hook predicts from each held-out subject's first sample only.
+    val_subjects = [TrainSubject(sid, dataset.sample_files(sid, 1), dataset.target(sid)) for sid in val_ids]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fit_ids, val_ids = _split_validation(dataset.train_ids, cfg.val_fraction)
-    subjects = _train_subjects(dataset, fit_ids)
-    # The validation hook predicts from each held-out subject's first sample only.
-    val_subjects = [TrainSubject(sid, [dataset.sample(sid, 0)], dataset.target(sid)) for sid in val_ids]
     hook = validation_hook(val_subjects, out / "val_log.csv") if val_subjects else None
 
     def on_epoch_end(model: BrainSurfCNN, state: TrainState) -> None:

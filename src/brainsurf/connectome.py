@@ -15,14 +15,22 @@ function of (config, seed).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fileio import ConfigError, CorruptFile, JsonConfig, is_plain_file_name, read_tensor, write_tensor
+from .fileio import (
+    ConfigError,
+    CorruptFile,
+    JsonConfig,
+    is_plain_file_name,
+    read_tensor,
+    tensor_shape,
+    write_tensor,
+)
 from .icosphere import closed_ring_mean, icosphere, n_vertices_at_level
 
 SEGMENTS_PER_SUBJECT = 8  # 4 runs x 2 halves
@@ -326,14 +334,17 @@ class Dataset:
     def _subject_dir(self, subject_id: str) -> Path:
         return self.root / "subjects" / subject_id
 
-    def _read(self, subject_id: str, name: str, channels: int) -> np.ndarray:
+    def _check_shape(self, path: Path, shape: tuple[int, ...], channels: int) -> None:
         # CorruptFile unless the file holds the [channels, V] array the
         # generator in cohort.json says it does.
+        expected = (channels, self.generator.n_vertices)
+        if shape != expected:
+            raise CorruptFile(f"{path}: shape {list(shape)}, cohort.json expects {list(expected)}")
+
+    def _read(self, subject_id: str, name: str, channels: int) -> np.ndarray:
         path = self._subject_dir(subject_id) / name
         arr = read_tensor(path)
-        expected = (channels, self.generator.n_vertices)
-        if arr.shape != expected:
-            raise CorruptFile(f"{path}: shape {list(arr.shape)}, cohort.json expects {list(expected)}")
+        self._check_shape(path, arr.shape, channels)
         return arr
 
     def sample(self, subject_id: str, index: int) -> np.ndarray:
@@ -342,11 +353,38 @@ class Dataset:
     def samples(self, subject_id: str) -> list[np.ndarray]:
         return [self.sample(subject_id, i) for i in range(SEGMENTS_PER_SUBJECT)]
 
+    def sample_files(self, subject_id: str, count: int = SEGMENTS_PER_SUBJECT) -> "SampleFiles":
+        """The subject's first ``count`` samples as a sequence that reads one
+        from its file on each access and keeps none.  Every file is checked
+        now, from its header and length alone: it raises what ``sample``
+        would raise for it."""
+        for i in range(count):
+            path = self._subject_dir(subject_id) / f"sample_{i}.bin"
+            self._check_shape(path, tensor_shape(path), 2 * self.generator.n_rois)
+        return SampleFiles(self, subject_id, count)
+
     def target(self, subject_id: str) -> np.ndarray:
         return self._read(subject_id, "target.bin", self.generator.n_contrasts)
 
     def retest(self, subject_id: str) -> np.ndarray:
         return self._read(subject_id, "retest.bin", self.generator.n_contrasts)
+
+
+@dataclass(frozen=True)
+class SampleFiles(Sequence[np.ndarray]):
+    """``Dataset.sample_files``: item k is ``dataset.sample(subject_id, k)``,
+    read anew on each access, so that the page cache, not the process,
+    holds a subject's samples between uses."""
+
+    dataset: Dataset
+    subject_id: str
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        return self.dataset.sample(self.subject_id, range(self.count)[index])
 
 
 def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: int, n_test: int) -> None:

@@ -57,23 +57,31 @@ def _write_framed(path: str | Path, header: dict, blobs: Iterable[bytes]) -> Non
         raise
 
 
+def _read_header(f, path: str | Path, n_values: Callable[[dict], int]) -> tuple[dict, int]:
+    """The header of the framed file open as ``f`` and the byte length of its
+    payload, which must be ``8 * n_values(header)``; ``f`` is left at the
+    start of the payload."""
+    line = f.readline()
+    try:
+        if not line.endswith(b"\n"):
+            raise ValueError("header line is not terminated")
+        header = json.loads(line.decode("ascii"))
+        expected = 8 * n_values(header)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CorruptFile(f"{path}: malformed header: {exc}") from exc
+    # The length is checked before any array is made, so that a corrupt
+    # header cannot ask for more memory than the file holds.
+    held = os.fstat(f.fileno()).st_size - len(line)
+    if held != expected:
+        raise CorruptFile(f"{path}: payload holds {held} bytes, header promises {expected}")
+    return header, expected
+
+
 def _read_framed(path: str | Path, n_values: Callable[[dict], int]) -> tuple[dict, np.ndarray]:
     """The header and the float64 payload of a framed file, which must hold
     exactly ``n_values(header)`` values."""
     with open(path, "rb") as f:
-        line = f.readline()
-        try:
-            if not line.endswith(b"\n"):
-                raise ValueError("header line is not terminated")
-            header = json.loads(line.decode("ascii"))
-            expected = 8 * n_values(header)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise CorruptFile(f"{path}: malformed header: {exc}") from exc
-        # The length is checked before the array is made, so that a corrupt
-        # header cannot ask for more memory than the file holds.
-        held = os.fstat(f.fileno()).st_size - len(line)
-        if held != expected:
-            raise CorruptFile(f"{path}: payload holds {held} bytes, header promises {expected}")
+        header, expected = _read_header(f, path, n_values)
         values = np.empty(expected // 8, dtype="<f8")
         held = f.readinto(values)
         if held != expected:  # the file shrank after the fstat
@@ -92,9 +100,21 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     _write_framed(path, {"shape": list(arr.shape), "dtype": "<f8"}, [arr.tobytes()])
 
 
+def _tensor_values(header: dict) -> int:
+    return _size(header["shape"])
+
+
 def read_tensor(path: str | Path) -> np.ndarray:
-    header, values = _read_framed(path, lambda h: _size(h["shape"]))
+    header, values = _read_framed(path, _tensor_values)
     return values.reshape(tuple(header["shape"]))
+
+
+def tensor_shape(path: str | Path) -> tuple[int, ...]:
+    """The shape of the tensor ``read_tensor`` would return, after the same
+    header and length checks, without reading the payload."""
+    with open(path, "rb") as f:
+        header, _ = _read_header(f, path, _tensor_values)
+    return tuple(header["shape"])
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:

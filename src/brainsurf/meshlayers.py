@@ -5,7 +5,9 @@ gradient, north gradient, Laplacian) with learned per-channel-pair weights:
 
     y[o] = sum_i sum_op w[o, i, op] * (op @ x[i]) + bias[o]
 
-Pooling and unpooling are the fixed linear maps carried by a PoolMap.
+optionally followed, in the same graph node, by the leaky ReLU
+max(y, slope*y).  Pooling and unpooling are the fixed linear maps carried
+by a PoolMap.
 
 Layers work on vertex-major batches [V, B, C] (C-contiguous), so every sparse
 operator applies to x viewed as [V, B*C] without a transpose or a copy.  They
@@ -77,19 +79,24 @@ def from_vertex_major(x: Tensor, single: bool) -> Tensor:
 def _vertex_major(layer_fn):
     # Lets a layer written for [V, B, C] batches also take one [C, V] subject.
     @functools.wraps(layer_fn)
-    def apply(op, x) -> Tensor:
+    def apply(op, x, *args, **kwargs) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.data.ndim != 2:
-            return layer_fn(op, x)
-        return from_vertex_major(layer_fn(op, to_vertex_major(x)), single=True)
+            return layer_fn(op, x, *args, **kwargs)
+        return from_vertex_major(layer_fn(op, to_vertex_major(x), *args, **kwargs), single=True)
 
     return apply
 
 
 @_vertex_major
-def mesh_conv(layer: MeshConvLayer, x) -> Tensor:
+def mesh_conv(layer: MeshConvLayer, x, slope: float | None = None) -> Tensor:
     """One graph node: contract the weights first, z_k = x W_k, then apply
-    the horizontally stacked operator once, y = [I | grad_ew | grad_ns | L] z."""
+    the horizontally stacked operator once, y = [I | grad_ew | grad_ns | L] z,
+    and add the bias.  With a ``slope`` in [0, 1], y becomes max(y, slope*y)
+    in place: for finite y, y where y > 0 and slope*y elsewhere, signed zeros
+    included.  The pre-activation is not kept: y > 0 after the activation
+    exactly where it was before, so the backward takes its mask from the
+    output."""
     ops = layer.operators
     n_vertices = ops.identity.shape[0]
     if x.data.ndim != 3 or x.data.shape[0] != n_vertices or x.data.shape[2] != layer.in_channels:
@@ -106,8 +113,14 @@ def mesh_conv(layer: MeshConvLayer, x) -> Tensor:
     y = ops.conv @ z.reshape(N_OPERATORS * n_vertices, batch * c_out)
     y = y.reshape(n_vertices, batch, c_out)
     y += b.data
+    if slope is not None:
+        ad._record_hinge(y)
+        np.maximum(y, slope * y, out=y)
 
     def grads(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        if slope is not None:
+            # The byte mask picks slope or 1 per entry: g * where(y > 0, 1, slope).
+            g = g * np.array([slope, 1.0]).take((y > 0.0).view(np.uint8))
         dz = ops.conv_t @ g.reshape(n_vertices, batch * c_out)
         dz = dz.reshape(N_OPERATORS, n_vertices * batch, c_out)
         dx = None  # the input layer's x needs none: skip the largest product

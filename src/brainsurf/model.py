@@ -41,7 +41,7 @@ class ModelConfig(JsonConfig):
     mesh_level: int = 2
     encoder_widths: tuple[int, ...] = (32, 64)
     bottleneck_width: int = 128
-    leaky_slope: float = 0.1  # in [0, 1]: leaky_relu computes max(x, slope*x)
+    leaky_slope: float = 0.1  # in [0, 1]: each hidden conv ends in max(y, slope*y)
     seed: int = 0
 
     def validate(self) -> None:
@@ -110,21 +110,21 @@ class BrainSurfCNN:
         skips = []
         h = ml.to_vertex_major(x)
         for depth, (conv_a, conv_b) in enumerate(self.encoder):
-            h = ad.leaky_relu(ml.mesh_conv(conv_a, h), slope)
-            h = ad.leaky_relu(ml.mesh_conv(conv_b, h), slope)
+            h = ml.mesh_conv(conv_a, h, slope)
+            h = ml.mesh_conv(conv_b, h, slope)
             skips.append(h)
             h = ml.mesh_pool(self.hierarchy.pool_map(cfg.mesh_level - depth), h)
 
-        h = ad.leaky_relu(ml.mesh_conv(self.bottleneck[0], h), slope)
-        h = ad.leaky_relu(ml.mesh_conv(self.bottleneck[1], h), slope)
+        h = ml.mesh_conv(self.bottleneck[0], h, slope)
+        h = ml.mesh_conv(self.bottleneck[1], h, slope)
 
         for depth in reversed(range(len(self.encoder))):
             fine_level = cfg.mesh_level - depth
             h = ml.mesh_unpool(self.hierarchy.pool_map(fine_level), h)
             h = ad.concat_channels([skips[depth], h])
             conv_a, conv_b = self.decoder[depth]
-            h = ad.leaky_relu(ml.mesh_conv(conv_a, h), slope)
-            h = ad.leaky_relu(ml.mesh_conv(conv_b, h), slope)
+            h = ml.mesh_conv(conv_a, h, slope)
+            h = ml.mesh_conv(conv_b, h, slope)
 
         out = ml.mesh_conv(self.output_layer, h)  # linear: contrasts are signed
         return ml.from_vertex_major(out, single=x.data.ndim == 2)

@@ -11,7 +11,7 @@ its config.  Per-epoch side effects (checkpoints, validation) are one
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
@@ -49,7 +49,7 @@ class OptimizerConfig(JsonConfig):
 @dataclass
 class TrainSubject:
     subject_id: str
-    samples: list[np.ndarray]  # connectome variants, [2M, V] each
+    samples: Sequence[np.ndarray]  # connectome variants, [2M, V] each, read on each access
     target: np.ndarray  # [K, V]
 
 
@@ -170,7 +170,7 @@ def train_phase(
     return state
 
 
-def margin_init_set(subjects: list[TrainSubject]) -> list[tuple[list[np.ndarray], np.ndarray]]:
+def margin_init_set(subjects: list[TrainSubject]) -> list[tuple[Sequence[np.ndarray], np.ndarray]]:
     return [(s.samples, s.target) for s in subjects]
 
 
@@ -197,17 +197,20 @@ def train_two_phase(
         raise BatchTooSmall(
             f"phase 2 needs at least 2 training subjects for its contrastive term, got {len(subjects)}"
         )
-    state = train_phase(
-        model, subjects, phase1_epochs, batch_size, rng=np.random.default_rng([seed, 1]), opt=opt,
-        use_rc_loss=False, on_epoch_end=on_epoch_end,
-    )
-    if phase2_epochs > 0:
-        margins0 = init_margins(model, margin_init_set(subjects))
+    # A step that overflows ends in a non-finite loss, which train_phase
+    # raises as NaNLossError: numpy's warnings would only precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
         state = train_phase(
-            model, subjects, phase2_epochs, batch_size, rng=np.random.default_rng([seed, 2]),
-            opt=phase2_opt if phase2_opt is not None else opt, use_rc_loss=True, margins0=margins0,
-            start_epoch=state.epoch, on_epoch_end=on_epoch_end, state=state,
+            model, subjects, phase1_epochs, batch_size, rng=np.random.default_rng([seed, 1]), opt=opt,
+            use_rc_loss=False, on_epoch_end=on_epoch_end,
         )
+        if phase2_epochs > 0:
+            margins0 = init_margins(model, margin_init_set(subjects))
+            state = train_phase(
+                model, subjects, phase2_epochs, batch_size, rng=np.random.default_rng([seed, 2]),
+                opt=phase2_opt if phase2_opt is not None else opt, use_rc_loss=True, margins0=margins0,
+                start_epoch=state.epoch, on_epoch_end=on_epoch_end, state=state,
+            )
     return state
 
 

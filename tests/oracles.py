@@ -18,6 +18,18 @@ def sum_of_squares(*parts: Tensor) -> Tensor:
     )
 
 
+def hinge(x: Tensor, slope: float = 0.1) -> Tensor:
+    """max(x, slope*x) as one graph node with gradient g * where(x > 0, 1,
+    slope), its input recorded as a hinge pre-activation for grad_check:
+    the tests' generic kink op."""
+    ad._record_hinge(x.data)
+    return ad._op(
+        np.maximum(x.data, slope * x.data),
+        (x,),
+        lambda g: (g * np.where(x.data > 0.0, 1.0, slope),),
+    )
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation of two 1-d series, clipped to [-1, 1]
     against rounding."""

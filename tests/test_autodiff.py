@@ -24,7 +24,7 @@ from brainsurf.fileio import load_checkpoint, save_checkpoint
 from brainsurf.icosphere import operators
 from brainsurf.meshlayers import init_conv_layer, mesh_conv
 from brainsurf.rcloss import Margins, rc_loss
-from oracles import sum_of_squares
+from oracles import hinge, sum_of_squares
 
 
 def trainable(arr):
@@ -68,9 +68,14 @@ class TestForwardOps:
             ad.concat_channels([a, Tensor(np.zeros((4, 3, 3)))])
 
     def test_leaky_relu_values(self):
-        x = Tensor(np.array([-2.0, 3.0]))
-        out = ad.leaky_relu(x, slope=0.1)
-        assert np.allclose(out.data, [-0.2, 3.0])
+        # A one-channel conv that passes its input through (identity weight,
+        # zero bias), then its activation: max(x, 0.1 x).
+        layer = init_conv_layer(np.random.default_rng(0), "c", 1, 1, operators(0))
+        layer.weights.tensor.data[...] = [[[1.0, 0.0, 0.0, 0.0]]]
+        x = np.zeros((1, 12))
+        x[0, :2] = [-2.0, 3.0]
+        out = mesh_conv(layer, x, slope=0.1)
+        assert np.allclose(out.data[0, :2], [-0.2, 3.0])
 
 
 class TestBackward:
@@ -93,18 +98,18 @@ class TestBackward:
     def test_non_scalar_root(self):
         x = trainable([1.0, 2.0])
         with pytest.raises(NonScalarRoot):
-            backward(ad.leaky_relu(x))
+            backward(hinge(x))
 
     def test_grad_accumulates_across_uses(self):
         x = trainable([[1.0], [-2.0]])
         s = sp.csr_matrix(3.0 * np.eye(2))
-        backward(sum_of_squares(ad.leaky_relu(x, 0.5), ad.sparse_matmul(s, x)))
+        backward(sum_of_squares(hinge(x, 0.5), ad.sparse_matmul(s, x)))
         assert np.array_equal(x.grad, np.where(x.data > 0.0, 2.0, 0.5) * x.data + 18.0 * x.data)
 
     def test_no_grad_blocks_graph(self):
         x = trainable([1.0, 2.0])
         with ad.no_grad():
-            y = sum_of_squares(ad.leaky_relu(x))
+            y = sum_of_squares(hinge(x))
         assert not y.requires_grad
         assert y._backward_fn is None
 
@@ -119,7 +124,7 @@ def build_chain(x, w, ops, slope):
     h = x
     for op in ops:
         if op == "leaky":
-            h = ad.leaky_relu(h, slope)
+            h = hinge(h, slope)
         elif op == "scale":
             h = ad.sparse_matmul(sp.csr_matrix(-0.7 * np.eye(5)), h)
         elif op == "add_leaf":
@@ -195,19 +200,27 @@ class TestBackwardReleases:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        x=hnp.arrays(np.float64, st.integers(1, 20), elements=finite_floats | st.sampled_from([0.0, -0.0])),
+        x=hnp.arrays(np.float64, (12, 2, 3), elements=finite_floats | st.sampled_from([0.0, -0.0])),
+        bias=hnp.arrays(np.float64, 2, elements=finite_floats | st.sampled_from([0.0, -0.0])),
+        seed=st.integers(0, 2**32 - 1),
         slope=st.floats(0.0, 1.0),
     )
-    def test_leaky_relu_matches_where_form_bitwise(self, x, slope):
-        # The forward max(x, slope*x) and the byte mask in the backward give
-        # the bits of where(x > 0, x, slope*x) and of g * where(x > 0, 1, slope),
+    def test_leaky_relu_matches_where_form_bitwise(self, x, bias, seed, slope):
+        # mesh_conv's activation, max(y, slope*y) in place, gives the bits of
+        # where(y > 0, y, slope*y) on the linear conv's y, and its backward
+        # those of the linear conv's backward of g * where(y > 0, 1, slope),
         # signed zeros included, for every slope in [0, 1].
-        t = trainable(x.copy())
-        out = ad.leaky_relu(t, slope)
-        assert out.data.tobytes() == np.where(x > 0.0, x, slope * x).tobytes()
-        g = np.random.default_rng(0).standard_normal(x.shape)
-        (dx,) = out._backward_fn(g)
-        assert dx.tobytes() == (g * np.where(x > 0.0, 1.0, slope)).tobytes()
+        layer = init_conv_layer(np.random.default_rng(seed), "c", 3, 2, operators(0))
+        layer.bias.tensor.data[...] = bias
+        t = trainable(x)
+        y = mesh_conv(layer, t)
+        out = mesh_conv(layer, t, slope)
+        assert out.data.tobytes() == np.where(y.data > 0.0, y.data, slope * y.data).tobytes()
+        g = np.random.default_rng(seed).standard_normal(y.data.shape)
+        fused = out._backward_fn(g)
+        linear = y._backward_fn(g * np.where(y.data > 0.0, 1.0, slope))
+        for a, b in zip(fused, linear, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestGradientFunctions:
@@ -225,7 +238,7 @@ class TestGradientFunctions:
         rng = np.random.default_rng(seed)
         x, w = trainable(rng.standard_normal((5, 3))), trainable(rng.standard_normal((5, 3)))
         h = build_chain(x, w, ops, slope)
-        wide = ad.concat_channels([h, w, Tensor(np.ones((5, 2))), ad.leaky_relu(h, slope)])
+        wide = ad.concat_channels([h, w, Tensor(np.ones((5, 2))), hinge(h, slope)])
         layer = init_conv_layer(rng, "c", 3, 2, operators(0))
         conv_in = Tensor(rng.standard_normal((12, 2, 3)), requires_grad=conv_input_needs_grad)
         targets = rng.standard_normal((2, 5, 3))
@@ -330,7 +343,7 @@ class TestGraphBoundary:
 class TestGradCheck:
     def test_sum_of_squares(self):
         x = Param("x", trainable([0.3, -1.2, 2.0]))
-        err = grad_check(lambda: sum_of_squares(ad.leaky_relu(x.tensor, 0.3)), [x])
+        err = grad_check(lambda: sum_of_squares(hinge(x.tensor, 0.3)), [x])
         assert err < 1e-8
 
     def test_linear_layer(self):
@@ -371,7 +384,7 @@ class TestGradCheck:
         w = Param("w", trainable(rng.standard_normal(500)))
 
         def f():
-            return sum_of_squares(ad.leaky_relu(w.tensor))
+            return sum_of_squares(hinge(w.tensor))
 
         e1 = grad_check(f, [w], max_coords=50, seed=9)
         e2 = grad_check(f, [w], max_coords=50, seed=9)

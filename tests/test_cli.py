@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from brainsurf import autodiff as ad
-from brainsurf import cli, evaluate
+from brainsurf import cli, evaluate, meshlayers
 from brainsurf.connectome import ZeroVariance
 from brainsurf.fileio import ConfigError, CorruptFile, read_tensor
 from brainsurf.model import load_model
@@ -352,6 +355,62 @@ class TestTrain:
         assert (run / "checkpoint_phase1.bin").read_bytes() == (tmp_path / "warm" / "checkpoint_phase1.bin").read_bytes()
         for name in ("checkpoint_last.bin", "checkpoint_final.bin", "training_log.csv"):
             assert not (run / name).exists(), name
+
+    def test_overflow_prints_only_the_one_line_message(self, tmp_path, tiny_run):
+        # The blown-up phase-2 weights overflow in the next forward; numpy's
+        # RuntimeWarning must not precede the exit-3 message.  pytest
+        # captures warnings, so only a separate process shows them.
+        cfg = write_config(tmp_path, phase1_epochs=2, phase2_epochs=3, phase2_lr=1e120)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "brainsurf.cli", "train", "--data", str(tiny_run / "data"),
+             "--config", str(cfg), "--out", str(tmp_path / "r3")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("numeric failure:") and done.stderr.count("\n") == 1, done.stderr
+
+    @pytest.mark.parametrize("corrupt", ["shape", "truncated"])
+    def test_bad_sample_exit_2_before_training(self, tmp_path, capsys, corrupt):
+        # sample_7.bin of the last fit subject is the last sample a per-use
+        # read would reach: train must reject it before phase 1.
+        from brainsurf.fileio import write_tensor
+
+        cfg = write_config(tmp_path)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        sample = tmp_path / "data" / "subjects" / "sub003" / "sample_7.bin"
+        if corrupt == "shape":
+            write_tensor(sample, np.ones((4, 40)))
+        else:
+            sample.write_bytes(sample.read_bytes()[:-8])
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and err.count("\n") == 1 and "sub003/sample_7.bin" in err
+        assert not (tmp_path / "run" / "checkpoint_phase1.bin").exists()
+
+    def test_memory_does_not_grow_with_the_cohort(self, tmp_path):
+        # Samples are read when a step uses them: 6 fit subjects peak within
+        # one subject's connectomes (8 x 40 x 162 float64, 415 kB) of 2.
+        gen = {"mesh_level": 2, "n_rois": 20, "t_per_run": 60, "smooth_steps": 3}
+
+        def traced_peak(n_subjects):
+            cfg = write_config(tmp_path, generator=gen, model={"encoder_widths": [6], "bottleneck_width": 12},
+                               n_train_subjects=n_subjects, n_test_subjects=1, val_fraction=0.0,
+                               phase1_epochs=1, phase2_epochs=1)
+            data = tmp_path / f"d{n_subjects}"
+            assert cli.main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+            tracemalloc.start()
+            try:
+                assert cli.main(["train", "--data", str(data), "--config", str(cfg),
+                                 "--out", str(tmp_path / f"r{n_subjects}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_subject = 8 * 2 * gen["n_rois"] * 162 * 8
+        assert traced_peak(6) - traced_peak(2) < one_subject
 
     def test_partial_model_section_takes_the_run_seed(self, tmp_path, tiny_run):
         # The section gives only widths: channels and level come from the
@@ -891,19 +950,20 @@ class TestGradcheck:
         assert "--seed" in capsys.readouterr().err
 
     def test_corrupted_backward_fails(self, monkeypatch, capsys):
-        # Negative control: a wrong negative-side slope in the backward pass
-        # must be caught by the finite-difference comparison.
-        original = ad.leaky_relu
+        # Negative control: a wrong negative-side slope (0.9 for 0.1) in the
+        # backward pass of each conv's activation must be caught by the
+        # finite-difference comparison.
+        original = meshlayers.mesh_conv
 
-        def corrupted(x, slope=0.1):
-            t = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
-            out = original(t, slope)
-            if out._backward_fn is not None:
-                scale = np.where(t.data > 0.0, 1.0, 0.9)
-                out._backward_fn = lambda g: (g * scale,)
+        def corrupted(layer, x, slope=None):
+            out = original(layer, x, slope)
+            if slope is not None and out._backward_fn is not None:
+                backward_fn = out._backward_fn
+                scale = np.where(out.data > 0.0, 1.0, 0.9 / slope)
+                out._backward_fn = lambda g: backward_fn(g * scale)
             return out
 
-        monkeypatch.setattr(ad, "leaky_relu", corrupted)
+        monkeypatch.setattr(meshlayers, "mesh_conv", corrupted)
         rc = cli.main(["gradcheck", "--coords", "40"])
         assert rc == 1
         assert "worst coordinate" in capsys.readouterr().out

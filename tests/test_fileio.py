@@ -18,6 +18,7 @@ from brainsurf.fileio import (
     load_checkpoint,
     read_tensor,
     save_checkpoint,
+    tensor_shape,
     write_csv,
     write_tensor,
 )
@@ -51,6 +52,7 @@ class TestFraming:
         path = tmp_path_factory.mktemp("t") / "f.bin"
         write_tensor(path, arr)
         assert bit_equal(read_tensor(path), arr)
+        assert tensor_shape(path) == arr.shape
 
     @PROPERTY
     @given(named=checkpoints, meta=metas)
@@ -71,6 +73,8 @@ class TestFraming:
         path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
         with pytest.raises(CorruptFile):
             read_tensor(path)
+        with pytest.raises(CorruptFile):
+            tensor_shape(path)
 
     @PROPERTY
     @given(named=checkpoints, meta=metas, data=st.data())
@@ -113,8 +117,9 @@ class TestFraming:
         # 2**40 values would be 8 TiB: the payload length is checked first.
         path = tmp_path / "h.bin"
         path.write_bytes(b'{"shape": [1099511627776], "dtype": "<f8"}\n' + bytes(8))
-        with pytest.raises(CorruptFile, match="payload holds 8 bytes, header promises 8796093022208"):
-            read_tensor(path)
+        for read in (read_tensor, tensor_shape):
+            with pytest.raises(CorruptFile, match="payload holds 8 bytes, header promises 8796093022208"):
+                read(path)
 
     def test_checkpoint_meta_must_be_an_object(self, tmp_path):
         path = tmp_path / "m.bin"

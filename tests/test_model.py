@@ -52,7 +52,7 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan"), float("inf")])
     def test_leaky_slope_outside_unit_interval_rejected(self, slope):
-        # leaky_relu computes max(x, slope*x), which is leaky only for a slope in [0, 1].
+        # mesh_conv's activation computes max(y, slope*y), which is leaky only for a slope in [0, 1].
         with pytest.raises(ConfigError, match="leaky_slope"):
             ModelConfig(leaky_slope=slope).validate()
 
