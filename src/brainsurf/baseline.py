@@ -9,6 +9,7 @@ stitching per-parcel outputs back into full maps.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,21 +101,29 @@ def fit_subject(
     return ParcelRegressor(coeffs=coeffs, labels=parcellation.labels.copy(), rank_warnings=rank_warnings)
 
 
-def average_regressors(per_subject: list[ParcelRegressor]) -> ParcelRegressor:
-    """Coordinate-wise mean per (parcel, contrast) across fitted regressors."""
-    if not per_subject:
-        raise EmptySet("average_regressors needs at least one regressor")
-    first = per_subject[0]
-    for reg in per_subject[1:]:
-        if not np.array_equal(reg.labels, first.labels):
+def average_regressors(regressors: Iterable[ParcelRegressor]) -> ParcelRegressor:
+    """Coordinate-wise mean per (parcel, contrast) across fitted regressors.
+
+    The coefficients are summed in input order, which gives the bits of
+    ``np.mean`` over their stack, so an iterable is held one regressor at a
+    time."""
+    total, labels, n, merged_warnings = None, None, 0, []
+    for reg in regressors:
+        if total is None:
+            total, labels = np.array(reg.coeffs, dtype=np.float64), reg.labels.copy()
+        elif not np.array_equal(reg.labels, labels):
             raise ValueError("regressors were fitted on different parcellations")
-        if reg.coeffs.shape != first.coeffs.shape:
-            raise ShapeMismatch(
-                f"regressor shapes differ: {reg.coeffs.shape} vs {first.coeffs.shape}"
-            )
-    mean = np.mean([reg.coeffs for reg in per_subject], axis=0)
-    merged_warnings = [w for reg in per_subject for w in reg.rank_warnings]
-    return ParcelRegressor(coeffs=mean, labels=first.labels.copy(), rank_warnings=merged_warnings)
+        elif reg.coeffs.shape != total.shape:
+            raise ShapeMismatch(f"regressor shapes differ: {reg.coeffs.shape} vs {total.shape}")
+        else:
+            total += reg.coeffs
+        n += 1
+        merged_warnings += reg.rank_warnings
+        del reg  # dropped before the iterable makes the next one
+    if total is None:
+        raise EmptySet("average_regressors needs at least one regressor")
+    total /= n
+    return ParcelRegressor(coeffs=total, labels=labels, rank_warnings=merged_warnings)
 
 
 def predict_baseline(

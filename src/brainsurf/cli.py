@@ -219,14 +219,15 @@ def _split_validation(train_ids: list[str], val_fraction: float) -> tuple[list[s
 
 def _fit_baseline(subjects: list[TrainSubject], cfg: RunConfig) -> ParcelRegressor:
     # One regressor per (parcel, contrast) per training sample: all 8
-    # connectome variants of every training subject participate.
+    # connectome variants of every training subject participate, fitted
+    # one at a time as average_regressors sums them.
     mesh = icosphere(cfg.generator.mesh_level)
     parcellation = farthest_point_parcellation(mesh, cfg.baseline_parcels, seed=cfg.seed)
-    return average_regressors([
+    return average_regressors(
         fit_subject(bank_averaged_features(sample), s.target, parcellation)
         for s in subjects
         for sample in s.samples
-    ])
+    )
 
 
 def _group_average(dataset: Dataset) -> np.ndarray:
@@ -388,7 +389,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     retest = np.stack([dataset.retest(sid) for sid in subjects])
 
     variants = {name: _stack_variant(d, subjects, name, targets.shape[1:]) for name, d in pred_dirs.items()}
-    variants["group_average"] = np.broadcast_to(_group_average(dataset), targets.shape).copy()
+    variants["group_average"] = np.broadcast_to(_group_average(dataset), targets.shape)
 
     report = ablation_report(variants, targets, retest)
     undefined: dict[str, list[str]] = {}

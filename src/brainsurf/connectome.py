@@ -94,18 +94,12 @@ class GeneratorConfig(JsonConfig):
 
 
 @dataclass(frozen=True)
-class ConnectomeSample:
-    segment_index: int  # 0..7, run-major
-    features: np.ndarray  # [2M, V], entries in [-1, 1]
-
-
-@dataclass(frozen=True)
 class SubjectRecord:
     """Per-subject material: the 8 half-run connectomes of the 4 simulated
     runs, the target contrasts, and a retest draw."""
 
     subject_id: str
-    samples: tuple[ConnectomeSample, ...]
+    samples: tuple[np.ndarray, ...]  # [2M, V] each, entries in [-1, 1], run-major
     target_contrasts: np.ndarray  # [K, V]
     retest_contrasts: np.ndarray  # [K, V]
 
@@ -175,11 +169,6 @@ def _half_run_connectome(
             raise ZeroVariance(f"vertex row {np.flatnonzero(constant)[0]} has zero variance")
         np.divide(u @ coords.T, norms, out=bank)
     return np.clip(out, -1.0, 1.0, out=out)
-
-
-def split_runs(record: SubjectRecord) -> list[ConnectomeSample]:
-    """One connectome per contiguous half-run: 8 samples per subject."""
-    return list(record.samples)
 
 
 def _smooth_fields(rng: np.random.Generator, smoother: sp.csr_matrix, n_fields: int, steps: int) -> np.ndarray:
@@ -292,11 +281,10 @@ def _cohort_records(n_subjects: int, cfg: GeneratorConfig, seed: int) -> Iterato
             weights = roi_profiles + cfg.roi_deviation * latents[:, None] * roi_deviation_basis
 
             samples = []
-            for run_idx in range(cfg.n_runs):
+            for _ in range(cfg.n_runs):
                 roi_ts = _ar1(rng, m, t, cfg.ar_coeff)
-                for half, seg in enumerate((slice(0, t // 2), slice(t // 2, t))):
-                    features = _half_run_connectome(rng, weights, roi_ts[:, seg], cfg.timeseries_noise_std)
-                    samples.append(ConnectomeSample(2 * run_idx + half, features))
+                for seg in (slice(0, t // 2), slice(t // 2, t)):
+                    samples.append(_half_run_connectome(rng, weights, roi_ts[:, seg], cfg.timeseries_noise_std))
 
             clean = group_maps + cfg.contrast_deviation * (coeff @ contrast_basis)
             target = clean + noise_k[:, None] * rng.standard_normal((k, v))
@@ -402,8 +390,8 @@ def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: 
     for record in records:
         subject_dir = root / "subjects" / record.subject_id
         subject_dir.mkdir(parents=True, exist_ok=True)
-        for sample in record.samples:
-            write_tensor(subject_dir / f"sample_{sample.segment_index}.bin", sample.features)
+        for k, sample in enumerate(record.samples):
+            write_tensor(subject_dir / f"sample_{k}.bin", sample)
         write_tensor(subject_dir / "target.bin", record.target_contrasts)
         write_tensor(subject_dir / "retest.bin", record.retest_contrasts)
         ids.append(record.subject_id)

@@ -5,7 +5,9 @@ Epochs are numbered globally: 0..P1-1 for phase 1, P1..P1+P2-1 for phase 2;
 the margin schedule receives the epoch counted from the start of phase 2.
 Every source of randomness (batch order, per-subject connectome sampling)
 comes from one seeded generator per phase, so a run is a pure function of
-its config.  Per-epoch side effects (checkpoints, validation) are one
+its config.  A phase reads everything it carries over from its
+``TrainState``, so running a state for a epochs and then b more equals one
+run of a + b.  Per-epoch side effects (checkpoints, validation) are one
 ``on_epoch_end(model, state)`` callback.
 """
 
@@ -66,16 +68,23 @@ class EpochStats:
 @dataclass
 class TrainState:
     """What a run carries from one epoch to the next: the phase's RNG, the
-    global number of the next epoch, the phase (2 runs the R-C loss from
-    ``margins0``), the phase's Adam state (None until its first step: each
-    phase starts from zero moments) and one log row per finished epoch."""
+    initial margins (``margins0``, set exactly in phase 2), the epoch phase 2
+    started at, the phase's Adam state (None until its first step) and one
+    log row per finished epoch; the next epoch and the phase follow from them."""
 
     rng: np.random.Generator
-    epoch: int = 0
-    phase: int = 1
     margins0: Margins | None = None
+    phase_start: int = 0
     adam: AdamState | None = None
     rows: list[EpochStats] = field(default_factory=list)
+
+    @property
+    def epoch(self) -> int:
+        return len(self.rows)
+
+    @property
+    def phase(self) -> int:
+        return 1 if self.margins0 is None else 2
 
     def write_csv(self, path: str | Path) -> None:
         write_csv(path, LOG_COLUMNS, [astuple(r) for r in self.rows])
@@ -96,35 +105,25 @@ def _make_batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
 def train_phase(
     model: BrainSurfCNN,
     subjects: list[TrainSubject],
+    state: TrainState,
     epochs: int,
     batch_size: int,
-    rng: np.random.Generator,
     opt: OptimizerConfig,
-    use_rc_loss: bool,
-    margins0: Margins | None = None,
-    start_epoch: int = 0,
     ensemble_sampling: bool = True,
     on_epoch_end: EpochEnd | None = None,
-    state: TrainState | None = None,
 ) -> TrainState:
-    """Run one training phase; returns its state: ``state`` (the run so far)
-    when given, moved on to this phase, else a new one.
+    """Run ``epochs`` more epochs of ``state``'s phase, moving ``state`` on;
+    returns it.
 
     ``ensemble_sampling`` draws one of the subject's 8 connectome variants
     per batch; when off, segment 0 is always used (the single-sample
-    ablation).  ``use_rc_loss`` selects the phase-2 objective; it requires
-    ``margins0`` and schedules the margins from the within-phase epoch.
+    ablation).  Phase 2 schedules the margins from the within-phase epoch.
     ``on_epoch_end`` runs after each epoch whose losses are finite.
     """
-    if use_rc_loss and margins0 is None:
-        raise ValueError("phase 2 needs initial margins")
-    state = state if state is not None else TrainState(rng)
-    state.rng, state.epoch, state.margins0 = rng, start_epoch, margins0
-    state.phase, state.adam = 2 if use_rc_loss else 1, None  # each phase starts from zero Adam moments
     arena = model.arena
 
     for _ in range(epochs):
-        margins = schedule_margins(state.margins0, state.epoch - start_epoch) if use_rc_loss else None
+        margins = None if state.margins0 is None else schedule_margins(state.margins0, state.epoch - state.phase_start)
         order = state.rng.permutation(len(subjects))
         sums = {"l_r": 0.0, "l_c": 0.0, "l_rc": 0.0}
         n_batches = n_pair_batches = 0
@@ -141,7 +140,7 @@ def train_phase(
             # Phase 1 backpropagates L_R alone; rc_loss raises BatchTooSmall
             # for singleton phase-2 batches and leaves L_C None for phase-1 ones.
             batch_loss = rc_loss(preds, targets, margins)
-            loss = batch_loss.l_rc if use_rc_loss else batch_loss.l_r
+            loss = batch_loss.l_r if margins is None else batch_loss.l_rc
             for key in sums:  # by name: a loop variable would keep a node, so the graph, alive
                 if getattr(batch_loss, key) is not None:
                     sums[key] += getattr(batch_loss, key).item()
@@ -157,14 +156,13 @@ def train_phase(
             epoch=state.epoch,
             l_r=sums["l_r"] / n_batches,
             l_c=sums["l_c"] / n_pair_batches if n_pair_batches else None,
-            l_rc=sums["l_rc"] / n_batches if use_rc_loss else None,
+            l_rc=sums["l_rc"] / n_batches if margins is not None else None,
             alpha=margins.alpha if margins is not None else None,
             beta=margins.beta if margins is not None else None,
         )
         if not all(np.isfinite(x) for x in (stats.l_r, stats.l_c, stats.l_rc) if x is not None):
             raise NaNLossError(f"non-finite loss at epoch {state.epoch}")
         state.rows.append(stats)
-        state.epoch += 1
         if on_epoch_end is not None:
             on_epoch_end(model, state)
     return state
@@ -197,19 +195,18 @@ def train_two_phase(
         raise BatchTooSmall(
             f"phase 2 needs at least 2 training subjects for its contrastive term, got {len(subjects)}"
         )
+    state = TrainState(np.random.default_rng([seed, 1]))
     # A step that overflows ends in a non-finite loss, which train_phase
     # raises as NaNLossError: numpy's warnings would only precede it.
     with np.errstate(over="ignore", invalid="ignore"):
-        state = train_phase(
-            model, subjects, phase1_epochs, batch_size, rng=np.random.default_rng([seed, 1]), opt=opt,
-            use_rc_loss=False, on_epoch_end=on_epoch_end,
-        )
+        train_phase(model, subjects, state, phase1_epochs, batch_size, opt, on_epoch_end=on_epoch_end)
         if phase2_epochs > 0:
-            margins0 = init_margins(model, margin_init_set(subjects))
-            state = train_phase(
-                model, subjects, phase2_epochs, batch_size, rng=np.random.default_rng([seed, 2]),
-                opt=phase2_opt if phase2_opt is not None else opt, use_rc_loss=True, margins0=margins0,
-                start_epoch=state.epoch, on_epoch_end=on_epoch_end, state=state,
+            state.adam = None  # phase 2 starts from zero moments; phase 1's go now, in place
+            state.rng, state.phase_start = np.random.default_rng([seed, 2]), state.epoch
+            state.margins0 = init_margins(model, margin_init_set(subjects))
+            train_phase(
+                model, subjects, state, phase2_epochs, batch_size,
+                phase2_opt if phase2_opt is not None else opt, on_epoch_end=on_epoch_end,
             )
     return state
 

@@ -8,12 +8,13 @@ criterion that needs them.
 import numpy as np
 import pytest
 
-from brainsurf.connectome import GeneratorConfig, generate_cohort, split_runs
+from brainsurf.connectome import GeneratorConfig, generate_cohort
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import ModelConfig, build_model, predict_ensemble
 from brainsurf.rcloss import init_margins
 from brainsurf.training import (
     OptimizerConfig,
+    TrainState,
     TrainSubject,
     margin_init_set,
     train_phase,
@@ -24,10 +25,7 @@ ABLATION_SEEDS = (11, 22, 33)
 
 
 def to_train_subjects(records):
-    return [
-        TrainSubject(r.subject_id, [s.features for s in split_runs(r)], r.target_contrasts)
-        for r in records
-    ]
+    return [TrainSubject(r.subject_id, r.samples, r.target_contrasts) for r in records]
 
 
 @pytest.fixture(scope="session")
@@ -49,11 +47,8 @@ def overfit_run(default_cohort, hierarchy2):
     _, train_records, _ = default_cohort
     subjects = to_train_subjects(train_records)
     model = build_model(ModelConfig(seed=DEFAULT_SEED), hierarchy2)
-    rng = np.random.default_rng([DEFAULT_SEED, 1])
-    log = train_phase(
-        model, subjects, epochs=500, batch_size=2, rng=rng,
-        opt=OptimizerConfig(), use_rc_loss=False,
-    )
+    state = TrainState(np.random.default_rng([DEFAULT_SEED, 1]))
+    log = train_phase(model, subjects, state, epochs=500, batch_size=2, opt=OptimizerConfig())
     return model, subjects, log
 
 
@@ -81,34 +76,26 @@ def ablation_runs(hierarchy2):
         train, test = subjects[:ABLATION_TRAIN], subjects[ABLATION_TRAIN:]
 
         model = build_model(ModelConfig(seed=seed), hierarchy2)
-        rng1 = np.random.default_rng([seed, 1])
-        train_phase(model, train, epochs=100, batch_size=2, rng=rng1, opt=opt, use_rc_loss=False)
+        train_phase(model, train, TrainState(np.random.default_rng([seed, 1])), epochs=100, batch_size=2, opt=opt)
         warm = {k: v.copy() for k, v in model.param_arrays().items()}
         margins0 = init_margins(model, margin_init_set(train))
 
         ensemble_preds = np.stack([predict_ensemble(model, s.samples) for s in test])
 
-        rng_rc = np.random.default_rng([seed, 2])
-        train_phase(
-            model, train, epochs=100, batch_size=2, rng=rng_rc, opt=ABLATION_PHASE2_OPT,
-            use_rc_loss=True, margins0=margins0, start_epoch=100,
-        )
+        # Each branch is a fresh state of its own phase: the margin schedule
+        # counts epochs from the branch's start.
+        rc_state = TrainState(np.random.default_rng([seed, 2]), margins0=margins0)
+        train_phase(model, train, rc_state, epochs=100, batch_size=2, opt=ABLATION_PHASE2_OPT)
         rc_preds = np.stack([predict_ensemble(model, s.samples) for s in test])
 
         model.load_param_arrays(warm)
-        rng_l2 = np.random.default_rng([seed, 2])
-        train_phase(
-            model, train, epochs=100, batch_size=2, rng=rng_l2, opt=ABLATION_PHASE2_OPT,
-            use_rc_loss=False, start_epoch=100,
-        )
+        l2_state = TrainState(np.random.default_rng([seed, 2]))
+        train_phase(model, train, l2_state, epochs=100, batch_size=2, opt=ABLATION_PHASE2_OPT)
         l2_preds = np.stack([predict_ensemble(model, s.samples) for s in test])
 
         single = build_model(ModelConfig(seed=seed), hierarchy2)
-        rng_s = np.random.default_rng([seed, 1])
-        train_phase(
-            single, train, epochs=100, batch_size=2, rng=rng_s, opt=opt,
-            use_rc_loss=False, ensemble_sampling=False,
-        )
+        single_state = TrainState(np.random.default_rng([seed, 1]))
+        train_phase(single, train, single_state, epochs=100, batch_size=2, opt=opt, ensemble_sampling=False)
         single_preds = np.stack([single.predict(s.samples[0]) for s in test])
 
         results[seed] = {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,32 @@ class TestAverageRegressors:
         avg_err = np.abs(avg.coeffs - beta_star).mean()
         assert avg_err < per_subject_err / 2.5
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 200])
+    def test_running_sum_is_the_mean_of_the_stack(self, n):
+        # Summed in input order, the mean has np.mean's bits over the
+        # stacked coefficients ([P, K, M+1] at 8 parcels, 47 contrasts, 50 ROIs).
+        rng = np.random.default_rng(n)
+        labels = np.arange(162) % 8
+        regs = [ParcelRegressor(rng.standard_normal((8, 47, 51)), labels.copy(), [f"w{i}"]) for i in range(n)]
+        avg = average_regressors(iter(regs))
+        assert np.array_equal(avg.coeffs, np.mean([r.coeffs for r in regs], axis=0))
+        assert np.array_equal(avg.labels, labels) and avg.rank_warnings == [f"w{i}" for i in range(n)]
+
+    def test_holds_one_regressor_of_an_iterable_at_a_time(self):
+        # 200 level-5 regressors (10,242 labels) from a generator: the running
+        # sum and the one regressor being added, about 2 regressors, not 200.
+        rng = np.random.default_rng(3)
+        labels = np.arange(10242) % 8
+        size = rng.standard_normal((8, 47, 51)).nbytes + labels.nbytes
+        regs = (ParcelRegressor(rng.standard_normal((8, 47, 51)), labels.copy()) for _ in range(200))
+        tracemalloc.start()
+        try:
+            average_regressors(regs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size
+
     def test_empty_set(self):
         with pytest.raises(EmptySet):
             average_regressors([])
@@ -205,7 +233,6 @@ class TestZeroDeviationCohort:
             bank_averaged_features,
             ensemble_mean_features,
             generate_cohort,
-            split_runs,
         )
 
         cfg = GeneratorConfig(contrast_deviation=0.0, roi_deviation=0.0)
@@ -214,8 +241,7 @@ class TestZeroDeviationCohort:
 
         fits, features, targets = [], [], []
         for r in records:
-            samples = [s.features for s in split_runs(r)]
-            feats = bank_averaged_features(ensemble_mean_features(samples))
+            feats = bank_averaged_features(ensemble_mean_features(r.samples))
             features.append(feats)
             targets.append(r.target_contrasts)
             fits.append(fit_subject(feats, r.target_contrasts, parcellation))

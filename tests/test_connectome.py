@@ -14,7 +14,6 @@ from brainsurf.connectome import (
     ensemble_mean_features,
     generate_cohort,
     load_dataset,
-    split_runs,
     write_cohort,
 )
 from brainsurf.evaluate import correlation_matrix
@@ -261,17 +260,15 @@ class TestSplitRuns:
         cfg = tiny_config(t_per_run=1200)
         _, halves = recorded_halves(monkeypatch)
         record = generate_cohort(2, cfg, seed=0)[0]
-        samples = split_runs(record)
+        samples = record.samples
         assert len(samples) == 8
-        assert [s.segment_index for s in samples] == list(range(8))
-        assert all(s.features.shape == (2 * cfg.n_rois, cfg.n_vertices) for s in samples)
+        assert all(s.shape == (2 * cfg.n_rois, cfg.n_vertices) for s in samples)
         assert [roi.shape for _, roi, _ in halves[:8]] == [(cfg.n_rois, 600)] * 8
 
     def test_desk_scale_halving(self):
         cfg = tiny_config(t_per_run=100)
         record = generate_cohort(2, cfg, seed=1)[0]
-        samples = split_runs(record)
-        assert len(samples) == 8  # segments of 50 are still valid
+        assert len(record.samples) == 8  # segments of 50 are still valid
 
     def test_odd_length_rejected(self):
         with pytest.raises(ConfigError, match="t_per_run"):
@@ -287,13 +284,13 @@ class TestSplitRuns:
             assert np.array_equal(np.concatenate([first, second], axis=1), run)
         for sample, (weights, roi, _) in zip(record.samples, halves, strict=False):
             mixed = weights.T @ roi
-            assert np.abs(sample.features - oracle_connectome(mixed, mixed, roi)).max() <= 1e-12
+            assert np.abs(sample - oracle_connectome(mixed, mixed, roi)).max() <= 1e-12
 
     def test_segment_connectomes_stable(self):
         # With the default generator noise, the 8 variants of one subject
         # stay strongly correlated with each other.
         record = generate_cohort(2, GeneratorConfig(), seed=4)[0]
-        feats = [s.features.ravel() for s in split_runs(record)]
+        feats = [s.ravel() for s in record.samples]
         for i in range(8):
             for j in range(i + 1, 8):
                 assert np.corrcoef(feats[i], feats[j])[0, 1] > 0.5
@@ -308,8 +305,7 @@ class TestGenerateCohort:
             assert np.array_equal(ra.target_contrasts, rb.target_contrasts)
             assert np.array_equal(ra.retest_contrasts, rb.retest_contrasts)
             for sample_a, sample_b in zip(ra.samples, rb.samples, strict=True):
-                assert sample_a.segment_index == sample_b.segment_index
-                assert np.array_equal(sample_a.features, sample_b.features)
+                assert np.array_equal(sample_a, sample_b)
 
     def test_zero_noise_makes_retest_identical(self):
         cfg = tiny_config(contrast_noise_std=0.0)
@@ -390,9 +386,8 @@ class TestDatasetIO:
         assert ds.generator == cfg
         samples = ds.samples("sub001")
         assert len(samples) == 8
-        expected = split_runs(records[1])
-        for got, want in zip(samples, expected):
-            assert np.array_equal(got, want.features)
+        for got, want in zip(samples, records[1].samples, strict=True):
+            assert np.array_equal(got, want)
         assert np.array_equal(ds.target("sub003"), records[3].target_contrasts)
         assert np.array_equal(ds.retest("sub000"), records[0].retest_contrasts)
 

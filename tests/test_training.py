@@ -1,16 +1,19 @@
 import csv
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from brainsurf.connectome import GeneratorConfig, generate_cohort, split_runs
+from brainsurf.connectome import GeneratorConfig, generate_cohort
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import ModelConfig, build_model, load_model, save_model
 from brainsurf.rcloss import BatchTooSmall, Margins, rc_loss
 from brainsurf.training import (
+    EpochStats,
     NaNLossError,
     OptimizerConfig,
+    TrainState,
     TrainSubject,
     _make_batches,
     train_phase,
@@ -26,10 +29,7 @@ TINY_MODEL = ModelConfig(
 
 def tiny_subjects(n=4, seed=0):
     records = generate_cohort(n, TINY_GEN, seed=seed)
-    return [
-        TrainSubject(r.subject_id, [s.features for s in split_runs(r)], r.target_contrasts)
-        for r in records
-    ]
+    return [TrainSubject(r.subject_id, r.samples, r.target_contrasts) for r in records]
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +56,7 @@ class TestTrainPhase:
         model = build_model(TINY_MODEL, hierarchy)
         subjects = tiny_subjects()
         log = train_phase(
-            model, subjects, epochs=30, batch_size=2,
-            rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=False,
+            model, subjects, TrainState(np.random.default_rng(0)), epochs=30, batch_size=2, opt=OptimizerConfig()
         )
         assert log.rows[-1].l_r < log.rows[0].l_r
 
@@ -65,8 +64,8 @@ class TestTrainPhase:
         def run():
             model = build_model(TINY_MODEL, hierarchy)
             train_phase(
-                model, tiny_subjects(), epochs=5, batch_size=2,
-                rng=np.random.default_rng(7), opt=OptimizerConfig(), use_rc_loss=False,
+                model, tiny_subjects(), TrainState(np.random.default_rng(7)), epochs=5, batch_size=2,
+                opt=OptimizerConfig(),
             )
             return model.param_arrays()
 
@@ -74,22 +73,13 @@ class TestTrainPhase:
         for name in a:
             assert np.array_equal(a[name], b[name])
 
-    def test_phase2_requires_margins(self, hierarchy):
-        model = build_model(TINY_MODEL, hierarchy)
-        with pytest.raises(ValueError):
-            train_phase(
-                model, tiny_subjects(), epochs=1, batch_size=2,
-                rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=True,
-            )
-
     def test_single_subject_phase2_aborts(self, hierarchy):
         model = build_model(TINY_MODEL, hierarchy)
         lone = tiny_subjects(2)[:1]
         with pytest.raises(BatchTooSmall):
             train_phase(
-                model, lone, epochs=1, batch_size=2,
-                rng=np.random.default_rng(0), opt=OptimizerConfig(),
-                use_rc_loss=True, margins0=Margins(0.1, 0.1),
+                model, lone, TrainState(np.random.default_rng(0), margins0=Margins(0.1, 0.1)), epochs=1,
+                batch_size=2, opt=OptimizerConfig(),
             )
 
     def test_phase1_l_c_averages_pair_batches_only(self, hierarchy, monkeypatch, tmp_path):
@@ -109,15 +99,15 @@ class TestTrainPhase:
         monkeypatch.setattr(training, "rc_loss", recording_rc_loss)
         model = build_model(TINY_MODEL, hierarchy)
         log = train_phase(
-            model, tiny_subjects(), epochs=1, batch_size=1,
-            rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=False,
+            model, tiny_subjects(), TrainState(np.random.default_rng(0)), epochs=1, batch_size=1,
+            opt=OptimizerConfig(),
         )
         assert len(seen) == 1 and log.rows[0].l_c == seen[0]
 
         # No batch with 2 subjects: L_C is undefined and its cell left empty.
         log = train_phase(
-            model, tiny_subjects(2)[:1], epochs=1, batch_size=2,
-            rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=False,
+            model, tiny_subjects(2)[:1], TrainState(np.random.default_rng(0)), epochs=1, batch_size=2,
+            opt=OptimizerConfig(),
         )
         assert log.rows[0].l_c is None
         log.write_csv(tmp_path / "log.csv")
@@ -144,10 +134,10 @@ class TestTrainPhase:
 
         monkeypatch.setattr(training, "rc_loss", recording_rc_loss)
         monkeypatch.setattr(training, "backward", recording_backward)
+        state = TrainState(np.random.default_rng(0), margins0=Margins(0.1, 0.1) if use_rc_loss else None)
         train_phase(
-            build_model(TINY_MODEL, hierarchy), tiny_subjects(), epochs=1, batch_size=batch_size,
-            rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=use_rc_loss,
-            margins0=Margins(0.1, 0.1) if use_rc_loss else None,
+            build_model(TINY_MODEL, hierarchy), tiny_subjects(), state, epochs=1, batch_size=batch_size,
+            opt=OptimizerConfig(),
         )
         assert sorted(n for n, _, _ in calls) == sizes
         assert all((margins is None) != use_rc_loss for _, margins, _ in calls)
@@ -175,8 +165,8 @@ class TestTrainPhase:
         monkeypatch.setattr(autodiff, "_op", recording_op)
         monkeypatch.setattr(training, "backward", recording_backward)
         train_phase(
-            build_model(TINY_MODEL, hierarchy), tiny_subjects(), epochs=1, batch_size=2,
-            rng=np.random.default_rng(0), opt=OptimizerConfig(), use_rc_loss=False,
+            build_model(TINY_MODEL, hierarchy), tiny_subjects(), TrainState(np.random.default_rng(0)), epochs=1,
+            batch_size=2, opt=OptimizerConfig(),
         )
         reachable, todo = set(), list(roots)
         while todo:
@@ -192,8 +182,7 @@ class TestTrainPhase:
         subjects = tiny_subjects()
         ckpt = tmp_path / "last.bin"
         train_phase(
-            model, subjects, epochs=2, batch_size=2,
-            rng=np.random.default_rng(1), opt=OptimizerConfig(), use_rc_loss=False,
+            model, subjects, TrainState(np.random.default_rng(1)), epochs=2, batch_size=2, opt=OptimizerConfig(),
             on_epoch_end=lambda model, state: save_model(ckpt, model),
         )
         good = {k: v.copy() for k, v in model.param_arrays().items()}
@@ -201,9 +190,8 @@ class TestTrainPhase:
         # the checkpoint from the finite epochs must survive untouched.
         with pytest.raises(NaNLossError):
             train_phase(
-                model, subjects, epochs=5, batch_size=2,
-                rng=np.random.default_rng(2), opt=OptimizerConfig(lr=1e120),
-                use_rc_loss=False, start_epoch=2, on_epoch_end=lambda model, state: save_model(ckpt, model),
+                model, subjects, TrainState(np.random.default_rng(2)), epochs=5, batch_size=2,
+                opt=OptimizerConfig(lr=1e120), on_epoch_end=lambda model, state: save_model(ckpt, model),
             )
         arrays = load_model(ckpt).param_arrays()
         for name in good:
@@ -243,11 +231,8 @@ class TestTrainPhaseMemory:
         for use_rc_loss in (False, True):
             tracemalloc.start()
             try:
-                train_phase(
-                    model, subjects, epochs=1, batch_size=2,
-                    rng=np.random.default_rng(1), opt=OptimizerConfig(), use_rc_loss=use_rc_loss,
-                    margins0=Margins(0.0, 1.0) if use_rc_loss else None,
-                )
+                state = TrainState(np.random.default_rng(1), margins0=Margins(0.0, 1.0) if use_rc_loss else None)
+                train_phase(model, subjects, state, epochs=1, batch_size=2, opt=OptimizerConfig())
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -297,16 +282,43 @@ class TestTwoPhase:
         assert final.margins0 is not None and final.epoch == len(final.rows) == p1 + p2
 
     def test_phase2_disabled_equals_phase1_model(self, hierarchy):
-        def run(phase2):
-            model = build_model(TINY_MODEL, hierarchy)
-            train_two_phase(
-                model, tiny_subjects(), phase1_epochs=4, phase2_epochs=phase2,
-                batch_size=2, seed=9,
-            )
-            return model.param_arrays()
+        # With phase 2 off, the protocol is phase 1 alone: train_phase on a
+        # new state seeded [seed, 1], bit for bit.
+        subjects = tiny_subjects()
+        model_a = build_model(TINY_MODEL, hierarchy)
+        a = train_two_phase(model_a, subjects, phase1_epochs=4, phase2_epochs=0, batch_size=2, seed=9)
+        model_b = build_model(TINY_MODEL, hierarchy)
+        b = train_phase(
+            model_b, subjects, TrainState(np.random.default_rng([9, 1])), epochs=4, batch_size=2,
+            opt=OptimizerConfig(),
+        )
+        assert [astuple(r) for r in a.rows] == [astuple(r) for r in b.rows] and len(a.rows) == 4
+        arrays_b = model_b.param_arrays()
+        for name, value in model_a.param_arrays().items():
+            assert np.array_equal(value, arrays_b[name])
 
-        a = run(0)
-        b = run(0)
+    @pytest.mark.parametrize("margins0", [None, Margins(0.1, 0.1)], ids=["phase1", "phase2"])
+    def test_two_calls_on_one_state_equal_one_call(self, hierarchy, margins0):
+        # A state carries all a phase reads (RNG, Adam moments, epoch, margin
+        # schedule), so 15 epochs and then 10 more are one 25-epoch run; in
+        # phase 2 the split straddles the margins' step at within-phase epoch 20.
+        subjects = tiny_subjects()
+
+        def run(*splits):
+            model = build_model(TINY_MODEL, hierarchy)
+            state = TrainState(np.random.default_rng(6), margins0=margins0, phase_start=3)
+            state.rows = [EpochStats(e, 0.0, None, None, None, None) for e in range(3)]
+            for epochs in splits:
+                train_phase(model, subjects, state, epochs=epochs, batch_size=2, opt=OptimizerConfig())
+            return model.param_arrays(), state
+
+        (a, state_a), (b, state_b) = run(25), run(15, 10)
+        assert [astuple(r) for r in state_a.rows] == [astuple(r) for r in state_b.rows]
+        assert [r.epoch for r in state_b.rows] == list(range(28)) and state_b.epoch == 28
+        assert state_a.adam.step == state_b.adam.step == 50
+        assert np.array_equal(state_a.adam.m, state_b.adam.m) and np.array_equal(state_a.adam.v, state_b.adam.v)
+        if margins0 is not None:
+            assert state_b.rows[3 + 19].alpha == margins0.alpha and state_b.rows[3 + 20].alpha == margins0.alpha / 2
         for name in a:
             assert np.array_equal(a[name], b[name])
 
@@ -340,9 +352,8 @@ class TestTwoPhase:
         subjects = tiny_subjects(6)
         hook = validation_hook(subjects[4:], tmp_path / "val.csv")
         train_phase(
-            model, subjects[:4], epochs=3, batch_size=2,
-            rng=np.random.default_rng(2), opt=OptimizerConfig(), use_rc_loss=False,
-            on_epoch_end=hook,
+            model, subjects[:4], TrainState(np.random.default_rng(2)), epochs=3, batch_size=2,
+            opt=OptimizerConfig(), on_epoch_end=hook,
         )
         with open(tmp_path / "val.csv") as f:
             rows = list(csv.reader(f))
