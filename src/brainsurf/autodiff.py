@@ -6,9 +6,11 @@ gradients; one constructor, ``_op``, records both on a freshly built graph.
 A caller with a closed-form gradient of its own, such as the R-C loss,
 records itself through ``_op`` as one node.  ``backward`` alone adds those
 gradients into the parents, additively across fan-out, so diamond-shaped
-graphs come out right without any extra bookkeeping.  It releases an
-interior node's gradient as soon as that node has passed it on, so only
-leaves hold gradients afterwards.  A model's parameters live in a
+graphs come out right without any extra bookkeeping.  Once a node has
+passed its gradient on, the sweep releases that gradient and drops the
+node's gradient function and parents, so each value the graph holds is freed
+as soon as its last consumer has run, and only leaves hold gradients
+afterwards.  A model's parameters live in a
 ``ParamArena``: their data and gradients are views of two flat vectors,
 which ``adam_step`` updates in place.
 """
@@ -203,7 +205,9 @@ def backward(root: Tensor) -> None:
     up: an interior node keeps the array it is given, a leaf owns a copy, and
     a parameter adds into its arena's view.  Afterwards every trainable leaf
     the root reaches holds its gradient, and every interior node's .grad is
-    None again: it is released as soon as the node has passed it on."""
+    None again: it is released as soon as the node has passed it on, together
+    with the node's gradient function and parents: a swept graph holds no
+    value, and a second sweep from its root reaches nothing."""
     if root.data.shape != ():
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
 
@@ -224,18 +228,24 @@ def backward(root: Tensor) -> None:
                 stack.append((p, False))
 
     _accumulate(root, np.ones_like(root.data))
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if not node._parents:
             # Every consumer has run: a leaf that none of them reached gets an
             # explicit zero gradient rather than None.
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
-        elif node.grad is not None:
+            continue
+        if node.grad is not None:
             grads = node._backward_fn(node.grad)
             node.grad = None
             for parent, g in zip(node._parents, grads):
                 if g is not None:
                     _accumulate(parent, g)
+        # Its consumers have all run, so no gradient reaches it again: drop
+        # its closure and its parents, and with them every value only they
+        # still hold.
+        node._backward_fn, node._parents = None, ()
 
 
 @dataclass(frozen=True)
@@ -358,10 +368,15 @@ def grad_check(
     return worst
 
 
+# Elements per block of an Adam step: its working set (six vectors' blocks)
+# stays in cache, and its two scratch vectors are one block long.
+_ADAM_BLOCK = 32768
+
+
 @dataclass
 class AdamState:
-    """Flat first and second moments, two scratch vectors of the same size,
-    and the number of steps taken."""
+    """Flat first and second moments, two scratch vectors of one block's
+    length, and the number of steps taken."""
 
     m: np.ndarray
     v: np.ndarray
@@ -379,31 +394,35 @@ def adam_step(
     eps: float = 1e-8,
 ) -> AdamState:
     """One bias-corrected Adam update of the flat parameter vector ``data``,
-    in place, from the flat gradient ``grad``.  Every elementwise result is
-    the per-element formula's, in its order:
+    in place, from the flat gradient ``grad``, one block of the scratch
+    vectors' length at a time.  Every elementwise result is the per-element
+    formula's, in its order:
     m = b1 m + (1-b1) g;  v = b2 v + ((1-b2) g) g;
     data -= (lr (m / (1-b1^t))) / (sqrt(v / (1-b2^t)) + eps)."""
     if state is None:
         n = data.size
-        state = AdamState(np.zeros(n), np.zeros(n), (np.empty(n), np.empty(n)))
+        state = AdamState(np.zeros(n), np.zeros(n), (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)))
     if data.ndim != 1 or grad.shape != data.shape or state.m.shape != data.shape:
         raise ShapeMismatch(
             f"adam_step: flat data {data.shape}, grad {grad.shape}, state {state.m.shape}"
         )
     state.step += 1
-    t = state.step
-    m, v = state.m, state.v
-    a, b = state.scratch
-    m *= beta1
-    m += np.multiply(grad, 1.0 - beta1, out=a)
-    v *= beta2
-    np.multiply(grad, 1.0 - beta2, out=a)
-    v += np.multiply(a, grad, out=a)
-    np.divide(m, 1.0 - beta1**t, out=a)
-    a *= lr
-    np.divide(v, 1.0 - beta2**t, out=b)
-    np.sqrt(b, out=b)
-    b += eps
-    a /= b
-    data -= a
+    bias1, bias2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
+    block = state.scratch[0].size
+    for start in range(0, data.size, block):
+        part = slice(start, start + block)
+        d, g, m, v = data[part], grad[part], state.m[part], state.v[part]
+        a, b = (s[: d.size] for s in state.scratch)
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=a)
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, bias1, out=a)
+        a *= lr
+        np.divide(v, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        d -= a
     return state

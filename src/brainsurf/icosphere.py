@@ -89,7 +89,9 @@ class MeshOperators:
     grad_ew: sp.csr_matrix
     grad_ns: sp.csr_matrix
     conv: sp.csr_matrix  # [identity | grad_ew | grad_ns | laplacian], [V x 4V]
-    conv_t: sp.csr_matrix  # conv transposed, [4V x V]: the mesh conv's backward pass
+    # (grad_ew.T, grad_ns.T, laplacian.T): the mesh conv's backward pass, one
+    # block at a time; the identity block needs no product.
+    blocks_t: tuple[sp.csr_matrix, ...]
 
 
 @dataclass(frozen=True)
@@ -245,15 +247,15 @@ def build_operators(mesh: Icosphere) -> MeshOperators:
     laplacian = _ring_operator(mesh, np.ones(n), np.repeat(-1.0 / deg, deg))
     grad_ew = gradient(weights[:, 0])
     grad_ns = gradient(weights[:, 1])
-    conv = sp.hstack([identity, grad_ew, grad_ns, laplacian]).tocsr()
+    blocks = (identity, grad_ew, grad_ns, laplacian)
     return MeshOperators(
         level=mesh.level,
         identity=identity,
         laplacian=laplacian,
         grad_ew=grad_ew,
         grad_ns=grad_ns,
-        conv=conv,
-        conv_t=conv.T.tocsr(),
+        conv=sp.hstack(blocks).tocsr(),
+        blocks_t=tuple(block.T.tocsr() for block in blocks[1:]),
     )
 
 

@@ -96,7 +96,11 @@ def mesh_conv(layer: MeshConvLayer, x, slope: float | None = None) -> Tensor:
     in place: for finite y, y where y > 0 and slope*y elsewhere, signed zeros
     included.  The pre-activation is not kept: y > 0 after the activation
     exactly where it was before, so the backward takes its mask from the
-    output."""
+    output.
+
+    The backward runs one operator block S_k at a time, dz_k = S_k^T g
+    (dz_0 = g), so it never holds more than one block's dz: dW_k = x^T dz_k,
+    and dx = sum_k dz_k W_k^T is added up block by block in one buffer."""
     ops = layer.operators
     n_vertices = ops.identity.shape[0]
     if x.data.ndim != 3 or x.data.shape[0] != n_vertices or x.data.shape[2] != layer.in_channels:
@@ -113,20 +117,35 @@ def mesh_conv(layer: MeshConvLayer, x, slope: float | None = None) -> Tensor:
     y = ops.conv @ z.reshape(N_OPERATORS * n_vertices, batch * c_out)
     y = y.reshape(n_vertices, batch, c_out)
     y += b.data
+    active = None  # a linear conv keeps no output in its backward
     if slope is not None:
         ad._record_hinge(y)
         np.maximum(y, slope * y, out=y)
+        active = y
 
     def grads(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        if slope is not None:
+        if active is not None:
             # The byte mask picks slope or 1 per entry: g * where(y > 0, 1, slope).
-            g = g * np.array([slope, 1.0]).take((y > 0.0).view(np.uint8))
-        dz = ops.conv_t @ g.reshape(n_vertices, batch * c_out)
-        dz = dz.reshape(N_OPERATORS, n_vertices * batch, c_out)
-        dx = None  # the input layer's x needs none: skip the largest product
+            g = g * np.array([slope, 1.0]).take((active > 0.0).view(np.uint8))
+        g = np.ascontiguousarray(g).reshape(n_vertices * batch, c_out)
+        dw = np.empty((N_OPERATORS, layer.in_channels, c_out))
+        np.matmul(rows.T, g, out=dw[0])
+        dx = tmp = None  # the input layer's x needs none: skip the largest products
         if x.requires_grad:
-            dx = np.tensordot(dz, w4, axes=([0, 2], [0, 2])).reshape(x.data.shape)  # sum_k dz_k W_k^T
-        return dx, np.matmul(rows.T, dz).transpose(2, 1, 0), g.reshape(-1, c_out).sum(axis=0)
+            w_t = np.ascontiguousarray(w4.transpose(0, 2, 1))  # [4, out, in]: W_k^T
+            dx, tmp = g @ w_t[0], np.empty_like(rows)
+        g_wide = g.reshape(n_vertices, batch * c_out)
+        for k, block_t in enumerate(ops.blocks_t, start=1):
+            dz = (block_t @ g_wide).reshape(g.shape)
+            np.matmul(rows.T, dz, out=dw[k])
+            if dx is not None:
+                dx += np.matmul(dz, w_t[k], out=tmp)
+            del dz  # before the next block's product: one dz at a time
+        return (
+            None if dx is None else dx.reshape(x.data.shape),
+            dw.transpose(2, 1, 0),
+            g.sum(axis=0),
+        )
 
     return ad._op(y, (x, w, b), grads)
 

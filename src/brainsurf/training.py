@@ -145,11 +145,13 @@ def train_phase(
                 if getattr(batch_loss, key) is not None:
                     sums[key] += getattr(batch_loss, key).item()
             n_pair_batches += batch_loss.l_c is not None
+            # The losses are summed: only the root may keep the graph, so
+            # backward frees each activation as soon as it has passed it on.
+            preds = batch_loss = None
 
             model.zero_grad()
             backward(loss)
             state.adam = adam_step(arena.data, arena.grad, state.adam, opt.lr, opt.beta1, opt.beta2, opt.eps)
-            preds = loss = batch_loss = None  # drop this step's graph before the next forward
             n_batches += 1
 
         stats = EpochStats(

@@ -120,3 +120,22 @@ def span_coordinates(z) -> np.ndarray:
     m, n = z.shape
     q = np.linalg.qr(np.column_stack([np.full(n, n**-0.5), z.T]))[0]
     return z @ q[:, 1 : min(m, n - 1) + 1]
+
+
+def mesh_conv_grads(layer, x, out, g, slope=None):
+    """The gradients (dx, dW, db) of ``mesh_conv(layer, x, slope)`` at
+    vertex-major x [V, B, in] with output ``out``, for the output gradient g,
+    through the stacked transpose [I | grad_ew | grad_ns | L]^T in one
+    product: dz = conv^T g as [4, V*B, out], dx = sum over blocks and
+    outputs of dz W^T, dW = x^T dz and db = the sum of g."""
+    ops = layer.operators
+    n_vertices, batch, c_in = x.shape
+    c_out = layer.out_channels
+    if slope is not None:
+        g = g * np.where(out > 0.0, 1.0, slope)
+    w4 = layer.weights.tensor.data.transpose(2, 1, 0)  # [4, in, out]
+    rows = x.reshape(n_vertices * batch, c_in)
+    dz = (ops.conv.T.tocsr() @ g.reshape(n_vertices, batch * c_out)).reshape(4, n_vertices * batch, c_out)
+    dx = np.tensordot(dz, w4, axes=([0, 2], [0, 2])).reshape(x.shape)
+    dw = np.matmul(rows.T, dz).transpose(2, 1, 0)
+    return dx, dw, g.reshape(-1, c_out).sum(axis=0)

@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -164,9 +165,11 @@ class TestBackwardReleases:
         rng = np.random.default_rng(seed)
         x, w = trainable(rng.standard_normal((5, 3))), trainable(rng.standard_normal((5, 3)))
         root = sum_of_squares(build_chain(x, w, ops, slope))
+        # Collected with their parents before the sweep, which drops them.
+        nodes = [(node, bool(node._parents)) for node in graph_nodes(root)]
         backward(root)
-        for node in graph_nodes(root):
-            if node._parents:
+        for node, interior in nodes:
+            if interior:
                 assert node.grad is None
             elif node.requires_grad:
                 assert node.grad.shape == node.data.shape
@@ -334,10 +337,13 @@ class TestGraphBoundary:
             assert sorted(ops - named_outside(module)) == []
 
     def test_only_the_constructors_set_node_fields(self):
+        # The constructors set a node's fields; backward alone clears them,
+        # once the node has passed its gradient on.
+        writers = {"Tensor.__init__", "_op", "backward"}
         tree = ast.parse((SRC / "autodiff.py").read_text())
         writes = list(node_field_writes(tree))
-        assert [w for w in writes if w[0] not in ("Tensor.__init__", "_op")] == []
-        assert {scope for scope, _, _ in writes} == {"Tensor.__init__", "_op"}
+        assert [w for w in writes if w[0] not in writers] == []
+        assert {scope for scope, _, _ in writes} == writers
 
 
 class TestGradCheck:
@@ -467,24 +473,29 @@ class TestAdam:
         eps=st.floats(1e-12, 1e-3),
     )
     def test_flat_matches_per_parameter_bitwise(self, shapes, steps, seed, lr, beta1, beta2, eps):
-        rng = np.random.default_rng(seed)
-        init = [rng.standard_normal(s) * 10.0 ** rng.integers(-3, 4) for s in shapes]
-        ref = [Param(f"p{i}", trainable(a.copy())) for i, a in enumerate(init)]
-        flat = [Param(f"p{i}", trainable(a.copy())) for i, a in enumerate(init)]
-        arena = ParamArena(flat)
-        ref_state, state = None, None
-        for _ in range(steps):
-            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-4, 4) for s in shapes]
-            grads[0].flat[0] = 0.0  # a coordinate whose gradient is exactly zero
-            ref_state = reference_adam(ref, grads, ref_state, lr, beta1, beta2, eps)
-            arena.zero_grad()
-            for p, g in zip(flat, grads):
-                p.tensor.grad += g
-            state = adam_step(arena.data, arena.grad, state, lr, beta1, beta2, eps)
-        for r, f in zip(ref, flat):
-            assert r.tensor.data.tobytes() == f.tensor.data.tobytes()
-        assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_state["m"].values()]).tobytes()
-        assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_state["v"].values()]).tobytes()
+        # Once with the arena in one block, once in blocks of 7 elements,
+        # whose last one is partial whenever the arena is not a multiple of 7.
+        for block in (ad._ADAM_BLOCK, 7):
+            rng = np.random.default_rng(seed)
+            init = [rng.standard_normal(s) * 10.0 ** rng.integers(-3, 4) for s in shapes]
+            ref = [Param(f"p{i}", trainable(a.copy())) for i, a in enumerate(init)]
+            flat = [Param(f"p{i}", trainable(a.copy())) for i, a in enumerate(init)]
+            arena = ParamArena(flat)
+            ref_state, state = None, None
+            with mock.patch.object(ad, "_ADAM_BLOCK", block):
+                for _ in range(steps):
+                    grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-4, 4) for s in shapes]
+                    grads[0].flat[0] = 0.0  # a coordinate whose gradient is exactly zero
+                    ref_state = reference_adam(ref, grads, ref_state, lr, beta1, beta2, eps)
+                    arena.zero_grad()
+                    for p, g in zip(flat, grads):
+                        p.tensor.grad += g
+                    state = adam_step(arena.data, arena.grad, state, lr, beta1, beta2, eps)
+            assert state.scratch[0].size == block
+            for r, f in zip(ref, flat):
+                assert r.tensor.data.tobytes() == f.tensor.data.tobytes()
+            assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_state["m"].values()]).tobytes()
+            assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_state["v"].values()]).tobytes()
 
 
 class TestParamArena:

@@ -217,7 +217,11 @@ class TestConvOperator:
         ops = operators(1)
         blocks = sp.hstack([ops.identity, ops.grad_ew, ops.grad_ns, ops.laplacian])
         assert abs(ops.conv - blocks).max() == 0.0
-        assert abs(ops.conv_t - ops.conv.T).max() == 0.0
+        transposed = (ops.grad_ew, ops.grad_ns, ops.laplacian)
+        assert len(ops.blocks_t) == len(transposed)
+        for block_t, block in zip(ops.blocks_t, transposed):
+            assert block_t.shape == block.T.shape
+            assert abs(block_t - block.T).max() == 0.0
 
 
 class TestPoolMap:

@@ -11,7 +11,7 @@ from brainsurf.meshlayers import (
     mesh_pool,
     mesh_unpool,
 )
-from oracles import sum_of_squares
+from oracles import mesh_conv_grads, sum_of_squares
 
 
 def make_layer(in_ch, out_ch, level, seed=0):
@@ -89,6 +89,38 @@ class TestMeshConv:
 
         err = grad_check(f, [layer.weights, layer.bias, x], max_coords=120, seed=0)
         assert err < 1e-6
+
+
+class TestMeshConvBackward:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        level=st.integers(2, 4),
+        batch=st.integers(1, 3),
+        c_in=st.integers(1, 4),
+        c_out=st.integers(1, 4),
+        slope=st.sampled_from([None, 0.1]),
+        input_needs_grad=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blockwise_matches_stacked_transpose(self, level, batch, c_in, c_out, slope, input_needs_grad, seed):
+        # The backward runs one operator block at a time; the oracle applies
+        # the stacked transpose once.  Only dx sums in another order.
+        rng = np.random.default_rng(seed)
+        layer = make_layer(c_in, c_out, level, seed=seed)
+        layer.bias.tensor.data[...] = rng.standard_normal(c_out)
+        n = layer.operators.identity.shape[0]
+        x = Tensor(rng.standard_normal((n, batch, c_in)), requires_grad=input_needs_grad)
+        out = mesh_conv(layer, x, slope)
+        g = rng.standard_normal(out.shape)
+        dx, dw, db = out._backward_fn(g)
+        ref_dx, ref_dw, ref_db = mesh_conv_grads(layer, x.data, out.data, g, slope)
+        if input_needs_grad:
+            assert dx.shape == ref_dx.shape
+            assert np.abs(dx - ref_dx).max() <= 1e-12 * np.abs(ref_dx).max()
+        else:
+            assert dx is None
+        assert np.array_equal(dw, ref_dw)
+        assert np.array_equal(db, ref_db)
 
 
 class TestMeshPool:

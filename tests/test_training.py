@@ -1,10 +1,13 @@
 import csv
 import tracemalloc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from brainsurf import meshlayers
+from brainsurf.autodiff import backward
 from brainsurf.connectome import GeneratorConfig, generate_cohort
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import ModelConfig, build_model, load_model, save_model
@@ -149,7 +152,7 @@ class TestTrainPhase:
         import brainsurf.autodiff as autodiff
         import brainsurf.training as training
 
-        recorded, roots = [], []
+        recorded, roots, reachable = [], [], {}  # the values keep each id unique
         original_op, original_backward = autodiff._op, training.backward
 
         def recording_op(data, parents, grads):
@@ -159,7 +162,14 @@ class TestTrainPhase:
             return out
 
         def recording_backward(root):
+            # Reachability is taken before the sweep, which drops the edges.
             roots.append(root)
+            todo = [root]
+            while todo:
+                node = todo.pop()
+                if id(node) not in reachable:
+                    reachable[id(node)] = node
+                    todo.extend(node._parents)
             original_backward(root)
 
         monkeypatch.setattr(autodiff, "_op", recording_op)
@@ -168,12 +178,6 @@ class TestTrainPhase:
             build_model(TINY_MODEL, hierarchy), tiny_subjects(), TrainState(np.random.default_rng(0)), epochs=1,
             batch_size=2, opt=OptimizerConfig(),
         )
-        reachable, todo = set(), list(roots)
-        while todo:
-            node = todo.pop()
-            if id(node) not in reachable:
-                reachable.add(id(node))
-                todo.extend(node._parents)
         assert len(roots) == 2 and recorded
         assert [n.data.shape for n in recorded if id(n) not in reachable] == []
 
@@ -237,6 +241,48 @@ class TestTrainPhaseMemory:
             finally:
                 tracemalloc.stop()
             assert peak < adam_state + 2 * graph, use_rc_loss
+
+
+class TestStepMemory:
+    def test_backward_frees_as_it_goes(self, monkeypatch):
+        # A cohort-shape step: level 3, 100 input channels, 47 contrasts,
+        # batch 8, holding only the loss root as train_phase does.  The sweep
+        # frees each activation once its last consumer has run, and each
+        # conv's backward holds one operator block's dz at a time, so the
+        # backward peak exceeds the step's graph by at most 3 output maps
+        # (2.0 measured).  Keeping the graph through the sweep, with the
+        # stacked [4, V*B, C] dz and a transposed copy of it, peaks at 9.7.
+        model = build_model(ModelConfig(input_channels=100, output_channels=47, mesh_level=3), build_hierarchy(3))
+        rng = np.random.default_rng(0)
+        x, targets = rng.standard_normal((8, 100, 642)), rng.standard_normal((8, 47, 642))
+        out_bytes = 8 * 642 * 47 * 8
+        conv_outputs = []
+        conv = meshlayers.mesh_conv
+
+        def spy(layer, h, slope=None):
+            out = conv(layer, h, slope)
+            conv_outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(meshlayers, "mesh_conv", spy)
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch_loss = rc_loss(model.forward(x), targets, Margins(0.0, 1.0))
+            loss, batch_loss = batch_loss.l_rc, None
+            graph = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(conv_outputs) == 11
+        assert peak - graph <= 3 * out_bytes, (peak - graph) / out_bytes
+        # No activation outlives the sweep, not even behind the root the
+        # caller still holds.
+        assert loss.item() > 0.0
+        assert [i for i, ref in enumerate(conv_outputs) if ref() is not None] == []
 
 
 class TestTwoPhase:
