@@ -176,29 +176,6 @@ def transpose(x, axes: Sequence[int], shape: tuple[int, ...] | None = None) -> T
     )
 
 
-def concat_channels(parts: Sequence) -> Tensor:
-    """Concatenate along the last (channel) axis; leading axes must agree."""
-    tensors = [_as_tensor(p) for p in parts]
-    if not tensors:
-        raise ShapeMismatch("concat_channels: no inputs")
-    lead = tensors[0].data.shape[:-1]
-    for t in tensors:
-        if t.data.ndim == 0 or t.data.shape[:-1] != lead:
-            raise ShapeMismatch(
-                f"concat_channels: shapes {[t.data.shape for t in tensors]} incompatible"
-            )
-
-    def grads(g: np.ndarray) -> list[np.ndarray]:
-        parts, start = [], 0
-        for t in tensors:
-            stop = start + t.data.shape[-1]
-            parts.append(g[..., start:stop])
-            start = stop
-        return parts
-
-    return _op(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors), grads)
-
-
 def backward(root: Tensor) -> None:
     """Reverse topological sweep from a scalar root.  Each node's gradient
     function returns its parents' gradients, and this sweep alone adds them

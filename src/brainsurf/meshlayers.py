@@ -1,4 +1,4 @@
-"""Differentiable convolution, pooling, and unpooling layers on icospheres.
+"""Differentiable convolution and pooling layers on icospheres.
 
 A mesh convolution combines four fixed sparse operators (identity, east
 gradient, north gradient, Laplacian) with learned per-channel-pair weights:
@@ -7,7 +7,9 @@ gradient, north gradient, Laplacian) with learned per-channel-pair weights:
 
 optionally followed, in the same graph node, by the leaky ReLU
 max(y, slope*y).  Pooling and unpooling are the fixed linear maps carried
-by a PoolMap.
+by a PoolMap.  Pooling is a layer of its own; unpooling happens inside the
+convolution that reads a coarser input, after that input's channels are
+contracted on the coarse mesh.
 
 Layers work on vertex-major batches [V, B, C] (C-contiguous), so every sparse
 operator applies to x viewed as [V, B*C] without a transpose or a copy.  They
@@ -89,7 +91,9 @@ def _vertex_major(layer_fn):
 
 
 @_vertex_major
-def mesh_conv(layer: MeshConvLayer, x, slope: float | None = None) -> Tensor:
+def mesh_conv(
+    layer: MeshConvLayer, x, slope: float | None = None, coarse: tuple[PoolMap, Tensor] | None = None
+) -> Tensor:
     """One graph node: contract the weights first, z_k = x W_k, then apply
     the horizontally stacked operator once, y = [I | grad_ew | grad_ns | L] z,
     and add the bias.  With a ``slope`` in [0, 1], y becomes max(y, slope*y)
@@ -98,23 +102,50 @@ def mesh_conv(layer: MeshConvLayer, x, slope: float | None = None) -> Tensor:
     exactly where it was before, so the backward takes its mask from the
     output.
 
+    With ``coarse = (pool_map, h)``, the conv reads the channel concatenation
+    [x | U h] of x and the unpooled coarse features (U the map's
+    ``unpool_matrix``, h [V_coarse, B, C_h]) in the weights' input order,
+    without forming it: unpooling commutes with the contraction, so
+    z_k = x W_k[x rows] + U (h W_k[h rows]), and h's rows are contracted on
+    the coarse mesh.  Its gradients are then (dx, dh, dW, db); without it,
+    (dx, dW, db).
+
     The backward runs one operator block S_k at a time, dz_k = S_k^T g
     (dz_0 = g), so it never holds more than one block's dz: dW_k = x^T dz_k,
-    and dx = sum_k dz_k W_k^T is added up block by block in one buffer."""
+    and dx = sum_k dz_k W_k^T is added up block by block in one buffer.  The
+    coarse input takes U^T dz_k in place of dz_k."""
     ops = layer.operators
     n_vertices = ops.identity.shape[0]
-    if x.data.ndim != 3 or x.data.shape[0] != n_vertices or x.data.shape[2] != layer.in_channels:
+    c_x = layer.in_channels - (0 if coarse is None else coarse[1].data.shape[-1])
+    if x.data.ndim != 3 or x.data.shape[0] != n_vertices or x.data.shape[2] != c_x:
         raise ShapeMismatch(
-            f"mesh_conv: vertex-major input {x.data.shape}, layer expects "
-            f"{(n_vertices, 'B', layer.in_channels)}"
+            f"mesh_conv: vertex-major input {x.data.shape}, layer expects {(n_vertices, 'B', c_x)}"
         )
     batch = x.data.shape[1]
     c_out = layer.out_channels
     w, b = layer.weights.tensor, layer.bias.tensor
-    w4 = w.data.transpose(2, 1, 0)  # [4, in, out] view of the [out, in, 4] weights
-    rows = x.data.reshape(n_vertices * batch, layer.in_channels)
-    z = np.matmul(rows[None], w4)  # [4, V*B, out]
+    w4 = np.ascontiguousarray(w.data.transpose(2, 1, 0))  # [4, in, out], a contiguous copy
+    rows = x.data.reshape(n_vertices * batch, c_x)
+    # Per input: the tensor, its rows [V*B, C], its weight rows, and U^T for
+    # the coarse one (None for x).
+    inputs = [(x, rows, slice(0, c_x), None)]
+    z = np.matmul(rows[None], w4[:, :c_x])  # [4, V*B, out]
+    if coarse is not None:
+        pool_map, h = coarse
+        unpool = pool_map.unpool_matrix
+        n_coarse = unpool.shape[1]
+        if unpool.shape[0] != n_vertices or h.data.ndim != 3 or h.data.shape[:2] != (n_coarse, batch):
+            raise ShapeMismatch(
+                f"mesh_conv: coarse input {h.data.shape}, layer expects {(n_coarse, batch, 'C')}"
+            )
+        coarse_rows = h.data.reshape(n_coarse * batch, -1)
+        inputs.append((h, coarse_rows, slice(c_x, None), unpool.T))
+        zc = np.matmul(coarse_rows[None], w4[:, c_x:])  # [4, V_coarse*B, out]
+        for z_k, zc_k in zip(z.reshape(N_OPERATORS, n_vertices, -1), zc.reshape(N_OPERATORS, n_coarse, -1)):
+            z_k += unpool @ zc_k  # U (h W_k): the unpooled input's share of z_k
+        del zc
     y = ops.conv @ z.reshape(N_OPERATORS * n_vertices, batch * c_out)
+    del z  # before the activation's temporary
     y = y.reshape(n_vertices, batch, c_out)
     y += b.data
     active = None  # a linear conv keeps no output in its backward
@@ -123,31 +154,37 @@ def mesh_conv(layer: MeshConvLayer, x, slope: float | None = None) -> Tensor:
         np.maximum(y, slope * y, out=y)
         active = y
 
-    def grads(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    def grads(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
         if active is not None:
             # The byte mask picks slope or 1 per entry: g * where(y > 0, 1, slope).
             g = g * np.array([slope, 1.0]).take((active > 0.0).view(np.uint8))
         g = np.ascontiguousarray(g).reshape(n_vertices * batch, c_out)
-        dw = np.empty((N_OPERATORS, layer.in_channels, c_out))
-        np.matmul(rows.T, g, out=dw[0])
-        dx = tmp = None  # the input layer's x needs none: skip the largest products
-        if x.requires_grad:
-            w_t = np.ascontiguousarray(w4.transpose(0, 2, 1))  # [4, out, in]: W_k^T
-            dx, tmp = g @ w_t[0], np.empty_like(rows)
         g_wide = g.reshape(n_vertices, batch * c_out)
-        for k, block_t in enumerate(ops.blocks_t, start=1):
-            dz = (block_t @ g_wide).reshape(g.shape)
-            np.matmul(rows.T, dz, out=dw[k])
-            if dx is not None:
-                dx += np.matmul(dz, w_t[k], out=tmp)
-            del dz  # before the next block's product: one dz at a time
+        dw = np.empty((N_OPERATORS, layer.in_channels, c_out))
+        # Per input: its gradient and one temporary, None when it needs no
+        # gradient (the input layer's x: skip the largest products).
+        d_in: list[np.ndarray | None] = [None] * len(inputs)
+        tmp: list[np.ndarray | None] = [None] * len(inputs)
+        for k in range(N_OPERATORS):
+            dz = g if k == 0 else (ops.blocks_t[k - 1] @ g_wide).reshape(g.shape)
+            for i, (t, rows, cols, adjoint) in enumerate(inputs):
+                d = dz if adjoint is None else (adjoint @ dz.reshape(n_vertices, -1)).reshape(-1, c_out)
+                np.matmul(rows.T, d, out=dw[k, cols])
+                if not t.requires_grad:
+                    continue
+                w_t = np.ascontiguousarray(w4[k, cols].T)  # W_k[rows of this input]^T
+                if k == 0:
+                    d_in[i], tmp[i] = d @ w_t, np.empty_like(rows)
+                else:
+                    d_in[i] += np.matmul(d, w_t, out=tmp[i])
+            del dz, d  # before the next block's product: one dz at a time
         return (
-            None if dx is None else dx.reshape(x.data.shape),
+            *(None if grad is None else grad.reshape(t.data.shape) for grad, (t, *_) in zip(d_in, inputs)),
             dw.transpose(2, 1, 0),
             g.sum(axis=0),
         )
 
-    return ad._op(y, (x, w, b), grads)
+    return ad._op(y, (*(t for t, *_ in inputs), w, b), grads)
 
 
 @_vertex_major
@@ -158,13 +195,3 @@ def mesh_pool(pool_map: PoolMap, x) -> Tensor:
             f"V_fine={pool_map.pool_matrix.shape[1]}"
         )
     return ad.sparse_matmul(pool_map.pool_matrix, x)
-
-
-@_vertex_major
-def mesh_unpool(pool_map: PoolMap, x) -> Tensor:
-    if x.data.ndim != 3 or x.data.shape[0] != pool_map.unpool_matrix.shape[1]:
-        raise ShapeMismatch(
-            f"mesh_unpool: vertex-major input {x.data.shape}, map expects "
-            f"V_coarse={pool_map.unpool_matrix.shape[1]}"
-        )
-    return ad.sparse_matmul(pool_map.unpool_matrix, x)

@@ -1,8 +1,11 @@
 """Mesh U-Net mapping a multi-channel connectome mesh to contrast maps.
 
 The encoder runs two mesh convolutions per level and pools one level down
-after each block; the decoder unpools, concatenates the matching encoder
-features channel-wise, and runs two more convolutions.  All hidden layers
+after each block; the decoder runs two more convolutions per level, the
+first of which reads the matching encoder features and the unpooled coarser
+features as one channel concatenation [skip | unpooled] without forming it:
+it contracts the coarse channels on the coarse mesh and unpools the result,
+since unpooling commutes with the channel contraction.  All hidden layers
 share weights across the predicted contrast channels; only the final linear
 convolution separates them.  The parameters live in one ``ParamArena``: their
 data and their gradients are views of two flat vectors, in ``parameters()``
@@ -119,11 +122,10 @@ class BrainSurfCNN:
         h = ml.mesh_conv(self.bottleneck[1], h, slope)
 
         for depth in reversed(range(len(self.encoder))):
-            fine_level = cfg.mesh_level - depth
-            h = ml.mesh_unpool(self.hierarchy.pool_map(fine_level), h)
-            h = ad.concat_channels([skips[depth], h])
+            # The first conv reads [skip | unpooled h] without forming it.
             conv_a, conv_b = self.decoder[depth]
-            h = ml.mesh_conv(conv_a, h, slope)
+            up = (self.hierarchy.pool_map(cfg.mesh_level - depth), h)
+            h = ml.mesh_conv(conv_a, skips[depth], slope, coarse=up)
             h = ml.mesh_conv(conv_b, h, slope)
 
         out = ml.mesh_conv(self.output_layer, h)  # linear: contrasts are signed

@@ -30,6 +30,21 @@ def hinge(x: Tensor, slope: float = 0.1) -> Tensor:
     )
 
 
+def concat_channels(parts) -> Tensor:
+    """Concatenate same-leading-shape tensors along the last axis as one
+    graph node whose gradient hands each part its slice of g: the tests'
+    multi-parent op."""
+    lead = parts[0].data.shape[:-1]
+    if any(p.data.ndim == 0 or p.data.shape[:-1] != lead for p in parts):
+        raise ShapeMismatch(f"concat_channels: shapes {[p.data.shape for p in parts]} incompatible")
+    stops = np.cumsum([p.data.shape[-1] for p in parts])
+    return ad._op(
+        np.concatenate([p.data for p in parts], axis=-1),
+        tuple(parts),
+        lambda g: tuple(np.split(g, stops[:-1], axis=-1)),
+    )
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation of two 1-d series, clipped to [-1, 1]
     against rounding."""
@@ -139,3 +154,23 @@ def mesh_conv_grads(layer, x, out, g, slope=None):
     dx = np.tensordot(dz, w4, axes=([0, 2], [0, 2])).reshape(x.shape)
     dw = np.matmul(rows.T, dz).transpose(2, 1, 0)
     return dx, dw, g.reshape(-1, c_out).sum(axis=0)
+
+
+def dense_mesh_conv(layer, x, g, slope=None):
+    """``mesh_conv(layer, x, slope)`` at vertex-major x [V, B, in] from the
+    four operators as dense matrices S_k, one einsum per term, and its
+    gradients for the output gradient g: y = sum_k S_k x W_k + b, then
+    max(y, slope*y); with g' = g * where(y > 0, 1, slope),
+    dx = sum_k S_k^T g' W_k^T, dW_k = (S_k x)^T g' and db = the sum of g'.
+    Returns (y, dx, dW, db), dW as [out, in, 4]."""
+    ops = layer.operators
+    dense = np.stack([op.toarray() for op in (ops.identity, ops.grad_ew, ops.grad_ns, ops.laplacian)])
+    w = layer.weights.tensor.data
+    sx = np.einsum("kvu,ubi->kvbi", dense, x)
+    y = np.einsum("kvbi,oik->vbo", sx, w) + layer.bias.tensor.data
+    if slope is not None:
+        g = g * np.where(y > 0.0, 1.0, slope)
+        y = np.where(y > 0.0, y, slope * y)
+    dx = np.einsum("kvu,vbo,oik->ubi", dense, g, w)
+    dw = np.einsum("kvbi,vbo->oik", sx, g)
+    return y, dx, dw, g.sum(axis=(0, 1))

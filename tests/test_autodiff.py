@@ -22,10 +22,10 @@ from brainsurf.autodiff import (
     grad_check,
 )
 from brainsurf.fileio import load_checkpoint, save_checkpoint
-from brainsurf.icosphere import operators
+from brainsurf.icosphere import build_hierarchy, operators
 from brainsurf.meshlayers import init_conv_layer, mesh_conv
 from brainsurf.rcloss import Margins, rc_loss
-from oracles import hinge, sum_of_squares
+from oracles import concat_channels, hinge, sum_of_squares
 
 
 def trainable(arr):
@@ -34,11 +34,12 @@ def trainable(arr):
 
 def mix(parts, coeffs):
     # sum_k coeffs[k] * parts[k] of same-shape [R, C] tensors, built from the
-    # package's ops: concatenate the channels, then apply [c_0 I | c_1 I | ...]
-    # to them, moved to the front by a transpose.
+    # package's ops and the tests' concatenation: concatenate the channels,
+    # then apply [c_0 I | c_1 I | ...] to them, moved to the front by a
+    # transpose.
     eye = sp.identity(parts[0].shape[1])
     fold = sp.hstack([c * eye for c in coeffs], format="csr")
-    wide = ad.transpose(ad.concat_channels(parts), (1, 0))
+    wide = ad.transpose(concat_channels(parts), (1, 0))
     return ad.transpose(ad.sparse_matmul(fold, wide), (1, 0))
 
 
@@ -57,16 +58,6 @@ class TestForwardOps:
         assert np.allclose(out3.data, np.einsum("uv,vbc->ubc", dense, x3), atol=1e-14)
         with pytest.raises(ShapeMismatch):
             ad.sparse_matmul(s, Tensor(x.T))
-
-    def test_concat_channels(self):
-        # Channels are the last axis; the leading (vertex, batch) axes must agree.
-        a = Tensor(np.ones((4, 2, 2)))
-        b = Tensor(np.zeros((4, 2, 3)))
-        out = ad.concat_channels([a, b])
-        assert out.shape == (4, 2, 5)
-        assert np.array_equal(out.data[..., :2], a.data)
-        with pytest.raises(ShapeMismatch):
-            ad.concat_channels([a, Tensor(np.zeros((4, 3, 3)))])
 
     def test_leaky_relu_values(self):
         # A one-channel conv that passes its input through (identity weight,
@@ -93,7 +84,7 @@ class TestBackward:
 
     def test_diamond_fanout(self):
         x = trainable([[1.5]])
-        backward(sum_of_squares(ad.concat_channels([x, x])))
+        backward(sum_of_squares(concat_channels([x, x])))
         assert x.grad == 6.0
 
     def test_non_scalar_root(self):
@@ -141,6 +132,15 @@ def build_chain(x, w, ops, slope):
     return h
 
 
+def unpooling_conv(rng, slope, skip_needs_grad=True, coarse_needs_grad=True):
+    # A level-1 decoder conv on batch 2: 2 skip channels, then 3 channels
+    # unpooled from level 0.
+    layer = init_conv_layer(rng, "u", 5, 2, operators(1))
+    skip = Tensor(rng.standard_normal((42, 2, 2)), requires_grad=skip_needs_grad)
+    coarse = Tensor(rng.standard_normal((12, 2, 3)), requires_grad=coarse_needs_grad)
+    return mesh_conv(layer, skip, slope, coarse=(build_hierarchy(1).pool_map(1), coarse))
+
+
 def graph_nodes(root):
     seen, todo = {}, [root]
     while todo:
@@ -164,7 +164,7 @@ class TestBackwardReleases:
     def test_only_leaves_hold_gradients(self, ops, seed, slope):
         rng = np.random.default_rng(seed)
         x, w = trainable(rng.standard_normal((5, 3))), trainable(rng.standard_normal((5, 3)))
-        root = sum_of_squares(build_chain(x, w, ops, slope))
+        root = sum_of_squares(build_chain(x, w, ops, slope), unpooling_conv(rng, slope))
         # Collected with their parents before the sweep, which drops them.
         nodes = [(node, bool(node._parents)) for node in graph_nodes(root)]
         backward(root)
@@ -233,15 +233,16 @@ class TestGradientFunctions:
         seed=st.integers(0, 2**32 - 1),
         slope=st.floats(0.0, 1.0),
         conv_input_needs_grad=st.booleans(),
+        coarse_needs_grad=st.booleans(),
         margins=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
     )
-    def test_one_gradient_per_parent(self, ops, seed, slope, conv_input_needs_grad, margins):
+    def test_one_gradient_per_parent(self, ops, seed, slope, conv_input_needs_grad, coarse_needs_grad, margins):
         # Every recorded node's gradient function returns one entry per
         # parent, in parent order: None, or an array of that parent's shape.
         rng = np.random.default_rng(seed)
         x, w = trainable(rng.standard_normal((5, 3))), trainable(rng.standard_normal((5, 3)))
         h = build_chain(x, w, ops, slope)
-        wide = ad.concat_channels([h, w, Tensor(np.ones((5, 2))), hinge(h, slope)])
+        wide = concat_channels([h, w, Tensor(np.ones((5, 2))), hinge(h, slope)])
         layer = init_conv_layer(rng, "c", 3, 2, operators(0))
         conv_in = Tensor(rng.standard_normal((12, 2, 3)), requires_grad=conv_input_needs_grad)
         targets = rng.standard_normal((2, 5, 3))
@@ -250,9 +251,10 @@ class TestGradientFunctions:
             rc_loss(ad.transpose(wide, (1, 0)), rng.standard_normal((11, 5)), Margins(*margins)).l_rc,
             rc_loss([h], w.data[None], None).l_r,
         ]
-        root = sum_of_squares(wide, mesh_conv(layer, conv_in), *losses)
+        unpooled = unpooling_conv(rng, slope, conv_input_needs_grad, coarse_needs_grad)
+        root = sum_of_squares(wide, mesh_conv(layer, conv_in), unpooled, *losses)
         recorded = [node for node in graph_nodes(root) if node._parents]
-        assert len(recorded) >= 8
+        assert len(recorded) >= 9
         for node in recorded:
             grads = node._backward_fn(rng.standard_normal(node.data.shape))
             assert len(grads) == len(node._parents)

@@ -955,8 +955,8 @@ class TestGradcheck:
         # finite-difference comparison.
         original = meshlayers.mesh_conv
 
-        def corrupted(layer, x, slope=None):
-            out = original(layer, x, slope)
+        def corrupted(layer, x, slope=None, **coarse):
+            out = original(layer, x, slope, **coarse)
             if slope is not None and out._backward_fn is not None:
                 backward_fn = out._backward_fn
                 scale = np.where(out.data > 0.0, 1.0, 0.9 / slope)

@@ -3,15 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brainsurf import autodiff as ad
 from brainsurf.autodiff import Param, ShapeMismatch, Tensor, backward, grad_check
 from brainsurf.icosphere import build_hierarchy, build_pool_map, icosphere, operators
-from brainsurf.meshlayers import (
-    init_conv_layer,
-    mesh_conv,
-    mesh_pool,
-    mesh_unpool,
-)
-from oracles import mesh_conv_grads, sum_of_squares
+from brainsurf.meshlayers import init_conv_layer, mesh_conv, mesh_pool
+from oracles import dense_mesh_conv, mesh_conv_grads, sum_of_squares
 
 
 def make_layer(in_ch, out_ch, level, seed=0):
@@ -79,6 +75,14 @@ class TestMeshConv:
         layer = make_layer(2, 2, 1)
         with pytest.raises(ShapeMismatch):
             mesh_conv(layer, np.zeros((2, 162)))
+        # A coarse input: 2 + 3 channels at level 2.
+        layer, pm, pm3 = make_layer(2 + 3, 2, 2), build_hierarchy(2).pool_map(2), build_hierarchy(3).pool_map(3)
+        with pytest.raises(ShapeMismatch):  # its batch differs from x's
+            mesh_conv(layer, Tensor(np.zeros((162, 2, 2))), coarse=(pm, Tensor(np.zeros((42, 1, 3)))))
+        with pytest.raises(ShapeMismatch):  # the channels do not add up to the layer's
+            mesh_conv(layer, Tensor(np.zeros((162, 1, 3))), coarse=(pm, Tensor(np.zeros((42, 1, 3)))))
+        with pytest.raises(ShapeMismatch):  # the map's fine level is not the layer's
+            mesh_conv(layer, Tensor(np.zeros((162, 1, 2))), coarse=(pm3, Tensor(np.zeros((162, 1, 3)))))
 
     def test_grad_check(self):
         layer = make_layer(2, 2, 2, seed=9)
@@ -123,6 +127,31 @@ class TestMeshConvBackward:
         assert np.array_equal(db, ref_db)
 
 
+class TestUnpoolingConv:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("slope", [None, 0.1])
+    def test_matches_dense_unpool_then_concat(self, level, batch, slope):
+        # Oracle: unpool h with the dense U, concatenate it after x, run the
+        # dense conv; h's gradient is U^T of its channels' share of dx.
+        rng = np.random.default_rng(level * 10 + batch)
+        pm = build_hierarchy(level).pool_map(level)
+        unpool = pm.unpool_matrix.toarray()
+        layer = make_layer(3 + 5, 4, level, seed=level)
+        layer.bias.tensor.data[...] = rng.standard_normal(4)
+        x = Tensor(rng.standard_normal((unpool.shape[0], batch, 3)), requires_grad=True)
+        h = Tensor(rng.standard_normal((unpool.shape[1], batch, 5)), requires_grad=True)
+        out = mesh_conv(layer, x, slope, coarse=(pm, h))
+        g = rng.standard_normal(out.shape)
+        joined = np.concatenate([x.data, np.einsum("vu,ubc->vbc", unpool, h.data)], axis=2)
+        y, d_joined, dw, db = dense_mesh_conv(layer, joined, g, slope)
+        dh = np.einsum("vu,vbc->ubc", unpool, d_joined[..., 3:])
+        expected = [y, d_joined[..., :3], dh, dw, db]
+        for got, want in zip([out.data, *out._backward_fn(g)], expected, strict=True):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestMeshPool:
     def test_constant_preserved(self):
         pm = build_pool_map(icosphere(2), icosphere(1))
@@ -164,19 +193,20 @@ class TestMeshPool:
 
 
 class TestMeshUnpool:
+    # The unpooling map alone; the decoder applies it inside its first conv.
     def test_constant_preserved(self):
         pm = build_pool_map(icosphere(1), icosphere(0))
-        out = mesh_unpool(pm, np.full((2, 12), -3.0))
-        assert out.shape == (2, 42)
-        assert np.abs(out.data + 3.0).max() < 1e-12
+        out = pm.unpool_matrix @ np.full((12, 2), -3.0)
+        assert out.shape == (42, 2)
+        assert np.abs(out + 3.0).max() < 1e-12
 
     def test_one_hot_parent_edges(self):
         fine = icosphere(1)
         pm = build_pool_map(fine, icosphere(0))
         j = 7
-        x = np.zeros((1, 12))
-        x[0, j] = 1.0
-        out = mesh_unpool(pm, x).data[0]
+        x = np.zeros(12)
+        x[j] = 1.0
+        out = pm.unpool_matrix @ x
         assert out[j] == 1.0
         for new_idx, (a, b) in enumerate(fine.parent_edges, start=12):
             expected = 0.5 * ((a == j) + (b == j))
@@ -185,7 +215,7 @@ class TestMeshUnpool:
     def test_pool_of_unpool_constant(self):
         pm = build_pool_map(icosphere(2), icosphere(1))
         c = np.full((1, 42), 2.25)
-        roundtrip = mesh_pool(pm, mesh_unpool(pm, c))
+        roundtrip = mesh_pool(pm, (pm.unpool_matrix @ c.T).T)
         assert np.abs(roundtrip.data - 2.25).max() < 1e-12
 
 
@@ -223,7 +253,7 @@ class TestVertexMajorBatch:
         pooled = mesh_pool(pm, np.full((n_fine, batch, channels), c)).data
         assert pooled.shape == (n_coarse, batch, channels)
         assert np.abs(pooled - c).max() <= tol
-        unpooled = mesh_unpool(pm, np.full((n_coarse, batch, channels), c)).data
+        unpooled = ad.sparse_matmul(pm.unpool_matrix, np.full((n_coarse, batch, channels), c)).data
         assert unpooled.shape == (n_fine, batch, channels)
         assert np.abs(unpooled - c).max() <= tol
 

@@ -181,6 +181,31 @@ class TestTrainPhase:
         assert len(roots) == 2 and recorded
         assert [n.data.shape for n in recorded if id(n) not in reachable] == []
 
+    @pytest.mark.parametrize("margins0, calls", [(None, 16), (Margins(0.1, 0.1), 17)])
+    def test_desk_step_records_one_node_per_op(self, monkeypatch, margins0, calls):
+        # One step of the README default model (level 2, two encoder levels)
+        # makes one _op call per node: the input layout, 4 encoder convs and
+        # 2 pools, 2 bottleneck convs, 4 decoder convs (each level's first
+        # reads its unpooled input itself), the output conv and its layout,
+        # then L_R, and L_RC in phase 2.
+        import brainsurf.autodiff as autodiff
+
+        original_op, n_calls = autodiff._op, []
+
+        def counting_op(data, parents, grads):
+            n_calls.append(1)
+            return original_op(data, parents, grads)
+
+        rng = np.random.default_rng(0)
+        subjects = [
+            TrainSubject(str(i), [rng.standard_normal((10, 162))] * 8, rng.standard_normal((4, 162)))
+            for i in range(2)
+        ]
+        model = build_model(ModelConfig(), build_hierarchy(2))
+        monkeypatch.setattr(autodiff, "_op", counting_op)
+        train_phase(model, subjects, TrainState(rng, margins0=margins0), epochs=1, batch_size=2, opt=OptimizerConfig())
+        assert len(n_calls) == calls
+
     def test_nan_aborts_with_previous_checkpoint(self, hierarchy, tmp_path):
         model = build_model(TINY_MODEL, hierarchy)
         subjects = tiny_subjects()
@@ -259,8 +284,8 @@ class TestStepMemory:
         conv_outputs = []
         conv = meshlayers.mesh_conv
 
-        def spy(layer, h, slope=None):
-            out = conv(layer, h, slope)
+        def spy(layer, h, slope=None, **coarse):
+            out = conv(layer, h, slope, **coarse)
             conv_outputs.append(weakref.ref(out.data))
             return out
 
