@@ -108,10 +108,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _op(
     data,
     parents: tuple[Tensor, ...],
@@ -148,10 +144,9 @@ def _along_axis0(matrix: sp.spmatrix, a: np.ndarray) -> np.ndarray:
     return out.reshape((matrix.shape[0],) + a.shape[1:])
 
 
-def sparse_matmul(matrix: sp.spmatrix, x) -> Tensor:
+def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     """Apply a constant sparse operator along axis 0 (the vertex axis) of x,
     whatever its trailing shape."""
-    x = _as_tensor(x)
     if x.data.ndim == 0 or x.data.shape[0] != matrix.shape[1]:
         raise ShapeMismatch(
             f"sparse_matmul: operator {matrix.shape} against data {x.data.shape}"
@@ -164,10 +159,9 @@ def _record_hinge(pre: np.ndarray) -> None:
         _hinge_trace.append(pre.copy())
 
 
-def transpose(x, axes: Sequence[int], shape: tuple[int, ...] | None = None) -> Tensor:
+def transpose(x: Tensor, axes: Sequence[int], shape: tuple[int, ...] | None = None) -> Tensor:
     """Permute the axes of x into a fresh C-contiguous array, then view it in
     ``shape`` when given (a view: the permuted buffer is not copied again)."""
-    x = _as_tensor(x)
     permuted = np.ascontiguousarray(x.data.transpose(axes))
     return _op(
         permuted if shape is None else permuted.reshape(shape),

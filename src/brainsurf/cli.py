@@ -174,13 +174,12 @@ class RunConfig(JsonConfig):
     @staticmethod
     def from_file(path: str | None) -> "RunConfig":
         if path is None:
-            cfg = RunConfig()
-            cfg.validate()
-            return cfg
-        raw = Path(path).read_text()
+            return RunConfig.from_dict({})
         try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            # Bytes: json detects UTF-8 (a BOM too), UTF-16 and UTF-32, and a
+            # file in none of them raises UnicodeDecodeError, a ValueError.
+            data = json.loads(Path(path).read_bytes())
+        except ValueError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         try:
             return RunConfig.from_dict(data)

@@ -91,8 +91,15 @@ def _read_framed(path: str | Path, n_values: Callable[[dict], int]) -> tuple[dic
 
 def is_plain_file_name(name: str) -> bool:
     """Whether ``name`` names a file in the directory it is joined to, and
-    nothing else: not empty, ``.`` or ``..``, no NUL byte, no path separator."""
-    return name not in ("", "..") and "\0" not in name and Path(name).name == name
+    nothing else: not empty, ``.`` or ``..``, no NUL byte, no path separator,
+    and no lone surrogate (what an argument byte that is not UTF-8, or a
+    JSON escape, decodes to), which UTF-8 text cannot hold."""
+    return (
+        name not in ("", "..")
+        and "\0" not in name
+        and Path(name).name == name
+        and not any("\ud800" <= ch <= "\udfff" for ch in name)
+    )
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:

@@ -12,14 +12,13 @@ convolution that reads a coarser input, after that input's channels are
 contracted on the coarse mesh.
 
 Layers work on vertex-major batches [V, B, C] (C-contiguous), so every sparse
-operator applies to x viewed as [V, B*C] without a transpose or a copy.  They
-also take one subject in the channel-major [C, V] layout of the files and
-return [C', V'].
+operator applies to x viewed as [V, B*C] without a transpose or a copy.
+``mesh_conv`` alone also takes one subject [C, V], for the benchmark's
+per-level conv timings.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +63,9 @@ def init_conv_layer(
     )
 
 
-def to_vertex_major(x) -> Tensor:
+def to_vertex_major(x: Tensor) -> Tensor:
     """One subject [C, V] or a batch [B, C, V] -> vertex-major [V, B, C]
     (B = 1 for one subject)."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
     c, v = x.data.shape[-2:]
     return ad.transpose(x, (x.data.ndim - 1, *range(x.data.ndim - 1)), (v, -1, c))
 
@@ -78,21 +76,8 @@ def from_vertex_major(x: Tensor, single: bool) -> Tensor:
     return ad.transpose(x, (1, 2, 0), (c, v) if single else (b, c, v))
 
 
-def _vertex_major(layer_fn):
-    # Lets a layer written for [V, B, C] batches also take one [C, V] subject.
-    @functools.wraps(layer_fn)
-    def apply(op, x, *args, **kwargs) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.data.ndim != 2:
-            return layer_fn(op, x, *args, **kwargs)
-        return from_vertex_major(layer_fn(op, to_vertex_major(x), *args, **kwargs), single=True)
-
-    return apply
-
-
-@_vertex_major
 def mesh_conv(
-    layer: MeshConvLayer, x, slope: float | None = None, coarse: tuple[PoolMap, Tensor] | None = None
+    layer: MeshConvLayer, x: Tensor, slope: float | None = None, coarse: tuple[PoolMap, Tensor] | None = None
 ) -> Tensor:
     """One graph node: contract the weights first, z_k = x W_k, then apply
     the horizontally stacked operator once, y = [I | grad_ew | grad_ns | L] z,
@@ -114,6 +99,10 @@ def mesh_conv(
     (dz_0 = g), so it never holds more than one block's dz: dW_k = x^T dz_k,
     and dx = sum_k dz_k W_k^T is added up block by block in one buffer.  The
     coarse input takes U^T dz_k in place of dz_k."""
+    if x.data.ndim == 2:
+        # One [C, V] subject -> [C', V].  Only perfbench's worker.conv_timings
+        # passes one; the branch goes once it times vertex-major batches.
+        return from_vertex_major(mesh_conv(layer, to_vertex_major(x), slope, coarse), single=True)
     ops = layer.operators
     n_vertices = ops.identity.shape[0]
     c_x = layer.in_channels - (0 if coarse is None else coarse[1].data.shape[-1])
@@ -187,8 +176,7 @@ def mesh_conv(
     return ad._op(y, (*(t for t, *_ in inputs), w, b), grads)
 
 
-@_vertex_major
-def mesh_pool(pool_map: PoolMap, x) -> Tensor:
+def mesh_pool(pool_map: PoolMap, x: Tensor) -> Tensor:
     if x.data.ndim != 3 or x.data.shape[0] != pool_map.pool_matrix.shape[1]:
         raise ShapeMismatch(
             f"mesh_pool: vertex-major input {x.data.shape}, map expects "

@@ -64,10 +64,10 @@ class TestForwardOps:
         # zero bias), then its activation: max(x, 0.1 x).
         layer = init_conv_layer(np.random.default_rng(0), "c", 1, 1, operators(0))
         layer.weights.tensor.data[...] = [[[1.0, 0.0, 0.0, 0.0]]]
-        x = np.zeros((1, 12))
-        x[0, :2] = [-2.0, 3.0]
-        out = mesh_conv(layer, x, slope=0.1)
-        assert np.allclose(out.data[0, :2], [-0.2, 3.0])
+        x = np.zeros((12, 1, 1))
+        x[:2, 0, 0] = [-2.0, 3.0]
+        out = mesh_conv(layer, Tensor(x), slope=0.1)
+        assert np.allclose(out.data[:2, 0, 0], [-0.2, 3.0])
 
 
 class TestBackward:
@@ -313,8 +313,9 @@ class TestGraphBoundary:
 
     def test_every_public_op_has_a_caller(self):
         # Ops that no caller reads are deleted: every public autodiff
-        # function that returns a Tensor, and every public rcloss function,
-        # is named in another package module (a re-export is no caller).
+        # function that returns a Tensor, and every public rcloss and
+        # meshlayers function, is named in another package module (a
+        # re-export is no caller).
         def public(module, returns=None):
             return {
                 f.name
@@ -333,7 +334,7 @@ class TestGraphBoundary:
                 if isinstance(node, (ast.Attribute, ast.alias))
             }
 
-        for module, returns in (("autodiff", "Tensor"), ("rcloss", None)):
+        for module, returns in (("autodiff", "Tensor"), ("rcloss", None), ("meshlayers", None)):
             ops = public(module, returns)
             assert ops
             assert sorted(ops - named_outside(module)) == []

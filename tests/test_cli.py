@@ -85,10 +85,15 @@ class TestGenData:
         path.write_text(json.dumps({"learning_rate": 1.0}))
         assert cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
-    def test_invalid_json_exit_2(self, tmp_path):
+    def test_invalid_json_exit_2(self, tmp_path, capsys):
+        # Not JSON, then bytes that are not UTF-8 (nor UTF-16 or -32).
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        for content in (b"{not json", b'{"seed": 1, "note": "caf\xe9"}'):
+            path.write_bytes(content)
+            assert cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("override", [
         {"mesh_level": -1},
@@ -606,6 +611,7 @@ class TestPredict:
         ("test_subjects", ["sub004", "sub\x00005"]),
         ("test_subjects", ["../../elsewhere/sub005"]),
         ("train_subjects", ["sub000", "sub001", "sub002", "subjects/sub003"]),
+        ("test_subjects", ["sub004", "sub\ud800005"]),  # a lone surrogate: no UTF-8 path holds it
     ])
     def test_cohort_json_field_types_exit_2(self, tiny_run, capsys, key, value):
         path = tiny_run / "data" / "cohort.json"
@@ -828,8 +834,10 @@ class TestEvaluate:
 
     # A name is part of the matrix dumps' file names: "../../esc" would write
     # them two levels above --out, and "a/b" into a directory that is not there.
+    # It is also a report.csv cell: "m\udcff" is the argument byte string
+    # b"m\xff", which is not UTF-8.
     @pytest.mark.parametrize(
-        "names", [["group_average"], ["retest"], ["model", "model"], [""], ["../../esc"], ["a/b"]]
+        "names", [["group_average"], ["retest"], ["model", "model"], [""], ["../../esc"], ["a/b"], ["m\udcff"]]
     )
     def test_reserved_or_repeated_preds_name_exit_2(self, tiny_run, capsys, names):
         from brainsurf.connectome import load_dataset

@@ -26,18 +26,18 @@ class TestMeshConv:
         w = np.zeros((1, 1, 4))
         w[0, 0, 0] = 1.0  # identity operator only
         set_weights(layer, w, np.array([0.7]))
-        x = np.random.default_rng(0).standard_normal((1, 42))
-        out = mesh_conv(layer, x)
+        x = np.random.default_rng(0).standard_normal((42, 1, 1))
+        out = mesh_conv(layer, Tensor(x))
         assert np.allclose(out.data, x + 0.7, atol=1e-14)
 
     def test_constant_input_uses_identity_weights_only(self):
         # Gradient and Laplacian operators annihilate constants, so only the
         # identity weights and bias survive.
         layer = make_layer(2, 3, 1, seed=5)
-        c = np.stack([np.full(42, 2.0), np.full(42, -1.0)])
-        out = mesh_conv(layer, c)
+        c = np.stack([np.full(42, 2.0), np.full(42, -1.0)], axis=-1)[:, None]  # [V, 1, 2]
+        out = mesh_conv(layer, Tensor(c))
         w = layer.weights.tensor.data
-        expected = (w[:, 0, 0] * 2.0 - w[:, 1, 0])[:, None] + layer.bias.tensor.data[:, None]
+        expected = w[:, 0, 0] * 2.0 - w[:, 1, 0] + layer.bias.tensor.data
         assert np.abs(out.data - expected).max() < 1e-12
 
     def test_matches_dense_reference(self):
@@ -57,24 +57,24 @@ class TestMeshConv:
                 for k, d in enumerate(dense_ops):
                     expected[o] += w[o, i, k] * (d @ x[i])
             expected[o] += b[o]
-        out = mesh_conv(layer, x)
-        assert np.abs(out.data - expected).max() < 1e-10
+        out = mesh_conv(layer, Tensor(np.ascontiguousarray(x.T[:, None])))  # [V, 1, C]
+        assert np.abs(out.data[:, 0].T - expected).max() < 1e-10
 
     def test_linear_in_input(self):
         layer = make_layer(2, 2, 1, seed=3)
         rng = np.random.default_rng(4)
-        f, g = rng.standard_normal((2, 2, 42))
+        f, g = rng.standard_normal((2, 42, 1, 2))
         a, b = 0.6, -1.9
-        zero = np.zeros((2, 42))
-        base = mesh_conv(layer, zero).data  # bias offset
-        lhs = mesh_conv(layer, a * f + b * g).data - base
-        rhs = a * (mesh_conv(layer, f).data - base) + b * (mesh_conv(layer, g).data - base)
+        zero = np.zeros((42, 1, 2))
+        base = mesh_conv(layer, Tensor(zero)).data  # bias offset
+        lhs = mesh_conv(layer, Tensor(a * f + b * g)).data - base
+        rhs = a * (mesh_conv(layer, Tensor(f)).data - base) + b * (mesh_conv(layer, Tensor(g)).data - base)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_shape_mismatch(self):
         layer = make_layer(2, 2, 1)
         with pytest.raises(ShapeMismatch):
-            mesh_conv(layer, np.zeros((2, 162)))
+            mesh_conv(layer, Tensor(np.zeros((162, 1, 2))))
         # A coarse input: 2 + 3 channels at level 2.
         layer, pm, pm3 = make_layer(2 + 3, 2, 2), build_hierarchy(2).pool_map(2), build_hierarchy(3).pool_map(3)
         with pytest.raises(ShapeMismatch):  # its batch differs from x's
@@ -86,7 +86,7 @@ class TestMeshConv:
 
     def test_grad_check(self):
         layer = make_layer(2, 2, 2, seed=9)
-        x = Param("x", Tensor(np.random.default_rng(10).standard_normal((2, 162)), requires_grad=True))
+        x = Param("x", Tensor(np.random.default_rng(10).standard_normal((162, 1, 2)), requires_grad=True))
 
         def f():
             return sum_of_squares(mesh_conv(layer, x.tensor))
@@ -155,8 +155,8 @@ class TestUnpoolingConv:
 class TestMeshPool:
     def test_constant_preserved(self):
         pm = build_pool_map(icosphere(2), icosphere(1))
-        out = mesh_pool(pm, np.full((3, 162), 5.5))
-        assert out.shape == (3, 42)
+        out = mesh_pool(pm, Tensor(np.full((162, 1, 3), 5.5)))
+        assert out.shape == (42, 1, 3)
         assert np.abs(out.data - 5.5).max() < 1e-12
 
     def test_one_hot_mass_matches_map_weight(self):
@@ -166,9 +166,9 @@ class TestMeshPool:
         row = pm.pool_matrix.getrow(coarse_vertex)
         fine_neighbor = int(row.indices[row.indices != coarse_vertex][0])
         weight = row[0, fine_neighbor]
-        x = np.zeros((1, 42))
-        x[0, fine_neighbor] = 1.0
-        out = mesh_pool(pm, x).data[0]
+        x = np.zeros((42, 1, 1))
+        x[fine_neighbor] = 1.0
+        out = mesh_pool(pm, Tensor(x)).data[:, 0, 0]
         assert abs(out[coarse_vertex] - weight) < 1e-14
         # Mass lands only at coarse vertices adjacent to the fine neighbor.
         for i in range(12):
@@ -178,18 +178,24 @@ class TestMeshPool:
     def test_level1_to_0_matches_bruteforce_mean(self):
         fine = icosphere(1)
         pm = build_pool_map(fine, icosphere(0))
-        x = np.random.default_rng(2).standard_normal((2, 42))
-        out = mesh_pool(pm, x).data
+        x = np.random.default_rng(2).standard_normal((42, 1, 2))
+        out = mesh_pool(pm, Tensor(x)).data
         for i in range(12):
             closed = np.concatenate([[i], fine.adjacency[i].indices])
-            assert np.allclose(out[:, i], x[:, closed].mean(axis=1), atol=1e-13)
+            assert np.allclose(out[i], x[closed].mean(axis=0), atol=1e-13)
 
     def test_gradient_flows(self):
         pm = build_pool_map(icosphere(1), icosphere(0))
-        x = Param("x", Tensor(np.random.default_rng(3).standard_normal((1, 42)), requires_grad=True))
+        x = Param("x", Tensor(np.random.default_rng(3).standard_normal((42, 1, 1)), requires_grad=True))
         backward(mesh_pool(pm, x.tensor).sum())
         # Column sums of the pooling matrix.
-        assert np.allclose(x.tensor.grad, np.asarray(pm.pool_matrix.sum(axis=0)).ravel(), atol=1e-14)
+        assert np.allclose(x.tensor.grad[:, 0, 0], np.asarray(pm.pool_matrix.sum(axis=0)).ravel(), atol=1e-14)
+
+    def test_channel_major_input_rejected(self):
+        # Pooling takes vertex-major [V, B, C] only: a [C, V] subject is not transposed for it.
+        pm = build_pool_map(icosphere(2), icosphere(1))
+        with pytest.raises(ShapeMismatch):
+            mesh_pool(pm, Tensor(np.zeros((3, 162))))
 
 
 class TestMeshUnpool:
@@ -214,8 +220,8 @@ class TestMeshUnpool:
 
     def test_pool_of_unpool_constant(self):
         pm = build_pool_map(icosphere(2), icosphere(1))
-        c = np.full((1, 42), 2.25)
-        roundtrip = mesh_pool(pm, (pm.unpool_matrix @ c.T).T)
+        c = np.full((42, 1), 2.25)
+        roundtrip = mesh_pool(pm, Tensor((pm.unpool_matrix @ c)[:, None]))
         assert np.abs(roundtrip.data - 2.25).max() < 1e-12
 
 
@@ -224,9 +230,10 @@ class TestVertexMajorBatch:
         layer = make_layer(3, 5, 2, seed=11)
         layer.bias.tensor.data[...] = np.arange(5.0)
         xs = np.random.default_rng(11).standard_normal((4, 3, 162))  # [B, C, V]
-        batched = mesh_conv(layer, np.ascontiguousarray(xs.transpose(2, 0, 1))).data  # [V, B, C']
+        batched = mesh_conv(layer, Tensor(np.ascontiguousarray(xs.transpose(2, 0, 1)))).data  # [V, B, C']
         for b, x in enumerate(xs):
-            single = mesh_conv(layer, x).data
+            # mesh_conv's one-subject [C, V] branch, which the benchmark's conv timings call.
+            single = mesh_conv(layer, Tensor(x)).data
             assert np.abs(batched[:, b, :].T - single).max() <= 1e-12 * np.abs(single).max()
 
     def test_conv_grad_check_on_batch(self):
@@ -250,10 +257,10 @@ class TestVertexMajorBatch:
         pm = build_hierarchy(fine_level).pool_map(fine_level)
         n_fine, n_coarse = pm.pool_matrix.shape[1], pm.pool_matrix.shape[0]
         tol = 1e-12 * max(1.0, abs(c))
-        pooled = mesh_pool(pm, np.full((n_fine, batch, channels), c)).data
+        pooled = mesh_pool(pm, Tensor(np.full((n_fine, batch, channels), c))).data
         assert pooled.shape == (n_coarse, batch, channels)
         assert np.abs(pooled - c).max() <= tol
-        unpooled = ad.sparse_matmul(pm.unpool_matrix, np.full((n_coarse, batch, channels), c)).data
+        unpooled = ad.sparse_matmul(pm.unpool_matrix, Tensor(np.full((n_coarse, batch, channels), c))).data
         assert unpooled.shape == (n_fine, batch, channels)
         assert np.abs(unpooled - c).max() <= tol
 
