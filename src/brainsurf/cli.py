@@ -31,12 +31,13 @@ from .baseline import (
 from .connectome import (
     Dataset,
     GeneratorConfig,
+    ZeroVariance,
     bank_averaged_features,
     ensemble_mean_features,
     load_dataset,
     write_cohort,
 )
-from .evaluate import SubjectMismatch, ZeroVariance, ablation_report, write_report
+from .evaluate import SubjectMismatch, ablation_report, write_report
 from .fileio import (
     ConfigError,
     CorruptFile,
@@ -70,7 +71,7 @@ class MissingSubjects(ValueError):
 EXITS: list[tuple[tuple[type[Exception], ...], int, str]] = [
     ((ConfigError, BatchTooSmall), EXIT_CONFIG, "config error: {}"),
     ((FileNotFoundError,), EXIT_CONFIG, "missing input: {}"),
-    ((FileExistsError, NotADirectoryError, IsADirectoryError), EXIT_CONFIG, "bad path: {}"),
+    ((FileExistsError, NotADirectoryError, IsADirectoryError, PermissionError), EXIT_CONFIG, "bad path: {}"),
     ((CorruptFile,), EXIT_CONFIG, "corrupt input: {}"),
     ((ZeroVariance,), EXIT_CONFIG, "invalid input: {}"),
     ((NaNLossError,), EXIT_NUMERIC, "numeric failure: {} (last good checkpoint retained)"),
@@ -246,10 +247,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = build_model(model_cfg, build_hierarchy(model_cfg.mesh_level))
     fit_ids, val_ids = _split_validation(dataset.train_ids, cfg.val_fraction)
     # Each sample is read when it is used, so train holds one batch of them,
-    # not the cohort; sample_files checks every file it will read now.
-    subjects = [TrainSubject(sid, dataset.sample_files(sid), dataset.target(sid)) for sid in fit_ids]
-    # The validation hook predicts from each held-out subject's first sample only.
-    val_subjects = [TrainSubject(sid, dataset.sample_files(sid, 1), dataset.target(sid)) for sid in val_ids]
+    # not the cohort; samples checks all 8 files of each subject now.  The
+    # validation hook predicts from each held-out subject's first sample only.
+    subjects = [TrainSubject(sid, dataset.samples(sid), dataset.target(sid)) for sid in fit_ids]
+    val_subjects = [TrainSubject(sid, dataset.samples(sid), dataset.target(sid)) for sid in val_ids]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -307,13 +308,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     baseline = load_baseline(args.baseline) if args.baseline else None
     if baseline is not None:
         _check_baseline_fits(baseline[0], dataset.generator)
+    # Every sample file of every subject is checked before --out is made.
+    subject_samples = {sid: dataset.samples(sid) for sid in requested}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if baseline is not None:
         (out / "baseline").mkdir(exist_ok=True)
 
-    for sid in requested:
-        samples = dataset.samples(sid)
+    for sid, files in subject_samples.items():
+        samples = list(files)  # read once: the model and the baseline share them
         maps = predict_variants(model, samples)
         write_tensor(out / f"{sid}.bin", maps.mean(axis=0))  # the ensemble: see predict_ensemble
         if args.dump_samples:

@@ -335,21 +335,14 @@ class Dataset:
         self._check_shape(path, arr.shape, channels)
         return arr
 
-    def sample(self, subject_id: str, index: int) -> np.ndarray:
-        return self._read(subject_id, f"sample_{index}.bin", 2 * self.generator.n_rois)
-
-    def samples(self, subject_id: str) -> list[np.ndarray]:
-        return [self.sample(subject_id, i) for i in range(SEGMENTS_PER_SUBJECT)]
-
-    def sample_files(self, subject_id: str, count: int = SEGMENTS_PER_SUBJECT) -> "SampleFiles":
-        """The subject's first ``count`` samples as a sequence that reads one
-        from its file on each access and keeps none.  Every file is checked
-        now, from its header and length alone: it raises what ``sample``
-        would raise for it."""
-        for i in range(count):
-            path = self._subject_dir(subject_id) / f"sample_{i}.bin"
+    def samples(self, subject_id: str) -> "SampleFiles":
+        """The subject's 8 samples as a sequence that reads one from its file
+        on each access and keeps none.  Every file is checked now, from its
+        header and length alone: it raises what reading it would raise."""
+        for k in range(SEGMENTS_PER_SUBJECT):
+            path = self._subject_dir(subject_id) / f"sample_{k}.bin"
             self._check_shape(path, tensor_shape(path), 2 * self.generator.n_rois)
-        return SampleFiles(self, subject_id, count)
+        return SampleFiles(self, subject_id)
 
     def target(self, subject_id: str) -> np.ndarray:
         return self._read(subject_id, "target.bin", self.generator.n_contrasts)
@@ -360,19 +353,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SampleFiles(Sequence[np.ndarray]):
-    """``Dataset.sample_files``: item k is ``dataset.sample(subject_id, k)``,
-    read anew on each access, so that the page cache, not the process,
-    holds a subject's samples between uses."""
+    """``Dataset.samples``: item k is the subject's ``sample_k.bin``, read
+    anew on each access, so that the page cache, not the process, holds a
+    subject's samples between uses."""
 
     dataset: Dataset
     subject_id: str
-    count: int
 
     def __len__(self) -> int:
-        return self.count
+        return SEGMENTS_PER_SUBJECT
 
     def __getitem__(self, index: int) -> np.ndarray:
-        return self.dataset.sample(self.subject_id, range(self.count)[index])
+        k = range(SEGMENTS_PER_SUBJECT)[index]
+        return self.dataset._read(self.subject_id, f"sample_{k}.bin", 2 * self.dataset.generator.n_rois)
 
 
 def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: int, n_test: int) -> None:

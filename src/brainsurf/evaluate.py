@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeMismatch
-from .connectome import ZeroVariance, standardized_rows  # noqa: F401 (ZeroVariance: re-export)
+from .connectome import standardized_rows
 from .fileio import FLOAT_FORMAT, write_csv
 
 

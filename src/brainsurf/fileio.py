@@ -38,7 +38,8 @@ class ConfigError(ValueError):
 
 
 def _size(shape) -> int:
-    if not all(isinstance(n, int) and n >= 0 for n in shape):
+    # type, not isinstance: a JSON true is a bool, and a bool is an int.
+    if not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"invalid shape {shape!r}")
     return math.prod(shape)
 
@@ -148,7 +149,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             name, shape = entry["name"], tuple(entry["shape"])
             if not isinstance(name, str) or name in entries:
                 raise ValueError(f"entry name {name!r} is not a string or is listed twice")
-            if entry["offset"] != 8 * n:
+            if type(entry["offset"]) is not int or entry["offset"] != 8 * n:
                 raise ValueError(f"entry {name!r} has offset {entry['offset']!r}, its data is at byte {8 * n}")
             size = _size(shape)
             entries[name] = (slice(n, n + size), shape)

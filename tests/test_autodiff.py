@@ -313,9 +313,9 @@ class TestGraphBoundary:
 
     def test_every_public_op_has_a_caller(self):
         # Ops that no caller reads are deleted: every public autodiff
-        # function that returns a Tensor, and every public rcloss and
-        # meshlayers function, is named in another package module (a
-        # re-export is no caller).
+        # function that returns a Tensor, every public rcloss and meshlayers
+        # function, and every public method of connectome.Dataset, is named
+        # in another package module (a re-export is no caller).
         def public(module, returns=None):
             return {
                 f.name
@@ -338,6 +338,14 @@ class TestGraphBoundary:
             ops = public(module, returns)
             assert ops
             assert sorted(ops - named_outside(module)) == []
+
+        dataset = next(
+            c for c in ast.parse((SRC / "connectome.py").read_text()).body
+            if isinstance(c, ast.ClassDef) and c.name == "Dataset"
+        )
+        methods = {f.name for f in dataset.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+        assert methods
+        assert sorted(methods - named_outside("connectome")) == []
 
     def test_only_the_constructors_set_node_fields(self):
         # The constructors set a node's fields; backward alone clears them,

@@ -395,6 +395,18 @@ class TestTrain:
         assert err.startswith("corrupt input:") and err.count("\n") == 1 and "sub003/sample_7.bin" in err
         assert not (tmp_path / "run" / "checkpoint_phase1.bin").exists()
 
+    def test_bool_in_target_shape_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        target = tmp_path / "data" / "subjects" / "sub000" / "target.bin"
+        target.write_bytes(b'{"shape": [true], "dtype": "<f8"}\n' + bytes(8))
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and err.count("\n") == 1 and "sub000/target.bin" in err
+        assert not (tmp_path / "run").exists()
+
     def test_memory_does_not_grow_with_the_cohort(self, tmp_path):
         # Samples are read when a step uses them: 6 fit subjects peak within
         # one subject's connectomes (8 x 40 x 162 float64, 415 kB) of 2.
@@ -505,6 +517,21 @@ class TestPredict:
             "--data", str(tiny_run / "data"), "--out", str(tiny_run / "ps"),
         ])
         assert rc == 2
+
+    def test_bad_sample_of_last_subject_exit_2_before_out(self, tiny_run, capsys):
+        # sample_7.bin of the last requested subject is the last file predict
+        # would read: it is rejected before any prediction is written.
+        sample = tiny_run / "data" / "subjects" / "sub005" / "sample_7.bin"
+        sample.write_bytes(sample.read_bytes()[:-8])
+        capsys.readouterr()
+        rc = cli.main([
+            "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
+            "--data", str(tiny_run / "data"), "--out", str(tiny_run / "ps"), "--subjects", "sub004,sub005",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and err.count("\n") == 1 and "sub005/sample_7.bin" in err
+        assert not (tiny_run / "ps").exists()
 
     @pytest.mark.parametrize("command, subject, name, shape", [
         ("predict", "sub004", "sample_0.bin", (4, 40)),
@@ -985,6 +1012,7 @@ class TestExitCodes:
         (FileExistsError("x"), 2, "bad path: x\n"),
         (NotADirectoryError("x"), 2, "bad path: x\n"),
         (IsADirectoryError("x"), 2, "bad path: x\n"),
+        (PermissionError("x"), 2, "bad path: x\n"),
         (CorruptFile("x"), 2, "corrupt input: x\n"),
         (ZeroVariance("x"), 2, "invalid input: x\n"),
         (NaNLossError("x"), 3, "numeric failure: x (last good checkpoint retained)\n"),

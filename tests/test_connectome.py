@@ -17,7 +17,7 @@ from brainsurf.connectome import (
     write_cohort,
 )
 from brainsurf.evaluate import correlation_matrix
-from brainsurf.fileio import ConfigError, CorruptFile, write_tensor
+from brainsurf.fileio import ConfigError, CorruptFile, read_tensor, write_tensor
 import oracles
 from oracles import connectome as oracle_connectome
 from oracles import half_run_connectomes, pearson
@@ -399,34 +399,36 @@ class TestDatasetIO:
         assert np.array_equal(ds.target("sub003"), records[3].target_contrasts)
         assert np.array_equal(ds.retest("sub000"), records[0].retest_contrasts)
 
-    def test_sample_files_read_on_each_access(self, tmp_path):
+    def test_samples_read_on_each_access(self, tmp_path):
         cfg = tiny_config()
+        records = generate_cohort(3, cfg, seed=11)
         write_cohort(tmp_path / "data", cfg, seed=11, n_train=2, n_test=1)
         ds = load_dataset(tmp_path / "data")
-        files = ds.sample_files("sub001")
+        files = ds.samples("sub001")
         assert len(files) == 8
-        assert all(np.array_equal(a, b) for a, b in zip(files, ds.samples("sub001"), strict=True))
-        assert np.array_equal(files[-1], ds.sample("sub001", 7))
+        assert all(np.array_equal(a, b) for a, b in zip(files, records[1].samples, strict=True))
+        path = tmp_path / "data" / "subjects" / "sub001" / "sample_7.bin"
+        assert np.array_equal(files[-1], read_tensor(path))
         with pytest.raises(IndexError):
             files[8]
-        assert len(ds.sample_files("sub001", 1)) == 1
+        assert np.array_equal(files[-8], files[0])
         # Nothing is kept: a rewritten file is read as it is now.
         path = tmp_path / "data" / "subjects" / "sub001" / "sample_2.bin"
         write_tensor(path, np.zeros_like(files[2]))
         assert not files[2].any()
 
-    def test_sample_files_checks_every_file_it_serves(self, tmp_path):
+    def test_samples_checks_every_file_before_returning(self, tmp_path):
         cfg = tiny_config()
         write_cohort(tmp_path / "data", cfg, seed=11, n_train=2, n_test=1)
         ds = load_dataset(tmp_path / "data")
         path = tmp_path / "data" / "subjects" / "sub000" / "sample_5.bin"
         write_tensor(path, np.ones((3, cfg.n_vertices)))
         with pytest.raises(CorruptFile, match="sample_5.bin: shape"):
-            ds.sample_files("sub000")
-        assert len(ds.sample_files("sub000", 5)) == 5  # sample_5 is not one of them
+            ds.samples("sub000")
+        assert len(ds.samples("sub001")) == 8  # another subject's files are not this one's
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CorruptFile, match="payload holds"):
-            ds.sample_files("sub000")
+            ds.samples("sub000")
 
     def test_write_error_stops_generation(self, monkeypatch, tmp_path):
         write = connectome.write_tensor

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from brainsurf.autodiff import ShapeMismatch
+from brainsurf.connectome import ZeroVariance
 from brainsurf.evaluate import (
     CorrMatrix,
     SubjectMismatch,
-    ZeroVariance,
     ablation_report,
     correlation_matrix,
     diag_gap,

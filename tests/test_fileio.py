@@ -104,14 +104,17 @@ class TestFraming:
         # A name listed twice; the empty first entry keeps the payload at one value.
         b'{"entries": [{"name": "x", "shape": [0], "offset": 0}, {"name": "x", "shape": [1], "offset": 0}]}',
         b'{"entries": [{"name": "x", "shape": [1], "offset": 8}]}',
+        # JSON true and false are Python ints too: neither is a size or an offset.
+        b'{"shape": [true], "dtype": "<f8"}',
+        b'{"entries": [{"name": "x", "shape": [true], "offset": 0}]}',
+        b'{"entries": [{"name": "x", "shape": [1], "offset": false}]}',
     ])
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "g.bin"
         path.write_bytes(header + b"\n" + bytes(8))
-        with pytest.raises(CorruptFile):
-            read_tensor(path)
-        with pytest.raises(CorruptFile):
-            load_checkpoint(path)
+        for read in (read_tensor, tensor_shape, load_checkpoint):
+            with pytest.raises(CorruptFile):
+                read(path)
 
     def test_huge_shape_rejected_before_allocation(self, tmp_path):
         # 2**40 values would be 8 TiB: the payload length is checked first.
