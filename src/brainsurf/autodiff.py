@@ -92,7 +92,9 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Zero the gradient in place, so a parameter's stays its arena's view."""
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     # The two reductions have no caller in the package; the benchmark
     # harness (perfbench) reduces a conv's output with .sum() and traces both.
@@ -237,23 +239,17 @@ class ParamArena:
         sizes = [p.tensor.data.size for p in self.params]
         self.data = np.empty(sum(sizes))
         self.grad = np.zeros(sum(sizes))
-        self._grads: list[np.ndarray] = []
         offset = 0
         for p, n in zip(self.params, sizes):
             shape = p.tensor.data.shape
             view = self.data[offset : offset + n].reshape(shape)
             view[...] = p.tensor.data
             p.tensor.data = view
-            self._grads.append(self.grad[offset : offset + n].reshape(shape))
+            p.tensor.grad = self.grad[offset : offset + n].reshape(shape)
             offset += n
-        self.zero_grad()
 
     def zero_grad(self) -> None:
-        """Zero the flat gradient and point every parameter's .grad back at
-        its view of it (grad_check, for one, leaves them None)."""
         self.grad.fill(0.0)
-        for p, g in zip(self.params, self._grads):
-            p.tensor.grad = g
 
 
 def _hinge_crossed(trace_plus: list[np.ndarray], trace_minus: list[np.ndarray], eps: float) -> bool:

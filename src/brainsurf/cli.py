@@ -47,9 +47,18 @@ from .fileio import (
     is_plain_file_name,
     read_tensor,
     write_tensor,
+    write_text,
 )
 from .icosphere import build_hierarchy, icosphere, n_vertices_at_level
-from .model import BrainSurfCNN, ModelConfig, build_model, load_model, predict_variants, save_model
+from .model import (
+    BrainSurfCNN,
+    ModelConfig,
+    build_model,
+    load_model,
+    predict_variants,
+    read_model_checkpoint,
+    save_model,
+)
 from .rcloss import BatchTooSmall, Margins, rc_loss
 from .training import NaNLossError, OptimizerConfig, TrainState, TrainSubject, train_two_phase, validation_hook
 
@@ -196,7 +205,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, inputs: dict[str, str]) -> No
         ),
         "inputs": inputs,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -276,9 +285,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     state.write_csv(out / "training_log.csv")
     save_model(out / "checkpoint_final.bin", model)
     if state.margins0 is not None:
-        (out / "margins.json").write_text(
-            json.dumps({"alpha0": state.margins0.alpha, "beta0": state.margins0.beta}, sort_keys=True) + "\n"
-        )
+        margins = {"alpha0": state.margins0.alpha, "beta0": state.margins0.beta}
+        write_text(out / "margins.json", json.dumps(margins, sort_keys=True) + "\n")
 
     save_baseline(out / "baseline.bin", _fit_baseline(subjects, cfg))
     write_tensor(out / "group_average.bin", _group_average(dataset))
@@ -303,8 +311,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     requested = _subject_list(dataset, args.subjects)
 
+    # The checkpoint's config is checked before its mesh hierarchy is built.
+    _check_model_fits(read_model_checkpoint(args.model)[0], dataset.generator, "dataset")
     model = load_model(args.model)
-    _check_model_fits(model.config, dataset.generator, "dataset")
     baseline = load_baseline(args.baseline) if args.baseline else None
     if baseline is not None:
         _check_baseline_fits(baseline[0], dataset.generator)

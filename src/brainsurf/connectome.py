@@ -30,6 +30,7 @@ from .fileio import (
     read_tensor,
     tensor_shape,
     write_tensor,
+    write_text,
 )
 from .icosphere import closed_ring_mean, icosphere, n_vertices_at_level
 
@@ -400,7 +401,7 @@ def write_cohort(out_dir: str | Path, cfg: GeneratorConfig, seed: int, n_train: 
             "contrast": [cfg.n_contrasts, cfg.n_vertices],
         },
     }
-    (root / "cohort.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(root / "cohort.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_dataset(root: str | Path) -> Dataset:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import ShapeMismatch
 from .connectome import standardized_rows
-from .fileio import FLOAT_FORMAT, write_csv
+from .fileio import FLOAT_FORMAT, write_csv, write_text
 
 
 class SubjectMismatch(ValueError):
@@ -196,13 +196,13 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
             for r in report.rows
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def save_corr_matrix_txt(m: CorrMatrix, path: str | Path, zscore: bool = False) -> None:
     mat = row_zscore(m.matrix) if zscore else m.matrix
     lines = [" ".join(FLOAT_FORMAT % x for x in row) for row in mat]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_report(report: EvalReport, out: str | Path, zscore: bool = False) -> None:
@@ -212,8 +212,6 @@ def write_report(report: EvalReport, out: str | Path, zscore: bool = False) -> N
     (out / "matrices").mkdir(parents=True, exist_ok=True)
     write_report_csv(report, out / "report.csv")
     write_report_json(report, out / "report.json")
-    (out / "reliable_mask.json").write_text(
-        json.dumps({"reliable": [bool(b) for b in report.reliable_mask]}) + "\n"
-    )
+    write_text(out / "reliable_mask.json", json.dumps({"reliable": [bool(b) for b in report.reliable_mask]}) + "\n")
     for r in report.rows:
         save_corr_matrix_txt(r.matrix, out / "matrices" / f"{r.variant}_c{r.contrast}.txt", zscore=zscore)

@@ -4,10 +4,11 @@ Every array this package writes, a single tensor or a named checkpoint,
 uses one framing so that external tools can read it with a dozen lines of
 code: the first line of the file is a JSON object terminated by ``\\n``;
 the rest of the file is row-major little-endian float64 data.  A tensor's
-header holds its ``shape``; a checkpoint's holds ``entries`` (name, shape,
-byte offset per array) and free-form ``meta``.  Files are written to a
-sibling temporary file and renamed into place, so a process killed
-mid-write leaves the previous file intact.
+header holds its ``shape`` and the ``dtype`` ``"<f8"``; a checkpoint's
+holds ``entries`` (name, shape, byte offset per array) and free-form
+``meta``.  Every file, framed or UTF-8 text, is written to a sibling
+temporary file and renamed into place, so a process killed mid-write
+leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -44,14 +46,13 @@ def _size(shape) -> int:
     return math.prod(shape)
 
 
-def _write_framed(path: str | Path, header: dict, blobs: Iterable[bytes]) -> None:
+def _write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(json.dumps(header).encode("ascii") + b"\n")
-            for blob in blobs:
-                f.write(blob)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -105,10 +106,13 @@ def is_plain_file_name(name: str) -> bool:
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
     arr = np.asarray(array, dtype="<f8")  # not ascontiguousarray: it turns 0-d into [1]
-    _write_framed(path, {"shape": list(arr.shape), "dtype": "<f8"}, [arr.tobytes()])
+    header = json.dumps({"shape": list(arr.shape), "dtype": "<f8"}).encode("ascii")
+    _write_atomic(path, [header + b"\n", arr.tobytes()])
 
 
 def _tensor_values(header: dict) -> int:
+    if header["dtype"] != "<f8":
+        raise ValueError(f"dtype {header['dtype']!r} is not '<f8'")
     return _size(header["shape"])
 
 
@@ -136,7 +140,8 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
         entries.append({"name": name, "shape": list(np.shape(arr)), "offset": offset})
         blobs.append(blob)
         offset += len(blob)
-    _write_framed(path, {"meta": meta or {}, "entries": entries}, blobs)
+    header = json.dumps({"meta": meta or {}, "entries": entries}).encode("ascii")
+    _write_atomic(path, [header + b"\n", *blobs])
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -168,10 +173,14 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> 
     """A CSV table: ``header``, then one line per row.  A float cell (numpy
     ``float64`` included) is written in ``FLOAT_FORMAT``, ``None`` as an empty
     cell, anything else as ``csv`` writes it."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows([FLOAT_FORMAT % x if isinstance(x, float) else x for x in row] for row in rows)
+    writer = csv.writer(text := io.StringIO())
+    writer.writerow(header)
+    writer.writerows([FLOAT_FORMAT % x if isinstance(x, float) else x for x in row] for row in rows)
+    write_text(path, text.getvalue())
+
+
+def write_text(path: str | Path, text: str) -> None:
+    _write_atomic(path, [text.encode("utf-8")])
 
 
 class JsonConfig:

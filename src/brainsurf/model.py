@@ -196,14 +196,23 @@ def save_model(path, model: BrainSurfCNN) -> None:
     save_checkpoint(path, model.param_arrays(), meta={"model": model.config.to_dict()})
 
 
-def load_model(path) -> BrainSurfCNN:
-    """The model a ``save_model`` checkpoint holds; ``CorruptFile`` when the
-    file is no such checkpoint or its arrays do not fit its config."""
+def read_model_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """The config and the arrays of a ``save_model`` checkpoint, before any
+    model is built; ``CorruptFile`` when the file is no such checkpoint."""
     arrays, meta = load_checkpoint(path)
     if not isinstance(meta.get("model"), dict):
         raise CorruptFile(f"{path}: not a model checkpoint (its header has no 'model' meta)")
     try:
-        config = ModelConfig.from_dict(meta["model"])
+        return ModelConfig.from_dict(meta["model"]), arrays
+    except (TypeError, ValueError) as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc
+
+
+def load_model(path) -> BrainSurfCNN:
+    """The model a ``save_model`` checkpoint holds; ``CorruptFile`` when the
+    file is no such checkpoint or its arrays do not fit its config."""
+    config, arrays = read_model_checkpoint(path)
+    try:
         model = build_model(config, build_hierarchy(config.mesh_level))
         model.load_param_arrays(arrays)
     except (TypeError, ValueError) as exc:

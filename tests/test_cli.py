@@ -10,7 +10,8 @@ import pytest
 
 from brainsurf import cli, evaluate, meshlayers
 from brainsurf.connectome import ZeroVariance
-from brainsurf.fileio import ConfigError, CorruptFile, read_tensor
+from brainsurf.fileio import ConfigError, CorruptFile, load_checkpoint, read_tensor, save_checkpoint
+from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import load_model
 from brainsurf.rcloss import BatchTooSmall
 from brainsurf.training import NaNLossError
@@ -580,6 +581,30 @@ class TestPredict:
         ]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "input channels" in err and err.count("\n") == 1
+
+    def test_checkpoint_of_another_level_exit_2_before_its_mesh_is_built(self, tiny_run, capsys, monkeypatch):
+        # Parameter shapes do not depend on the mesh level, so these weights
+        # load as a level-7 model, whose mesh alone would take seconds.
+        arrays, meta = load_checkpoint(tiny_run / "run" / "checkpoint_final.bin")
+        deep = tiny_run / "deep.bin"
+        save_checkpoint(deep, arrays, meta={"model": {**meta["model"], "mesh_level": 7}})
+        levels = []
+
+        def spy(level):
+            levels.append(level)
+            if level == 7:
+                raise AssertionError("predict built the checkpoint's mesh")
+            return build_hierarchy(level)
+
+        monkeypatch.setattr("brainsurf.model.build_hierarchy", spy)
+        capsys.readouterr()
+        assert cli.main([
+            "predict", "--model", str(deep), "--data", str(tiny_run / "data"), "--out", str(tiny_run / "p7"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "mesh levels differ" in err and err.count("\n") == 1
+        assert 7 not in levels
+        assert not (tiny_run / "p7").exists()
 
     @pytest.mark.parametrize("content, message", [
         ("{not json", "not JSON"),

@@ -21,6 +21,7 @@ from brainsurf.fileio import (
     tensor_shape,
     write_csv,
     write_tensor,
+    write_text,
 )
 from brainsurf.model import ModelConfig
 from brainsurf.training import OptimizerConfig
@@ -108,6 +109,8 @@ class TestFraming:
         b'{"shape": [true], "dtype": "<f8"}',
         b'{"entries": [{"name": "x", "shape": [true], "offset": 0}]}',
         b'{"entries": [{"name": "x", "shape": [1], "offset": false}]}',
+        # Any dtype but little-endian float64, or none, would misread the payload.
+        b'{"shape": [1], "dtype": ">f8"}', b'{"shape": [1], "dtype": "<f4"}', b'{"shape": [1]}',
     ])
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "g.bin"
@@ -139,6 +142,10 @@ class TestTextTable:
             b'x,y\r\n,nan,inf,-inf,-0,0.3333333333,7,"a,b"\r\n2.5e-300,1.23456789e+10\r\n'
         )
 
+    def test_write_text_is_utf8(self, tmp_path):
+        write_text(tmp_path / "t.json", '{"a": "\u00e9"}\n')
+        assert (tmp_path / "t.json").read_bytes() == b'{"a": "\xc3\xa9"}\n'
+
     def test_only_fileio_writes_tables(self):
         # One table writer: no other module imports csv or spells the float format.
         def imported(tree):
@@ -156,13 +163,42 @@ class TestTextTable:
         ]
         assert offenders == []
 
+    def test_only_fileio_writes_files(self):
+        # One write path, fileio's atomic replace: no other module opens a
+        # file to write it, writes one through pathlib, or renames one.
+        def writes(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "open":
+                    # open(file, mode) or path.open(mode)
+                    args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
+                    mode = next((k.value for k in node.keywords if k.arg == "mode"), args[0] if args else None)
+                    if mode is not None and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
+                        yield ast.unparse(node)
+                elif isinstance(node, ast.Attribute) and (
+                    node.attr in ("write_text", "write_bytes", "rename")
+                    or node.attr == "replace" and isinstance(node.value, ast.Name) and node.value.id == "os"
+                ):
+                    yield ast.unparse(node)
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    yield from (alias.name for alias in node.names if alias.name in ("replace", "rename"))
+
+        offenders = [
+            f"{path.name}: {write}"
+            for path in sorted(Path(fileio.__file__).parent.glob("*.py"))
+            if path.name != "fileio.py"
+            for write in writes(ast.parse(path.read_text()))
+        ]
+        assert offenders == []
+
 
 class _FailingPayload:
-    """File stand-in that writes the header, then half of the first payload
-    blob, then fails as a full disk would."""
+    """File stand-in that writes its first ``whole`` chunks (by default a
+    framed file's header), then half of the next one, then fails as a full
+    disk would."""
 
-    def __init__(self, f):
+    def __init__(self, f, whole=1):
         self.f = f
+        self.whole = whole
         self.calls = 0
 
     def __enter__(self):
@@ -173,7 +209,7 @@ class _FailingPayload:
 
     def write(self, data):
         self.calls += 1
-        if self.calls == 1:
+        if self.calls <= self.whole:
             return self.f.write(data)
         self.f.write(data[: len(data) // 2])
         raise OSError(28, "No space left on device")
@@ -198,6 +234,26 @@ class TestAtomicWrite:
         assert meta == {"epoch": 1}
         assert all(bit_equal(loaded[k], v) for k, v in good.items())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_last.bin"]
+
+    @pytest.mark.parametrize("write, whole", [
+        (lambda path, n: write_tensor(path, np.arange(float(n))), 1),
+        # One string for the whole table: no shorter valid-looking log is left.
+        (lambda path, n: write_csv(path, ["epoch", "val_l_r"], [(e, 0.5) for e in range(n)]), 0),
+        (lambda path, n: write_text(path, "0.5 0.25\n" * n), 0),
+    ], ids=["write_tensor", "write_csv", "write_text"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write, whole):
+        path = tmp_path / "val_log.csv"
+        write(path, 3)
+        before = path.read_bytes()
+
+        real_open = open
+        monkeypatch.setattr(fileio, "open", lambda *a, **k: _FailingPayload(real_open(*a, **k), whole), raising=False)
+        with pytest.raises(OSError):
+            write(path, 4)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["val_log.csv"]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

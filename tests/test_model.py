@@ -134,8 +134,10 @@ class TestParamArena:
         )
         adam_step(model.arena.data, model.arena.grad, None)
         assert_arena_views(model)
-        grad_check(f, model.parameters(), max_coords=5, seed=seed)  # leaves .grad None
-        assert all(p.tensor.grad is None for p in model.parameters())
+        grad_check(f, model.parameters(), max_coords=5, seed=seed)  # zeroes the views in place
+        assert_arena_views(model)
+        assert not model.arena.grad.any()
+        backward(f())
         model.zero_grad()
         assert_arena_views(model)
         assert not model.arena.grad.any()
