@@ -106,8 +106,8 @@ def average_regressors(regressors: Iterable[ParcelRegressor]) -> ParcelRegressor
 
     The coefficients are summed in input order, which gives the bits of
     ``np.mean`` over their stack, so an iterable is held one regressor at a
-    time."""
-    total, labels, n, merged_warnings = None, None, 0, []
+    time.  Each distinct rank warning is kept once, in first-seen order."""
+    total, labels, n, merged_warnings = None, None, 0, {}
     for reg in regressors:
         if total is None:
             total, labels = np.array(reg.coeffs, dtype=np.float64), reg.labels.copy()
@@ -118,12 +118,12 @@ def average_regressors(regressors: Iterable[ParcelRegressor]) -> ParcelRegressor
         else:
             total += reg.coeffs
         n += 1
-        merged_warnings += reg.rank_warnings
+        merged_warnings.update(dict.fromkeys(reg.rank_warnings))
         del reg  # dropped before the iterable makes the next one
     if total is None:
         raise EmptySet("average_regressors needs at least one regressor")
     total /= n
-    return ParcelRegressor(coeffs=total, labels=labels, rank_warnings=merged_warnings)
+    return ParcelRegressor(coeffs=total, labels=labels, rank_warnings=list(merged_warnings))
 
 
 def predict_baseline(

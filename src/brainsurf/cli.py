@@ -255,6 +255,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     # corrupt input file, exits 2 with nothing written.
     model = build_model(model_cfg, build_hierarchy(model_cfg.mesh_level))
     fit_ids, val_ids = _split_validation(dataset.train_ids, cfg.val_fraction)
+    if cfg.phase2_epochs > 0 and len(fit_ids) < 2:  # train_two_phase's own check, before --out exists
+        raise ConfigError(f"phase 2 needs at least 2 training subjects for its contrastive term, got {len(fit_ids)}")
     # Each sample is read when it is used, so train holds one batch of them,
     # not the cohort; samples checks all 8 files of each subject now.  The
     # validation hook predicts from each held-out subject's first sample only.

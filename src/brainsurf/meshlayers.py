@@ -1,9 +1,9 @@
 """Differentiable convolution and pooling layers on icospheres.
 
-A mesh convolution combines four fixed sparse operators (identity, east
-gradient, north gradient, Laplacian) with learned per-channel-pair weights:
+A mesh convolution mixes four fixed sparse operators (identity, east gradient,
+north gradient, Laplacian) by learned weights w[op, i, o], read without a copy:
 
-    y[o] = sum_i sum_op w[o, i, op] * (op @ x[i]) + bias[o]
+    y[o] = sum_i sum_op w[op, i, o] * (op @ x[i]) + bias[o]
 
 optionally followed, in the same graph node, by the leaky ReLU
 max(y, slope*y).  Pooling and unpooling are the fixed linear maps carried
@@ -35,7 +35,7 @@ class MeshConvLayer:
     in_channels: int
     out_channels: int
     level: int
-    weights: Param  # [out, in, 4], operator order (I, grad_ew, grad_ns, laplacian)
+    weights: Param  # [4, in, out], operator order (I, grad_ew, grad_ns, laplacian)
     bias: Param  # [out]
     operators: MeshOperators
 
@@ -49,10 +49,11 @@ def init_conv_layer(
 ) -> MeshConvLayer:
     # Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)); each channel pair
     # contributes one weight per operator, so fans count the operator axis.
+    # Drawn as [out, in, 4], which fixes every value; stored as [4, in, out].
     fan_in = in_channels * N_OPERATORS
     fan_out = out_channels * N_OPERATORS
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    w = rng.uniform(-a, a, size=(out_channels, in_channels, N_OPERATORS))
+    w = rng.uniform(-a, a, size=(out_channels, in_channels, N_OPERATORS)).transpose(2, 1, 0).copy()
     return MeshConvLayer(
         in_channels=in_channels,
         out_channels=out_channels,
@@ -112,13 +113,12 @@ def mesh_conv(
         )
     batch = x.data.shape[1]
     c_out = layer.out_channels
-    w, b = layer.weights.tensor, layer.bias.tensor
-    w4 = np.ascontiguousarray(w.data.transpose(2, 1, 0))  # [4, in, out], a contiguous copy
+    w, b = layer.weights.tensor, layer.bias.tensor  # w [4, in, out]
     rows = x.data.reshape(n_vertices * batch, c_x)
     # Per input: the tensor, its rows [V*B, C], its weight rows, and U^T for
     # the coarse one (None for x).
     inputs = [(x, rows, slice(0, c_x), None)]
-    z = np.matmul(rows[None], w4[:, :c_x])  # [4, V*B, out]
+    z = np.matmul(rows[None], w.data[:, :c_x])  # [4, V*B, out]
     if coarse is not None:
         pool_map, h = coarse
         unpool = pool_map.unpool_matrix
@@ -129,7 +129,7 @@ def mesh_conv(
             )
         coarse_rows = h.data.reshape(n_coarse * batch, -1)
         inputs.append((h, coarse_rows, slice(c_x, None), unpool.T))
-        zc = np.matmul(coarse_rows[None], w4[:, c_x:])  # [4, V_coarse*B, out]
+        zc = np.matmul(coarse_rows[None], w.data[:, c_x:])  # [4, V_coarse*B, out]
         for z_k, zc_k in zip(z.reshape(N_OPERATORS, n_vertices, -1), zc.reshape(N_OPERATORS, n_coarse, -1)):
             z_k += unpool @ zc_k  # U (h W_k): the unpooled input's share of z_k
         del zc
@@ -149,7 +149,7 @@ def mesh_conv(
             g = g * np.array([slope, 1.0]).take((active > 0.0).view(np.uint8))
         g = np.ascontiguousarray(g).reshape(n_vertices * batch, c_out)
         g_wide = g.reshape(n_vertices, batch * c_out)
-        dw = np.empty((N_OPERATORS, layer.in_channels, c_out))
+        dw = np.empty_like(w.data)  # in the parameter's own layout
         # Per input: its gradient and one temporary, None when it needs no
         # gradient (the input layer's x: skip the largest products).
         d_in: list[np.ndarray | None] = [None] * len(inputs)
@@ -161,17 +161,14 @@ def mesh_conv(
                 np.matmul(rows.T, d, out=dw[k, cols])
                 if not t.requires_grad:
                     continue
-                w_t = np.ascontiguousarray(w4[k, cols].T)  # W_k[rows of this input]^T
+                w_t = w.data[k, cols].T  # W_k[rows of this input]^T, a view
                 if k == 0:
                     d_in[i], tmp[i] = d @ w_t, np.empty_like(rows)
                 else:
                     d_in[i] += np.matmul(d, w_t, out=tmp[i])
             del dz, d  # before the next block's product: one dz at a time
-        return (
-            *(None if grad is None else grad.reshape(t.data.shape) for grad, (t, *_) in zip(d_in, inputs)),
-            dw.transpose(2, 1, 0),
-            g.sum(axis=0),
-        )
+        d_inputs = (None if grad is None else grad.reshape(t.data.shape) for grad, (t, *_) in zip(d_in, inputs))
+        return (*d_inputs, dw, g.sum(axis=0))
 
     return ad._op(y, (*(t for t, *_ in inputs), w, b), grads)
 

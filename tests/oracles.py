@@ -148,11 +148,11 @@ def mesh_conv_grads(layer, x, out, g, slope=None):
     c_out = layer.out_channels
     if slope is not None:
         g = g * np.where(out > 0.0, 1.0, slope)
-    w4 = layer.weights.tensor.data.transpose(2, 1, 0)  # [4, in, out]
+    w = layer.weights.tensor.data  # [4, in, out]
     rows = x.reshape(n_vertices * batch, c_in)
     dz = (ops.conv.T.tocsr() @ g.reshape(n_vertices, batch * c_out)).reshape(4, n_vertices * batch, c_out)
-    dx = np.tensordot(dz, w4, axes=([0, 2], [0, 2])).reshape(x.shape)
-    dw = np.matmul(rows.T, dz).transpose(2, 1, 0)
+    dx = np.tensordot(dz, w, axes=([0, 2], [0, 2])).reshape(x.shape)
+    dw = np.matmul(rows.T, dz)
     return dx, dw, g.reshape(-1, c_out).sum(axis=0)
 
 
@@ -162,15 +162,15 @@ def dense_mesh_conv(layer, x, g, slope=None):
     gradients for the output gradient g: y = sum_k S_k x W_k + b, then
     max(y, slope*y); with g' = g * where(y > 0, 1, slope),
     dx = sum_k S_k^T g' W_k^T, dW_k = (S_k x)^T g' and db = the sum of g'.
-    Returns (y, dx, dW, db), dW as [out, in, 4]."""
+    Returns (y, dx, dW, db), dW as [4, in, out] like the weights."""
     ops = layer.operators
     dense = np.stack([op.toarray() for op in (ops.identity, ops.grad_ew, ops.grad_ns, ops.laplacian)])
     w = layer.weights.tensor.data
     sx = np.einsum("kvu,ubi->kvbi", dense, x)
-    y = np.einsum("kvbi,oik->vbo", sx, w) + layer.bias.tensor.data
+    y = np.einsum("kvbi,kio->vbo", sx, w) + layer.bias.tensor.data
     if slope is not None:
         g = g * np.where(y > 0.0, 1.0, slope)
         y = np.where(y > 0.0, y, slope * y)
-    dx = np.einsum("kvu,vbo,oik->ubi", dense, g, w)
-    dw = np.einsum("kvbi,vbo->oik", sx, g)
+    dx = np.einsum("kvu,vbo,kio->ubi", dense, g, w)
+    dw = np.einsum("kvbi,vbo->kio", sx, g)
     return y, dx, dw, g.sum(axis=(0, 1))

@@ -63,7 +63,7 @@ class TestForwardOps:
         # A one-channel conv that passes its input through (identity weight,
         # zero bias), then its activation: max(x, 0.1 x).
         layer = init_conv_layer(np.random.default_rng(0), "c", 1, 1, operators(0))
-        layer.weights.tensor.data[...] = [[[1.0, 0.0, 0.0, 0.0]]]
+        layer.weights.tensor.data[...] = [[[1.0]], [[0.0]], [[0.0]], [[0.0]]]
         x = np.zeros((12, 1, 1))
         x[:2, 0, 0] = [-2.0, 3.0]
         out = mesh_conv(layer, Tensor(x), slope=0.1)

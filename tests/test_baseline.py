@@ -140,6 +140,15 @@ class TestAverageRegressors:
         assert np.array_equal(avg.coeffs, np.mean([r.coeffs for r in regs], axis=0))
         assert np.array_equal(avg.labels, labels) and avg.rank_warnings == [f"w{i}" for i in range(n)]
 
+    def test_repeated_rank_warnings_kept_once_in_first_seen_order(self):
+        # Each fitted sample of a rank-deficient parcel repeats its message;
+        # the average records every distinct message once.
+        labels = np.arange(162) % 8
+        warnings = [["p3 deficient", "p1 deficient"], ["p1 deficient"], [], ["p5 deficient", "p3 deficient"]]
+        regs = [ParcelRegressor(np.zeros((8, 2, 6)), labels.copy(), list(w)) for w in warnings]
+        avg = average_regressors(regs + regs)
+        assert avg.rank_warnings == ["p3 deficient", "p1 deficient", "p5 deficient"]
+
     def test_holds_one_regressor_of_an_iterable_at_a_time(self):
         # 200 level-5 regressors (10,242 labels) from a generator: the running
         # sum and the one regressor being added, about 2 regressors, not 200.

@@ -281,6 +281,7 @@ class TestTrain:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
             assert not list(run.glob("checkpoint_*.bin"))
+            assert not run.exists()
 
     @pytest.mark.parametrize("parcels", [0, 43])  # level 1 has 42 vertices
     def test_baseline_parcels_out_of_range_exit_2(self, tmp_path, tiny_run, capsys, parcels):
@@ -605,6 +606,22 @@ class TestPredict:
         assert err.startswith("config error:") and "mesh levels differ" in err and err.count("\n") == 1
         assert 7 not in levels
         assert not (tiny_run / "p7").exists()
+
+    def test_checkpoint_of_the_out_in_op_weight_layout_exit_2(self, tiny_run, capsys):
+        # Conv weights are stored [4, in, out]; a checkpoint that holds them
+        # as [out, in, 4] is reported with its first such parameter.
+        arrays, meta = load_checkpoint(tiny_run / "run" / "checkpoint_final.bin")
+        old = {k: v.transpose(2, 1, 0) if k.endswith(".weight") else v for k, v in arrays.items()}
+        save_checkpoint(tiny_run / "old.bin", old, meta=meta)
+        capsys.readouterr()
+        assert cli.main([
+            "predict", "--model", str(tiny_run / "old.bin"), "--data", str(tiny_run / "data"),
+            "--out", str(tiny_run / "pold"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and err.count("\n") == 1
+        assert "parameter enc0.conv0.weight: checkpoint (6, 4, 4) vs model (4, 4, 6)" in err
+        assert not (tiny_run / "pold").exists()
 
     @pytest.mark.parametrize("content, message", [
         ("{not json", "not JSON"),
@@ -1059,3 +1076,31 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_gradcheck", failing)
         with pytest.raises(RuntimeError):
             cli.main(["gradcheck"])
+
+
+class TestRerun:
+    def test_every_output_file_byte_identical(self, tmp_path):
+        # gen-data -> train -> predict --baseline --dump-samples -> evaluate
+        # --row-zscore, twice from one config: every file either run writes
+        # has the same bytes, and no *.tmp is left behind.
+        cfg = write_config(tmp_path)
+        trees = []
+        for tag in ("a", "b"):
+            base = tmp_path / tag
+            data, run, preds = base / "data", base / "run", base / "preds"
+            assert cli.main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+            assert cli.main(["train", "--data", str(data), "--config", str(cfg), "--out", str(run)]) == 0
+            assert cli.main([
+                "predict", "--model", str(run / "checkpoint_final.bin"), "--data", str(data),
+                "--out", str(preds), "--baseline", str(run / "baseline.bin"), "--dump-samples",
+            ]) == 0
+            assert cli.main([
+                "evaluate", "--data", str(data), "--preds", f"model={preds}",
+                "--preds", f"baseline={preds / 'baseline'}", "--out", str(base / "eval"), "--row-zscore",
+            ]) == 0
+            trees.append({str(p.relative_to(base)): p.read_bytes() for p in base.rglob("*") if p.is_file()})
+        a, b = trees
+        assert {"run/checkpoint_final.bin", "preds/sub004_sample_7.bin", "eval/report.json"} <= a.keys()
+        assert not [p for p in a.keys() | b.keys() if p.endswith(".tmp")]
+        assert a.keys() == b.keys()
+        assert sorted(p for p in a if a[p] != b[p]) == []

@@ -20,10 +20,22 @@ def set_weights(layer, w, b=None):
         layer.bias.tensor.data[...] = b
 
 
+class TestInitConvLayer:
+    def test_stores_the_out_in_op_draw_as_op_in_out(self):
+        # The draw's shape fixes every initial value, and with it every
+        # trained bit: drawn [out, in, 4], stored once as [4, in, out].
+        layer = init_conv_layer(np.random.default_rng(3), "t", 5, 2, operators(1))
+        a = np.sqrt(6.0 / (5 * 4 + 2 * 4))
+        expected = np.random.default_rng(3).uniform(-a, a, (2, 5, 4)).transpose(2, 1, 0)
+        w = layer.weights.tensor.data
+        assert w.shape == (4, 5, 2) and w.flags.c_contiguous
+        assert np.array_equal(w, expected)
+
+
 class TestMeshConv:
     def test_identity_passthrough(self):
         layer = make_layer(1, 1, 1)
-        w = np.zeros((1, 1, 4))
+        w = np.zeros((4, 1, 1))
         w[0, 0, 0] = 1.0  # identity operator only
         set_weights(layer, w, np.array([0.7]))
         x = np.random.default_rng(0).standard_normal((42, 1, 1))
@@ -37,7 +49,7 @@ class TestMeshConv:
         c = np.stack([np.full(42, 2.0), np.full(42, -1.0)], axis=-1)[:, None]  # [V, 1, 2]
         out = mesh_conv(layer, Tensor(c))
         w = layer.weights.tensor.data
-        expected = w[:, 0, 0] * 2.0 - w[:, 1, 0] + layer.bias.tensor.data
+        expected = w[0, 0] * 2.0 - w[0, 1] + layer.bias.tensor.data
         assert np.abs(out.data - expected).max() < 1e-12
 
     def test_matches_dense_reference(self):
@@ -55,7 +67,7 @@ class TestMeshConv:
         for o in range(2):
             for i in range(3):
                 for k, d in enumerate(dense_ops):
-                    expected[o] += w[o, i, k] * (d @ x[i])
+                    expected[o] += w[k, i, o] * (d @ x[i])
             expected[o] += b[o]
         out = mesh_conv(layer, Tensor(np.ascontiguousarray(x.T[:, None])))  # [V, 1, C]
         assert np.abs(out.data[:, 0].T - expected).max() < 1e-10
