@@ -25,22 +25,6 @@ import numpy as np
 import scipy.sparse as sp
 
 
-class ShapeMismatch(ValueError):
-    pass
-
-
-class EmptySet(ValueError):
-    pass
-
-
-class NonScalarRoot(ValueError):
-    pass
-
-
-class NonFiniteValue(ValueError):
-    pass
-
-
 _grad_enabled = True
 _hinge_trace: list[np.ndarray] | None = None
 
@@ -150,7 +134,7 @@ def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     """Apply a constant sparse operator along axis 0 (the vertex axis) of x,
     whatever its trailing shape."""
     if x.data.ndim == 0 or x.data.shape[0] != matrix.shape[1]:
-        raise ShapeMismatch(
+        raise ValueError(
             f"sparse_matmul: operator {matrix.shape} against data {x.data.shape}"
         )
     return _op(_along_axis0(matrix, x.data), (x,), lambda g: (_along_axis0(matrix.T, g),))
@@ -182,7 +166,7 @@ def backward(root: Tensor) -> None:
     with the node's gradient function and parents: a swept graph holds no
     value, and a second sweep from its root reaches nothing."""
     if root.data.shape != ():
-        raise NonScalarRoot(f"backward root must be scalar, got shape {root.data.shape}")
+        raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -288,7 +272,7 @@ def grad_check(
         p.tensor.zero_grad()
     loss = f()
     if not np.isfinite(loss.data):
-        raise NonFiniteValue("loss is not finite")
+        raise ValueError("loss is not finite")
     backward(loss)
     analytic = []
     for p in params:
@@ -296,7 +280,7 @@ def grad_check(
         if g is None:
             g = np.zeros_like(p.tensor.data)
         if not np.isfinite(g).all():
-            raise NonFiniteValue(f"gradient of {p.name} is not finite")
+            raise ValueError(f"gradient of {p.name} is not finite")
         analytic.append(g.copy())
         p.tensor.zero_grad()
 
@@ -318,7 +302,7 @@ def grad_check(
             f_minus = f().item()
         data.flat[fi] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NonFiniteValue(f"perturbed loss not finite at {params[pi].name}[{fi}]")
+            raise ValueError(f"perturbed loss not finite at {params[pi].name}[{fi}]")
         if _hinge_crossed(trace_plus, trace_minus, eps):
             continue
         numeric = (f_plus - f_minus) / (2.0 * eps)
@@ -370,7 +354,7 @@ def adam_step(
         n = data.size
         state = AdamState(np.zeros(n), np.zeros(n), (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)))
     if data.ndim != 1 or grad.shape != data.shape or state.m.shape != data.shape:
-        raise ShapeMismatch(
+        raise ValueError(
             f"adam_step: flat data {data.shape}, grad {grad.shape}, state {state.m.shape}"
         )
     state.step += 1

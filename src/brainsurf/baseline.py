@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import EmptySet, ShapeMismatch
 from .fileio import CorruptFile, load_checkpoint, save_checkpoint
 from .icosphere import Icosphere
 
@@ -82,7 +81,7 @@ def fit_subject(
     n_vertices, m = features.shape
     k = contrasts.shape[0]
     if contrasts.shape[1] != n_vertices or parcellation.labels.shape[0] != n_vertices:
-        raise ShapeMismatch(
+        raise ValueError(
             f"fit_subject: features {features.shape}, contrasts {contrasts.shape}, "
             f"parcellation over {parcellation.labels.shape[0]} vertices"
         )
@@ -114,14 +113,14 @@ def average_regressors(regressors: Iterable[ParcelRegressor]) -> ParcelRegressor
         elif not np.array_equal(reg.labels, labels):
             raise ValueError("regressors were fitted on different parcellations")
         elif reg.coeffs.shape != total.shape:
-            raise ShapeMismatch(f"regressor shapes differ: {reg.coeffs.shape} vs {total.shape}")
+            raise ValueError(f"regressor shapes differ: {reg.coeffs.shape} vs {total.shape}")
         else:
             total += reg.coeffs
         n += 1
         merged_warnings.update(dict.fromkeys(reg.rank_warnings))
         del reg  # dropped before the iterable makes the next one
     if total is None:
-        raise EmptySet("average_regressors needs at least one regressor")
+        raise ValueError("average_regressors needs at least one regressor")
     total /= n
     return ParcelRegressor(coeffs=total, labels=labels, rank_warnings=list(merged_warnings))
 
@@ -136,7 +135,7 @@ def predict_baseline(
         parcellation.n_parcels != n_parcels
         or features.shape != (parcellation.labels.shape[0], m_plus_1 - 1)
     ):
-        raise ShapeMismatch(
+        raise ValueError(
             f"predict_baseline: features {features.shape}, regressor {regressor.coeffs.shape}, "
             f"{parcellation.n_parcels} parcels"
         )
@@ -182,9 +181,9 @@ def group_average_baseline(training_targets: list[np.ndarray]) -> np.ndarray:
     """Elementwise mean contrast map over training subjects; serves as the
     same prediction for every test subject."""
     if not training_targets:
-        raise EmptySet("group_average_baseline needs at least one training subject")
+        raise ValueError("group_average_baseline needs at least one training subject")
     first_shape = np.shape(training_targets[0])
     for t in training_targets:
         if np.shape(t) != first_shape:
-            raise ShapeMismatch(f"target shapes differ: {np.shape(t)} vs {first_shape}")
+            raise ValueError(f"target shapes differ: {np.shape(t)} vs {first_shape}")
     return np.mean(training_targets, axis=0)

@@ -2,7 +2,7 @@
 and gradient verification, each deterministic given its config.
 
 Exit codes are a stable contract: 0 success, 2 bad config or unreadable
-input, 3 numeric failure (NaN loss; the last good checkpoint is retained),
+input, 3 numeric failure (NaN loss; the last good checkpoint, if any, is kept),
 4 unknown subject, 5 subject-set mismatch, and 1 from ``gradcheck`` when the
 gradient check fails.  README.md lists the cases of each code.
 """
@@ -59,8 +59,16 @@ from .model import (
     read_model_checkpoint,
     save_model,
 )
-from .rcloss import BatchTooSmall, Margins, rc_loss
-from .training import NaNLossError, OptimizerConfig, TrainState, TrainSubject, train_two_phase, validation_hook
+from .rcloss import Margins, rc_loss
+from .training import (
+    NaNLossError,
+    OptimizerConfig,
+    TrainState,
+    TrainSubject,
+    check_phase2_subjects,
+    train_two_phase,
+    validation_hook,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,12 +86,12 @@ class MissingSubjects(ValueError):
 # What ``main`` does with each failure: the first row whose classes match
 # gives the exit code and the stderr line.  Any other exception propagates.
 EXITS: list[tuple[tuple[type[Exception], ...], int, str]] = [
-    ((ConfigError, BatchTooSmall), EXIT_CONFIG, "config error: {}"),
+    ((ConfigError,), EXIT_CONFIG, "config error: {}"),
     ((FileNotFoundError,), EXIT_CONFIG, "missing input: {}"),
     ((FileExistsError, NotADirectoryError, IsADirectoryError, PermissionError), EXIT_CONFIG, "bad path: {}"),
     ((CorruptFile,), EXIT_CONFIG, "corrupt input: {}"),
     ((ZeroVariance,), EXIT_CONFIG, "invalid input: {}"),
-    ((NaNLossError,), EXIT_NUMERIC, "numeric failure: {} (last good checkpoint retained)"),
+    ((NaNLossError,), EXIT_NUMERIC, "numeric failure: {}"),
     ((MissingSubjects,), EXIT_MISSING_SUBJECT, "{}"),
     ((SubjectMismatch,), EXIT_MISMATCH, "{}"),
 ]
@@ -255,8 +263,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # corrupt input file, exits 2 with nothing written.
     model = build_model(model_cfg, build_hierarchy(model_cfg.mesh_level))
     fit_ids, val_ids = _split_validation(dataset.train_ids, cfg.val_fraction)
-    if cfg.phase2_epochs > 0 and len(fit_ids) < 2:  # train_two_phase's own check, before --out exists
-        raise ConfigError(f"phase 2 needs at least 2 training subjects for its contrastive term, got {len(fit_ids)}")
+    check_phase2_subjects(cfg.phase2_epochs, len(fit_ids))
     # Each sample is read when it is used, so train holds one batch of them,
     # not the cohort; samples checks all 8 files of each subject now.  The
     # validation hook predicts from each held-out subject's first sample only.
@@ -266,24 +273,31 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     hook = validation_hook(val_subjects, out / "val_log.csv") if val_subjects else None
+    saved = False
 
     def on_epoch_end(model: BrainSurfCNN, state: TrainState) -> None:
+        nonlocal saved
         save_model(out / ("checkpoint_phase1.bin" if state.phase == 1 else "checkpoint_last.bin"), model)
+        saved = True
         if hook is not None:
             hook(model, state)
 
     phase2_opt = None if cfg.phase2_lr is None else replace(cfg.optimizer, lr=cfg.phase2_lr)
-    state = train_two_phase(
-        model,
-        subjects,
-        phase1_epochs=cfg.phase1_epochs,
-        phase2_epochs=cfg.phase2_epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        opt=cfg.optimizer,
-        phase2_opt=phase2_opt,
-        on_epoch_end=on_epoch_end,
-    )
+    try:
+        state = train_two_phase(
+            model,
+            subjects,
+            phase1_epochs=cfg.phase1_epochs,
+            phase2_epochs=cfg.phase2_epochs,
+            batch_size=cfg.batch_size,
+            seed=cfg.seed,
+            opt=cfg.optimizer,
+            phase2_opt=phase2_opt,
+            on_epoch_end=on_epoch_end,
+        )
+    except NaNLossError as exc:
+        kept = "last good checkpoint retained" if saved else "no checkpoint was written"
+        raise NaNLossError(f"{exc} ({kept})") from exc
     state.write_csv(out / "training_log.csv")
     save_model(out / "checkpoint_final.bin", model)
     if state.margins0 is not None:
@@ -299,7 +313,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _subject_list(dataset: Dataset, subjects: str | None) -> list[str]:
     """The comma-separated ``--subjects`` ids, or the test subjects."""
-    requested = subjects.split(",") if subjects else list(dataset.test_ids)
+    requested = subjects.split(",") if subjects is not None else list(dataset.test_ids)
+    if "" in requested:
+        raise ConfigError(f"--subjects {subjects!r} holds an empty id")
     unknown = [sid for sid in requested if sid not in dataset.all_ids]
     if unknown:
         raise MissingSubjects(f"unknown subjects: {', '.join(unknown)}")

@@ -334,12 +334,14 @@ class Dataset:
         path = self._subject_dir(subject_id) / name
         arr = read_tensor(path)
         self._check_shape(path, arr.shape, channels)
+        if not np.isfinite(arr).all():
+            raise CorruptFile(f"{path}: holds a NaN or an infinity")
         return arr
 
     def samples(self, subject_id: str) -> "SampleFiles":
         """The subject's 8 samples as a sequence that reads one from its file
-        on each access and keeps none.  Every file is checked now, from its
-        header and length alone: it raises what reading it would raise."""
+        on each access and keeps none.  Every file's header and length are
+        checked now; a NaN or an infinity is found when the sample is read."""
         for k in range(SEGMENTS_PER_SUBJECT):
             path = self._subject_dir(subject_id) / f"sample_{k}.bin"
             self._check_shape(path, tensor_shape(path), 2 * self.generator.n_rois)

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ShapeMismatch
 from .connectome import standardized_rows
 from .fileio import FLOAT_FORMAT, write_csv, write_text
 
@@ -52,7 +51,7 @@ def correlation_matrix(preds: np.ndarray, targets: np.ndarray, contrast_id: int 
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if preds.shape != targets.shape or preds.ndim != 2:
-        raise ShapeMismatch(f"correlation_matrix: preds {preds.shape}, targets {targets.shape}")
+        raise ValueError(f"correlation_matrix: preds {preds.shape}, targets {targets.shape}")
     if preds.shape[0] < 2:
         raise ValueError(f"correlation_matrix needs >= 2 subjects, got {preds.shape[0]}")
     z_t = standardized_rows(targets, "target")
@@ -88,7 +87,7 @@ def reliable_contrasts(test: np.ndarray, retest: np.ndarray) -> np.ndarray:
     test = np.asarray(test, dtype=np.float64)
     retest = np.asarray(retest, dtype=np.float64)
     if test.shape != retest.shape or test.ndim != 3:
-        raise ShapeMismatch(f"reliable_contrasts: test {test.shape}, retest {retest.shape}")
+        raise ValueError(f"reliable_contrasts: test {test.shape}, retest {retest.shape}")
     n_subjects, n_contrasts, _ = test.shape
     per = np.zeros((n_subjects, n_contrasts))
     for s in range(n_subjects):

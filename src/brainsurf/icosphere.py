@@ -22,14 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 
 
-class DegenerateFrame(ValueError):
-    """A vertex sits too close to a pole for a tangent frame to exist."""
-
-
-class LevelMismatch(ValueError):
-    """Pooling requested between meshes whose levels do not differ by one."""
-
-
 _POLE_EPS = 1e-9
 _ROT_AXIS = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
 _ROT_ANGLE = 0.2
@@ -201,7 +193,7 @@ def _tangent_frames(p: np.ndarray) -> np.ndarray:
     """
     r = np.hypot(p[:, 0], p[:, 1])
     if (r < _POLE_EPS).any():
-        raise DegenerateFrame(f"vertex {p[np.argmin(r)]} lies within {_POLE_EPS} of a pole")
+        raise ValueError(f"vertex {p[np.argmin(r)]} lies within {_POLE_EPS} of a pole")
     east = np.stack([-p[:, 1], p[:, 0], np.zeros_like(r)], axis=1) / r[:, None]
     north = np.stack([-p[:, 2] * p[:, 0], -p[:, 2] * p[:, 1], r * r], axis=1) / r[:, None]
     return np.stack([east, north, p], axis=1)
@@ -275,7 +267,7 @@ def closed_ring_mean(mesh: Icosphere, n_rows: int) -> sp.csr_matrix:
 def build_pool_map(fine: Icosphere, coarse: Icosphere) -> PoolMap:
     """Mean pooling over each coarse vertex's closed fine neighborhood."""
     if coarse.level != fine.level - 1:
-        raise LevelMismatch(
+        raise ValueError(
             f"coarse level {coarse.level} must be fine level {fine.level} minus one"
         )
     n_coarse = coarse.n_vertices

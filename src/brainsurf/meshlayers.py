@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Param, ShapeMismatch, Tensor
+from .autodiff import Param, Tensor
 from .icosphere import MeshOperators, PoolMap
 
 N_OPERATORS = 4
@@ -108,7 +108,7 @@ def mesh_conv(
     n_vertices = ops.identity.shape[0]
     c_x = layer.in_channels - (0 if coarse is None else coarse[1].data.shape[-1])
     if x.data.ndim != 3 or x.data.shape[0] != n_vertices or x.data.shape[2] != c_x:
-        raise ShapeMismatch(
+        raise ValueError(
             f"mesh_conv: vertex-major input {x.data.shape}, layer expects {(n_vertices, 'B', c_x)}"
         )
     batch = x.data.shape[1]
@@ -124,7 +124,7 @@ def mesh_conv(
         unpool = pool_map.unpool_matrix
         n_coarse = unpool.shape[1]
         if unpool.shape[0] != n_vertices or h.data.ndim != 3 or h.data.shape[:2] != (n_coarse, batch):
-            raise ShapeMismatch(
+            raise ValueError(
                 f"mesh_conv: coarse input {h.data.shape}, layer expects {(n_coarse, batch, 'C')}"
             )
         coarse_rows = h.data.reshape(n_coarse * batch, -1)
@@ -175,7 +175,7 @@ def mesh_conv(
 
 def mesh_pool(pool_map: PoolMap, x: Tensor) -> Tensor:
     if x.data.ndim != 3 or x.data.shape[0] != pool_map.pool_matrix.shape[1]:
-        raise ShapeMismatch(
+        raise ValueError(
             f"mesh_pool: vertex-major input {x.data.shape}, map expects "
             f"V_fine={pool_map.pool_matrix.shape[1]}"
         )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import meshlayers as ml
-from .autodiff import EmptySet, Param, ParamArena, ShapeMismatch, Tensor
+from .autodiff import Param, ParamArena, Tensor
 from .fileio import ConfigError, CorruptFile, JsonConfig, load_checkpoint, save_checkpoint
 from .icosphere import MeshHierarchy, build_hierarchy, n_vertices_at_level
 
@@ -86,10 +86,10 @@ class BrainSurfCNN:
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for p in self.arena.params:
             if p.name not in arrays:
-                raise ShapeMismatch(f"checkpoint is missing parameter {p.name}")
+                raise ValueError(f"checkpoint is missing parameter {p.name}")
             src = np.asarray(arrays[p.name], dtype=np.float64)
             if src.shape != p.tensor.data.shape:
-                raise ShapeMismatch(
+                raise ValueError(
                     f"parameter {p.name}: checkpoint {src.shape} vs model {p.tensor.data.shape}"
                 )
             p.tensor.data[...] = src
@@ -100,7 +100,7 @@ class BrainSurfCNN:
     def _check_input(self, shape: tuple[int, ...]) -> None:
         expected = (self.config.input_channels, n_vertices_at_level(self.config.mesh_level))
         if len(shape) not in (2, 3) or shape[-2:] != expected:
-            raise ShapeMismatch(f"forward: input {shape}, model expects {expected} or (B, *{expected})")
+            raise ValueError(f"forward: input {shape}, model expects {expected} or (B, *{expected})")
 
     def forward(self, x) -> Tensor:
         """Contrast maps [K, V] for one connectome [2M, V], or [B, K, V] for a
@@ -225,7 +225,7 @@ def predict_variants(model: BrainSurfCNN, samples) -> np.ndarray:
     ``model.predict`` of their stack."""
     samples = list(samples)
     if not samples:
-        raise EmptySet("an ensemble needs at least one connectome sample")
+        raise ValueError("an ensemble needs at least one connectome sample")
     return model.predict(np.stack(samples))
 
 

@@ -29,12 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EmptySet, ShapeMismatch, Tensor
+from .autodiff import Tensor
 from .model import BrainSurfCNN, predict_ensemble
-
-
-class BatchTooSmall(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ def _stacked(x) -> tuple[tuple[Tensor, ...], np.ndarray]:
         return (x,), x.data
     parts = tuple(q if isinstance(q, Tensor) else Tensor(q) for q in x)
     if len({q.data.shape for q in parts}) > 1:
-        raise ShapeMismatch(f"rc_loss: per-subject shapes {[q.data.shape for q in parts]} differ")
+        raise ValueError(f"rc_loss: per-subject shapes {[q.data.shape for q in parts]} differ")
     return parts, np.stack([q.data for q in parts]) if parts else np.empty(0)
 
 
@@ -86,12 +82,12 @@ def rc_loss(preds, targets, margins: Margins | None) -> BatchLoss:
     constants, t = _stacked(targets)
     n = len(p)
     if n != len(t):
-        raise ShapeMismatch(f"rc_loss: {n} predictions vs {len(t)} targets")
+        raise ValueError(f"rc_loss: {n} predictions vs {len(t)} targets")
     needed = 1 if margins is None else 2  # the contrastive term needs a pair
     if n < needed:
-        raise BatchTooSmall(f"rc_loss needs at least {needed} subjects, got {n}")
+        raise ValueError(f"rc_loss needs at least {needed} subjects, got {n}")
     if p.shape != t.shape:
-        raise ShapeMismatch(f"rc_loss: predictions {p.shape} vs targets {t.shape}")
+        raise ValueError(f"rc_loss: predictions {p.shape} vs targets {t.shape}")
     if any(c.requires_grad for c in constants):
         raise ValueError("rc_loss: targets must be constants")
     entries = p[0].size
@@ -146,11 +142,11 @@ def init_margins(model: BrainSurfCNN, training_set) -> Margins:
     of the whole set (no gradients).
 
     ``training_set`` yields (connectome_samples, target_contrasts) pairs;
-    fewer than 2 of them raise ``BatchTooSmall``.
+    fewer than 2 of them raise ``ValueError``.
     """
     training_set = list(training_set)
     if not training_set:
-        raise EmptySet("init_margins needs at least one training subject")
+        raise ValueError("init_margins needs at least one training subject")
     preds = np.stack([predict_ensemble(model, samples) for samples, _ in training_set])
     targets = np.stack([np.asarray(t, dtype=np.float64) for _, t in training_set])
     distances = rc_loss(preds, targets, Margins(0.0, 0.0))

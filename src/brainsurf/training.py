@@ -23,7 +23,7 @@ from .autodiff import AdamState, adam_step, backward
 from .connectome import SEGMENTS_PER_SUBJECT
 from .fileio import ConfigError, JsonConfig, write_csv
 from .model import BrainSurfCNN
-from .rcloss import BatchTooSmall, Margins, init_margins, rc_loss, schedule_margins
+from .rcloss import Margins, init_margins, rc_loss, schedule_margins
 
 LOG_COLUMNS = ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta"]
 
@@ -137,7 +137,7 @@ def train_phase(
             )
             targets = np.stack([subjects[i].target for i in batch])
 
-            # Phase 1 backpropagates L_R alone; rc_loss raises BatchTooSmall
+            # Phase 1 backpropagates L_R alone; rc_loss raises ValueError
             # for singleton phase-2 batches and leaves L_C None for phase-1 ones.
             batch_loss = rc_loss(preds, targets, margins)
             loss = batch_loss.l_r if margins is None else batch_loss.l_rc
@@ -174,6 +174,13 @@ def margin_init_set(subjects: list[TrainSubject]) -> list[tuple[Sequence[np.ndar
     return [(s.samples, s.target) for s in subjects]
 
 
+def check_phase2_subjects(phase2_epochs: int, n_subjects: int) -> None:
+    """ConfigError when phase 2 is enabled with fewer than the 2 subjects
+    its contrastive term needs."""
+    if phase2_epochs > 0 and n_subjects < 2:
+        raise ConfigError(f"phase 2 needs at least 2 training subjects for its contrastive term, got {n_subjects}")
+
+
 def train_two_phase(
     model: BrainSurfCNN,
     subjects: list[TrainSubject],
@@ -190,13 +197,9 @@ def train_two_phase(
     its own optimizer settings).  Returns the final state, which carries the
     initial margins when phase 2 ran.
 
-    Raises ``BatchTooSmall`` before any training when phase 2 is enabled with
-    fewer than 2 subjects, which its contrastive term needs.
+    Raises ``check_phase2_subjects``'s ConfigError before any training.
     """
-    if phase2_epochs > 0 and len(subjects) < 2:
-        raise BatchTooSmall(
-            f"phase 2 needs at least 2 training subjects for its contrastive term, got {len(subjects)}"
-        )
+    check_phase2_subjects(phase2_epochs, len(subjects))
     state = TrainState(np.random.default_rng([seed, 1]))
     # A step that overflows ends in a non-finite loss, which train_phase
     # raises as NaNLossError: numpy's warnings would only precede it.

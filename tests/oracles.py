@@ -3,7 +3,7 @@
 import numpy as np
 
 from brainsurf import autodiff as ad
-from brainsurf.autodiff import ShapeMismatch, Tensor
+from brainsurf.autodiff import Tensor
 from brainsurf.connectome import ZeroVariance
 
 
@@ -36,7 +36,7 @@ def concat_channels(parts) -> Tensor:
     multi-parent op."""
     lead = parts[0].data.shape[:-1]
     if any(p.data.ndim == 0 or p.data.shape[:-1] != lead for p in parts):
-        raise ShapeMismatch(f"concat_channels: shapes {[p.data.shape for p in parts]} incompatible")
+        raise ValueError(f"concat_channels: shapes {[p.data.shape for p in parts]} incompatible")
     stops = np.cumsum([p.data.shape[-1] for p in parts])
     return ad._op(
         np.concatenate([p.data for p in parts], axis=-1),
@@ -51,7 +51,7 @@ def pearson(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
-        raise ShapeMismatch(f"pearson: shapes {x.shape} and {y.shape}")
+        raise ValueError(f"pearson: shapes {x.shape} and {y.shape}")
     if x.size < 2:
         raise ValueError(f"pearson needs at least 2 samples, got {x.size}")
     xc = x - x.mean()

@@ -12,10 +12,8 @@ from hypothesis.extra import numpy as hnp
 import brainsurf
 from brainsurf import autodiff as ad
 from brainsurf.autodiff import (
-    NonScalarRoot,
     Param,
     ParamArena,
-    ShapeMismatch,
     Tensor,
     adam_step,
     backward,
@@ -56,7 +54,7 @@ class TestForwardOps:
         x3 = rng.standard_normal((5, 2, 3))
         out3 = ad.sparse_matmul(s, Tensor(x3))
         assert np.allclose(out3.data, np.einsum("uv,vbc->ubc", dense, x3), atol=1e-14)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"sparse_matmul: operator \(5, 5\) against data \(3, 5\)"):
             ad.sparse_matmul(s, Tensor(x.T))
 
     def test_leaky_relu_values(self):
@@ -89,7 +87,7 @@ class TestBackward:
 
     def test_non_scalar_root(self):
         x = trainable([1.0, 2.0])
-        with pytest.raises(NonScalarRoot):
+        with pytest.raises(ValueError, match=r"backward root must be scalar, got shape \(2,\)"):
             backward(hinge(x))
 
     def test_grad_accumulates_across_uses(self):
@@ -495,10 +493,10 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"adam_step: flat data \(3,\), grad \(1,\), state \(3,\)"):
             adam_step(np.zeros(3), np.zeros(1), None)  # would broadcast
         state = adam_step(np.zeros(3), np.zeros(3), None)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"adam_step: flat data \(4,\), grad \(4,\), state \(3,\)"):
             adam_step(np.zeros(4), np.zeros(4), state)
 
     @settings(max_examples=40, deadline=None)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from brainsurf.baseline import (
-    EmptySet,
     ParcelRegressor,
     Parcellation,
     RankDeficientWarning,
@@ -165,7 +164,7 @@ class TestAverageRegressors:
         assert peak < 3 * size
 
     def test_empty_set(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(ValueError, match="average_regressors needs at least one regressor"):
             average_regressors([])
 
     def test_mismatched_parcellation_rejected(self, parcellation):
@@ -282,7 +281,7 @@ class TestGroupAverage:
         assert np.abs(group_average_baseline([f, -f])).max() == 0.0
 
     def test_empty(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(ValueError, match="group_average_baseline needs at least one training subject"):
             group_average_baseline([])
 
 

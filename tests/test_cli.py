@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -8,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import brainsurf
 from brainsurf import cli, evaluate, meshlayers
 from brainsurf.connectome import ZeroVariance
 from brainsurf.fileio import ConfigError, CorruptFile, load_checkpoint, read_tensor, save_checkpoint
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import load_model
-from brainsurf.rcloss import BatchTooSmall
 from brainsurf.training import NaNLossError
 
 TINY_CONFIG = {
@@ -277,7 +279,7 @@ class TestTrain:
             assert cli.main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
             capsys.readouterr()
             rc = cli.main(["train", "--data", str(data), "--config", str(cfg), "--out", str(run)])
-            assert rc == 2  # BatchTooSmall: the contrastive phase needs 2 subjects
+            assert rc == 2  # ConfigError: the contrastive phase needs 2 subjects
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
             assert not list(run.glob("checkpoint_*.bin"))
@@ -362,6 +364,34 @@ class TestTrain:
         assert (run / "checkpoint_phase1.bin").read_bytes() == (tmp_path / "warm" / "checkpoint_phase1.bin").read_bytes()
         for name in ("checkpoint_last.bin", "checkpoint_final.bin", "training_log.csv"):
             assert not (run / name).exists(), name
+
+    def test_nan_in_the_first_epoch_claims_no_checkpoint(self, tmp_path, tiny_run, capsys):
+        # The first step blows the weights up and the second batch's loss
+        # overflows: no epoch finishes, so no checkpoint exists to retain.
+        cfg = write_config(tmp_path, optimizer={"lr": 1e300}, batch_size=1, phase1_epochs=2, phase2_epochs=0)
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(tiny_run / "data"), "--config", str(cfg), "--out", str(tmp_path / "r3")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: non-finite loss at epoch 0 (no checkpoint was written)\n"
+        assert not list((tmp_path / "r3").glob("checkpoint_*.bin"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_target_exit_2_before_out(self, tmp_path, capsys, value):
+        from brainsurf.fileio import write_tensor
+
+        cfg = write_config(tmp_path)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        target = tmp_path / "data" / "subjects" / "sub000" / "target.bin"
+        bad = read_tensor(target)
+        bad[1, 7] = value
+        write_tensor(target, bad)
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and "sub000/target.bin" in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_overflow_prints_only_the_one_line_message(self, tmp_path, tiny_run):
         # The blown-up phase-2 weights overflow in the next forward; numpy's
@@ -875,6 +905,37 @@ class TestEvaluate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and kind in err[0] and "zero variance" in err[0]
 
+    @pytest.mark.parametrize("subject, kind, value", [
+        ("sub000", "target", np.nan),  # a training subject: the group average reads it
+        ("sub005", "target", np.inf),
+        ("sub004", "retest", -np.inf),
+    ])
+    def test_non_finite_observed_map_exit_2(self, tiny_run, capsys, subject, kind, value):
+        from brainsurf.fileio import write_tensor
+
+        path = tiny_run / "data" / "subjects" / subject / f"{kind}.bin"
+        bad = read_tensor(path)
+        bad[0, 3] = value
+        write_tensor(path, bad)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--data", str(tiny_run / "data"), "--out", str(tiny_run / "eval_bad")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt input:") and f"{subject}/{kind}.bin" in err and err.count("\n") == 1
+        assert not (tiny_run / "eval_bad").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("subjects", ["", "sub004,,sub005", "sub004,sub005,"])
+    def test_empty_subject_id_exit_2(self, tiny_run, capsys, command, subjects):
+        args = [command, "--data", str(tiny_run / "data"), "--subjects", subjects, "--out", str(tiny_run / "out")]
+        if command == "predict":
+            args += ["--model", str(tiny_run / "run" / "checkpoint_final.bin")]
+        capsys.readouterr()
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --subjects {subjects!r} holds an empty id\n"
+        assert not (tiny_run / "out").exists()
+
     @pytest.mark.parametrize(
         "subjects, code",
         [("sub004", 2), ("sub004,sub005,sub004", 2), ("sub004,nope", 4)],
@@ -1049,7 +1110,6 @@ class TestGradcheck:
 class TestExitCodes:
     @pytest.mark.parametrize("exc, code, err", [
         (ConfigError("x"), 2, "config error: x\n"),
-        (BatchTooSmall("x"), 2, "config error: x\n"),
         (FileNotFoundError("x"), 2, "missing input: x\n"),
         (FileExistsError("x"), 2, "bad path: x\n"),
         (NotADirectoryError("x"), 2, "bad path: x\n"),
@@ -1057,7 +1117,7 @@ class TestExitCodes:
         (PermissionError("x"), 2, "bad path: x\n"),
         (CorruptFile("x"), 2, "corrupt input: x\n"),
         (ZeroVariance("x"), 2, "invalid input: x\n"),
-        (NaNLossError("x"), 3, "numeric failure: x (last good checkpoint retained)\n"),
+        (NaNLossError("x"), 3, "numeric failure: x\n"),
         (cli.MissingSubjects("x"), 4, "x\n"),
         (evaluate.SubjectMismatch("x"), 5, "x\n"),
     ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
@@ -1068,6 +1128,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_gradcheck", failing)
         assert cli.main(["gradcheck"]) == code
         assert capsys.readouterr().err == err
+
+    def test_every_exception_class_has_an_exit(self):
+        # EXITS is the package's failure vocabulary: a class of its own is
+        # defined only where the CLI tells that failure apart.
+        handled = {cls for classes, _, _ in cli.EXITS for cls in classes}
+        names = [f"brainsurf.{m.name}" for m in pkgutil.iter_modules(brainsurf.__path__)]
+        modules = [brainsurf, *map(importlib.import_module, names)]
+        defined = [
+            obj
+            for module in modules
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and not issubclass(obj, Warning)
+            and obj.__module__ == module.__name__
+        ]
+        assert defined and [cls.__qualname__ for cls in defined if cls not in handled] == []
 
     def test_unlisted_exception_propagates(self, monkeypatch):
         def failing(args):

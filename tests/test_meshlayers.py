@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brainsurf import autodiff as ad
-from brainsurf.autodiff import Param, ShapeMismatch, Tensor, backward, grad_check
+from brainsurf.autodiff import Param, Tensor, backward, grad_check
 from brainsurf.icosphere import build_hierarchy, build_pool_map, icosphere, operators
 from brainsurf.meshlayers import init_conv_layer, mesh_conv, mesh_pool
 from oracles import dense_mesh_conv, mesh_conv_grads, sum_of_squares
@@ -85,15 +85,18 @@ class TestMeshConv:
 
     def test_shape_mismatch(self):
         layer = make_layer(2, 2, 1)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"vertex-major input \(162, 1, 2\), layer expects \(42, 'B', 2\)"):
             mesh_conv(layer, Tensor(np.zeros((162, 1, 2))))
         # A coarse input: 2 + 3 channels at level 2.
         layer, pm, pm3 = make_layer(2 + 3, 2, 2), build_hierarchy(2).pool_map(2), build_hierarchy(3).pool_map(3)
-        with pytest.raises(ShapeMismatch):  # its batch differs from x's
+        # Its batch differs from x's.
+        with pytest.raises(ValueError, match=r"coarse input \(42, 1, 3\), layer expects \(42, 2, 'C'\)"):
             mesh_conv(layer, Tensor(np.zeros((162, 2, 2))), coarse=(pm, Tensor(np.zeros((42, 1, 3)))))
-        with pytest.raises(ShapeMismatch):  # the channels do not add up to the layer's
+        # The channels do not add up to the layer's.
+        with pytest.raises(ValueError, match=r"vertex-major input \(162, 1, 3\), layer expects \(162, 'B', 2\)"):
             mesh_conv(layer, Tensor(np.zeros((162, 1, 3))), coarse=(pm, Tensor(np.zeros((42, 1, 3)))))
-        with pytest.raises(ShapeMismatch):  # the map's fine level is not the layer's
+        # The map's fine level is not the layer's.
+        with pytest.raises(ValueError, match=r"coarse input \(162, 1, 3\), layer expects \(162, 1, 'C'\)"):
             mesh_conv(layer, Tensor(np.zeros((162, 1, 2))), coarse=(pm3, Tensor(np.zeros((162, 1, 3)))))
 
     def test_grad_check(self):
@@ -206,7 +209,7 @@ class TestMeshPool:
     def test_channel_major_input_rejected(self):
         # Pooling takes vertex-major [V, B, C] only: a [C, V] subject is not transposed for it.
         pm = build_pool_map(icosphere(2), icosphere(1))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"mesh_pool: vertex-major input \(3, 162\), map expects V_fine=162"):
             mesh_pool(pm, Tensor(np.zeros((3, 162))))
 
 

@@ -11,7 +11,8 @@ from brainsurf.autodiff import backward
 from brainsurf.connectome import GeneratorConfig, generate_cohort
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import ModelConfig, build_model, load_model, save_model
-from brainsurf.rcloss import BatchTooSmall, Margins, rc_loss
+from brainsurf.fileio import ConfigError
+from brainsurf.rcloss import Margins, rc_loss
 from brainsurf.training import (
     EpochStats,
     NaNLossError,
@@ -79,7 +80,7 @@ class TestTrainPhase:
     def test_single_subject_phase2_aborts(self, hierarchy):
         model = build_model(TINY_MODEL, hierarchy)
         lone = tiny_subjects(2)[:1]
-        with pytest.raises(BatchTooSmall):
+        with pytest.raises(ValueError, match="rc_loss needs at least 2 subjects, got 1"):
             train_phase(
                 model, lone, TrainState(np.random.default_rng(0), margins0=Margins(0.1, 0.1)), epochs=1,
                 batch_size=2, opt=OptimizerConfig(),
@@ -396,7 +397,7 @@ class TestTwoPhase:
     def test_phase2_with_one_subject_fails_before_phase1(self, hierarchy, tmp_path):
         model = build_model(TINY_MODEL, hierarchy)
         before = {k: v.copy() for k, v in model.param_arrays().items()}
-        with pytest.raises(BatchTooSmall):
+        with pytest.raises(ConfigError, match="phase 2 needs at least 2 training subjects .*, got 1"):
             train_two_phase(
                 model, tiny_subjects(2)[:1], phase1_epochs=2, phase2_epochs=2, batch_size=2,
                 seed=0, on_epoch_end=lambda model, state: save_model(tmp_path / "last.bin", model),
