@@ -78,6 +78,13 @@ EXIT_MISMATCH = 5
 
 GRADCHECK_THRESHOLD = 1e-4
 
+# Every file `train` writes into --out.  A run removes them all before its
+# first epoch, so no file of an earlier run into the same --out passes for its own.
+RUN_FILES = (
+    "checkpoint_phase1.bin", "checkpoint_last.bin", "training_log.csv",
+    "checkpoint_final.bin", "baseline.bin", "manifest.json",
+)
+
 
 class MissingSubjects(ValueError):
     pass
@@ -247,12 +254,6 @@ def _fit_baseline(subjects: list[TrainSubject], cfg: RunConfig) -> ParcelRegress
     )
 
 
-def _group_average(dataset: Dataset) -> np.ndarray:
-    # Over every training subject, validation ones included: the lower bound
-    # `train` saves is the one `evaluate` reports.
-    return group_average_baseline([dataset.target(sid) for sid in dataset.train_ids])
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     dataset = load_dataset(args.data)
@@ -272,7 +273,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    hook = validation_hook(val_subjects, out / "val_log.csv") if val_subjects else None
+    for name in RUN_FILES:
+        (out / name).unlink(missing_ok=True)
+    hook = validation_hook(val_subjects) if val_subjects else None
     saved = False
 
     def on_epoch_end(model: BrainSurfCNN, state: TrainState) -> None:
@@ -281,10 +284,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         saved = True
         if hook is not None:
             hook(model, state)
+        state.write_csv(out / "training_log.csv")
 
     phase2_opt = None if cfg.phase2_lr is None else replace(cfg.optimizer, lr=cfg.phase2_lr)
     try:
-        state = train_two_phase(
+        train_two_phase(
             model,
             subjects,
             phase1_epochs=cfg.phase1_epochs,
@@ -298,14 +302,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     except NaNLossError as exc:
         kept = "last good checkpoint retained" if saved else "no checkpoint was written"
         raise NaNLossError(f"{exc} ({kept})") from exc
-    state.write_csv(out / "training_log.csv")
     save_model(out / "checkpoint_final.bin", model)
-    if state.margins0 is not None:
-        margins = {"alpha0": state.margins0.alpha, "beta0": state.margins0.beta}
-        write_text(out / "margins.json", json.dumps(margins, sort_keys=True) + "\n")
-
     save_baseline(out / "baseline.bin", _fit_baseline(subjects, cfg))
-    write_tensor(out / "group_average.bin", _group_average(dataset))
     _write_manifest(out, cfg, inputs={"cohort.json": hash_file(Path(args.data) / "cohort.json")})
     print(f"trained {cfg.phase1_epochs}+{cfg.phase2_epochs} epochs on {len(fit_ids)} subjects -> {out}")
     return EXIT_OK
@@ -418,7 +416,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     retest = np.stack([dataset.retest(sid) for sid in subjects])
 
     variants = {name: _stack_variant(d, subjects, name, targets.shape[1:]) for name, d in pred_dirs.items()}
-    variants["group_average"] = np.broadcast_to(_group_average(dataset), targets.shape)
+    # Over every training subject, validation ones included.
+    group_average = group_average_baseline([dataset.target(sid) for sid in dataset.train_ids])
+    variants["group_average"] = np.broadcast_to(group_average, targets.shape)
 
     report = ablation_report(variants, targets, retest)
     undefined: dict[str, list[str]] = {}

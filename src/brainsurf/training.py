@@ -7,14 +7,14 @@ Every source of randomness (batch order, per-subject connectome sampling)
 comes from one seeded generator per phase, so a run is a pure function of
 its config.  A phase reads everything it carries over from its
 ``TrainState``, so running a state for a epochs and then b more equals one
-run of a + b.  Per-epoch side effects (checkpoints, validation) are one
-``on_epoch_end(model, state)`` callback.
+run of a + b.  Per-epoch side effects (checkpoints, validation, the log)
+are one ``on_epoch_end(model, state)`` callback.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,6 @@ from .connectome import SEGMENTS_PER_SUBJECT
 from .fileio import ConfigError, JsonConfig, write_csv
 from .model import BrainSurfCNN
 from .rcloss import Margins, init_margins, rc_loss, schedule_margins
-
-LOG_COLUMNS = ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta"]
 
 
 class NaNLossError(RuntimeError):
@@ -63,6 +61,7 @@ class EpochStats:
     l_rc: float | None
     alpha: float | None
     beta: float | None
+    val_l_r: float | None = None  # set by validation_hook; None without validation subjects
 
 
 @dataclass
@@ -70,7 +69,8 @@ class TrainState:
     """What a run carries from one epoch to the next: the phase's RNG, the
     initial margins (``margins0``, set exactly in phase 2), the epoch phase 2
     started at, the phase's Adam state (None until its first step) and one
-    log row per finished epoch; the next epoch and the phase follow from them."""
+    log row per finished epoch; the next epoch and the phase follow from them.
+    It is the run's one record: ``write_csv`` writes its rows as the log."""
 
     rng: np.random.Generator
     margins0: Margins | None = None
@@ -87,7 +87,7 @@ class TrainState:
         return 1 if self.margins0 is None else 2
 
     def write_csv(self, path: str | Path) -> None:
-        write_csv(path, LOG_COLUMNS, [astuple(r) for r in self.rows])
+        write_csv(path, [f.name for f in fields(EpochStats)], [astuple(r) for r in self.rows])
 
 
 EpochEnd = Callable[[BrainSurfCNN, TrainState], None]
@@ -216,17 +216,14 @@ def train_two_phase(
     return state
 
 
-def validation_hook(val_subjects: list[TrainSubject], out_path: str | Path):
+def validation_hook(val_subjects: list[TrainSubject]) -> EpochEnd:
     """Early-warning monitoring on held-out training subjects; no early
-    stopping, just a CSV of per-epoch reconstruction loss, written by the
-    ``on_epoch_end`` callback this returns."""
-    rows: list[tuple[int, float]] = []
-    path = Path(out_path)
+    stopping.  The ``on_epoch_end`` callback this returns sets the finished
+    epoch's ``val_l_r``: the L_R of the subjects' first samples."""
 
     def hook(model: BrainSurfCNN, state: TrainState) -> None:
         preds = model.predict(np.stack([s.samples[0] for s in val_subjects]))
         targets = np.stack([s.target for s in val_subjects])
-        rows.append((state.rows[-1].epoch, rc_loss(preds, targets, None).l_r.item()))
-        write_csv(path, ["epoch", "val_l_r"], rows)
+        state.rows[-1].val_l_r = rc_loss(preds, targets, None).l_r.item()
 
     return hook

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import brainsurf
 from brainsurf import cli, evaluate, meshlayers
 from brainsurf.connectome import ZeroVariance
-from brainsurf.fileio import ConfigError, CorruptFile, load_checkpoint, read_tensor, save_checkpoint
+from brainsurf.fileio import FLOAT_FORMAT, ConfigError, CorruptFile, load_checkpoint, read_tensor, save_checkpoint
 from brainsurf.icosphere import build_hierarchy
 from brainsurf.model import load_model
 from brainsurf.training import NaNLossError
@@ -57,6 +58,15 @@ def case_id(case):
 @pytest.fixture()
 def tiny_run(tmp_path):
     cfg = write_config(tmp_path)
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    assert cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    return tmp_path
+
+
+@pytest.fixture()
+def val_run(tmp_path):
+    # val_fraction 0.2 of 5 training subjects holds sub004 out for validation.
+    cfg = write_config(tmp_path, n_train_subjects=5)
     assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
     assert cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     return tmp_path
@@ -205,12 +215,31 @@ class TestGenData:
 class TestTrain:
     def test_outputs_exist(self, tiny_run):
         run = tiny_run / "run"
-        for name in [
+        names = [
             "checkpoint_phase1.bin", "checkpoint_final.bin", "checkpoint_last.bin",
-            "training_log.csv", "margins.json", "baseline.bin", "group_average.bin",
-            "manifest.json",
-        ]:
+            "training_log.csv", "baseline.bin", "manifest.json",
+        ]
+        assert sorted(cli.RUN_FILES) == sorted(names)
+        for name in names:
             assert (run / name).exists(), name
+
+    def test_run_leaves_exactly_run_files(self, val_run):
+        # A validation subject and phase 2: every file train writes, and no
+        # other (a new run file must join RUN_FILES).
+        assert sorted(p.name for p in (val_run / "run").iterdir()) == sorted(cli.RUN_FILES)
+
+    def test_last_val_l_r_is_the_final_models_loss(self, val_run):
+        from brainsurf.connectome import load_dataset
+        from brainsurf.rcloss import rc_loss
+
+        ds = load_dataset(val_run / "data")
+        model = load_model(val_run / "run" / "checkpoint_final.bin")
+        preds = model.predict(np.stack([ds.samples("sub004")[0]]))
+        l_r = rc_loss(preds, np.stack([ds.target("sub004")]), None).l_r.item()
+        with open(val_run / "run" / "training_log.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["epoch"] for r in rows] == ["0", "1", "2", "3"] and all(r["val_l_r"] for r in rows)
+        assert rows[-1]["val_l_r"] == FLOAT_FORMAT % l_r
 
     def test_log_margins_follow_schedule(self, tmp_path):
         # Longer phase 2 so the halving boundary at within-phase epoch 20 is
@@ -218,36 +247,21 @@ class TestTrain:
         cfg = write_config(tmp_path, phase1_epochs=2, phase2_epochs=25)
         cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")])
         assert cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-        import csv
+        from brainsurf.connectome import load_dataset
+        from brainsurf.rcloss import init_margins
 
         with open(tmp_path / "run" / "training_log.csv") as f:
             rows = {int(r["epoch"]): r for r in csv.DictReader(f)}
-        margins = json.loads((tmp_path / "run" / "margins.json").read_text())
-        assert rows[1]["alpha"] == ""
-        assert float(rows[2]["alpha"]) == pytest.approx(margins["alpha0"], rel=1e-9)
-        assert float(rows[2 + 20]["alpha"]) == pytest.approx(margins["alpha0"] / 2, rel=1e-9)
-        assert float(rows[2 + 20]["beta"]) == pytest.approx(margins["beta0"] * 2, rel=1e-9)
-
-    def test_group_average_matches_training_targets(self, tiny_run):
-        from brainsurf.connectome import load_dataset
-
-        ds = load_dataset(tiny_run / "data")
-        # val_fraction 0.2 of 4 subjects -> 0 held out; all 4 train.
-        expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
-        assert np.allclose(read_tensor(tiny_run / "run" / "group_average.bin"), expected, atol=1e-15)
-
-    def test_group_average_covers_validation_subjects(self, tmp_path):
-        from brainsurf.connectome import load_dataset
-
-        # val_fraction 0.2 of 5 subjects -> 1 held out for validation; the
-        # saved map still averages all 5, the set `evaluate` reports on.
-        cfg = write_config(tmp_path, n_train_subjects=5, phase2_epochs=0)
-        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
-        assert cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        # The first phase-2 row holds the initial margins, measured on the
+        # phase-1 model over the 4 fit subjects (val_fraction 0.2 holds none out).
         ds = load_dataset(tmp_path / "data")
-        assert (tmp_path / "run" / "val_log.csv").exists()
-        expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
-        assert np.array_equal(read_tensor(tmp_path / "run" / "group_average.bin"), expected)
+        phase1_model = load_model(tmp_path / "run" / "checkpoint_phase1.bin")
+        margins0 = init_margins(phase1_model, [(ds.samples(s), ds.target(s)) for s in ds.train_ids])
+        assert rows[1]["alpha"] == ""
+        assert (rows[2]["alpha"], rows[2]["beta"]) == (FLOAT_FORMAT % margins0.alpha, FLOAT_FORMAT % margins0.beta)
+        assert (rows[2 + 19]["alpha"], rows[2 + 19]["beta"]) == (rows[2]["alpha"], rows[2]["beta"])
+        assert float(rows[2 + 20]["alpha"]) == pytest.approx(margins0.alpha / 2, rel=1e-9)
+        assert float(rows[2 + 20]["beta"]) == pytest.approx(margins0.beta * 2, rel=1e-9)
 
     def test_validation_subjects_read_only_their_first_sample(self, tmp_path, monkeypatch):
         # val_fraction 0.2 of 5 subjects -> sub004 is held out; the hook
@@ -265,7 +279,8 @@ class TestTrain:
 
         monkeypatch.setattr(connectome, "read_tensor", spying)
         assert cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-        assert (tmp_path / "run" / "val_log.csv").exists()
+        with open(tmp_path / "run" / "training_log.csv") as f:
+            assert [r["val_l_r"] != "" for r in csv.DictReader(f)] == [True, True]
         assert "sub004/sample_0.bin" in reads
         assert not [r for r in reads if r.startswith("sub004/sample_") and r != "sub004/sample_0.bin"]
         assert all(f"sub000/sample_{i}.bin" in reads for i in range(8))
@@ -362,8 +377,43 @@ class TestTrain:
         assert err.startswith("numeric failure:") and err.endswith("(last good checkpoint retained)\n")
         run = tmp_path / "r3"
         assert (run / "checkpoint_phase1.bin").read_bytes() == (tmp_path / "warm" / "checkpoint_phase1.bin").read_bytes()
-        for name in ("checkpoint_last.bin", "checkpoint_final.bin", "training_log.csv"):
+        # The log holds the two phase-1 rows, as the 2+0 run's does.
+        log = (run / "training_log.csv").read_bytes()
+        assert log == (tmp_path / "warm" / "training_log.csv").read_bytes() and log.count(b"\n") == 3
+        for name in ("checkpoint_last.bin", "checkpoint_final.bin"):
             assert not (run / name).exists(), name
+
+    def test_run_without_epochs_writes_no_log(self, tmp_path, tiny_run):
+        cfg = write_config(tmp_path, phase1_epochs=0, phase2_epochs=0)
+        run = tmp_path / "r0"
+        assert cli.main(["train", "--data", str(tiny_run / "data"), "--config", str(cfg), "--out", str(run)]) == 0
+        assert sorted(p.name for p in run.iterdir()) == ["baseline.bin", "checkpoint_final.bin", "manifest.json"]
+
+    def test_rerun_removes_the_earlier_runs_files(self, val_run):
+        # A 2+0 run without validation subjects into the 2+2 run's --out
+        # writes no checkpoint_last.bin and no val_l_r: none of the first
+        # run's may be left.
+        cfg = write_config(val_run, n_train_subjects=5, phase2_epochs=0, val_fraction=0.0)
+        run = val_run / "run"
+        assert cli.main(["train", "--data", str(val_run / "data"), "--config", str(cfg), "--out", str(run)]) == 0
+        assert sorted(p.name for p in run.iterdir()) == [
+            "baseline.bin", "checkpoint_final.bin", "checkpoint_phase1.bin", "manifest.json", "training_log.csv",
+        ]
+        with open(run / "training_log.csv") as f:
+            assert [(r["epoch"], r["val_l_r"]) for r in csv.DictReader(f)] == [("0", ""), ("1", "")]
+
+    def test_rerun_that_overflows_leaves_no_earlier_end_of_run_file(self, tiny_run, capsys):
+        # After a complete run, a rerun whose phase 2 overflows keeps only
+        # what its phase-1 epochs wrote, so `predict --model
+        # run/checkpoint_final.bin` cannot pick up the earlier model.
+        run = tiny_run / "run"
+        first_log = (run / "training_log.csv").read_text().splitlines()
+        cfg = write_config(tiny_run, phase2_lr=1e120)
+        assert cli.main(["train", "--data", str(tiny_run / "data"), "--config", str(cfg), "--out", str(run)]) == 3
+        capsys.readouterr()
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint_phase1.bin", "training_log.csv"]
+        # Exactly the phase-1 rows, which both runs share.
+        assert (run / "training_log.csv").read_text().splitlines() == first_log[:3]
 
     def test_nan_in_the_first_epoch_claims_no_checkpoint(self, tmp_path, tiny_run, capsys):
         # The first step blows the weights up and the second batch's loss
@@ -775,6 +825,27 @@ class TestPredict:
 
 
 class TestEvaluate:
+    def test_group_average_row_averages_every_training_subject(self, tmp_path, monkeypatch):
+        # 5 training subjects, sub004 among them although `train` would hold
+        # it out for validation: the row's map is the mean of all 5 targets.
+        from brainsurf.connectome import load_dataset
+
+        cfg = write_config(tmp_path, n_train_subjects=5)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        seen = {}
+        original = cli.ablation_report
+
+        def recording(variants, *args):
+            seen.update(variants)
+            return original(variants, *args)
+
+        monkeypatch.setattr(cli, "ablation_report", recording)
+        assert cli.main(["evaluate", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "eval")]) == 0
+        ds = load_dataset(tmp_path / "data")
+        expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
+        assert len(ds.train_ids) == 5 and seen["group_average"].shape == (2, *expected.shape)
+        assert all(np.array_equal(m, expected) for m in seen["group_average"])
+
     def test_report_written_with_all_variants(self, tiny_run):
         cli.main([
             "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),

@@ -415,19 +415,21 @@ class TestTwoPhase:
         state.write_csv(path)
         with open(path) as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta"]
+        assert rows[0] == ["epoch", "l_r", "l_c", "l_rc", "alpha", "beta", "val_l_r"]
         assert rows[1][3] == ""  # phase-1 rows leave the rc fields blank
         assert rows[3][4] != ""
+        assert [r[6] for r in rows[1:]] == [""] * 4  # no validation hook
 
-    def test_validation_hook_writes_csv(self, hierarchy, tmp_path):
+    def test_validation_hook_sets_val_l_r(self, hierarchy):
         model = build_model(TINY_MODEL, hierarchy)
         subjects = tiny_subjects(6)
-        hook = validation_hook(subjects[4:], tmp_path / "val.csv")
-        train_phase(
+        state = train_phase(
             model, subjects[:4], TrainState(np.random.default_rng(2)), epochs=3, batch_size=2,
-            opt=OptimizerConfig(), on_epoch_end=hook,
+            opt=OptimizerConfig(), on_epoch_end=validation_hook(subjects[4:]),
         )
-        with open(tmp_path / "val.csv") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["epoch", "val_l_r"]
-        assert len(rows) == 4
+        # One value per epoch, each of that epoch's model: the last is the
+        # final model's L_R on the held-out subjects' first samples.
+        preds = model.predict(np.stack([s.samples[0] for s in subjects[4:]]))
+        l_r = rc_loss(preds, np.stack([s.target for s in subjects[4:]]), None).l_r.item()
+        values = [r.val_l_r for r in state.rows]
+        assert len(values) == 3 and len(set(values)) == 3 and values[-1] == l_r
