@@ -72,6 +72,21 @@ def val_run(tmp_path):
     return tmp_path
 
 
+def evaluated_group_average(root, monkeypatch):
+    """The group-average map that ``evaluate`` on ``root / "data"`` hands to
+    ``ablation_report``, one copy per test subject."""
+    seen = {}
+    original = cli.ablation_report
+
+    def recording(variants, *args):
+        seen.update(variants)
+        return original(variants, *args)
+
+    monkeypatch.setattr(cli, "ablation_report", recording)
+    assert cli.main(["evaluate", "--data", str(root / "data"), "--out", str(root / "eval")]) == 0
+    return seen["group_average"]
+
+
 class TestGenData:
     def test_default_cohort_counts(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -262,6 +277,35 @@ class TestTrain:
         assert (rows[2 + 19]["alpha"], rows[2 + 19]["beta"]) == (rows[2]["alpha"], rows[2]["beta"])
         assert float(rows[2 + 20]["alpha"]) == pytest.approx(margins0.alpha / 2, rel=1e-9)
         assert float(rows[2 + 20]["beta"]) == pytest.approx(margins0.beta * 2, rel=1e-9)
+
+    def test_group_average_matches_training_targets(self, tiny_run, monkeypatch):
+        from brainsurf.connectome import load_dataset
+
+        # `train` writes no group-average map; `evaluate` averages the
+        # training targets itself. val_fraction 0.2 of 4 subjects -> 0 held out.
+        assert not (tiny_run / "run" / "group_average.bin").exists()
+        ds = load_dataset(tiny_run / "data")
+        expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
+        maps = evaluated_group_average(tiny_run, monkeypatch)
+        assert maps.shape == (2, *expected.shape)
+        assert all(np.allclose(m, expected, atol=1e-15) for m in maps)
+
+    def test_group_average_covers_validation_subjects(self, tmp_path, monkeypatch):
+        from brainsurf.connectome import load_dataset
+
+        # val_fraction 0.2 of 5 subjects -> sub004 held out for validation;
+        # the group-average map still averages all 5, the set `evaluate`
+        # reports on.
+        cfg = write_config(tmp_path, n_train_subjects=5, phase2_epochs=0)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        assert cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        with open(tmp_path / "run" / "training_log.csv") as f:
+            assert all(r["val_l_r"] for r in csv.DictReader(f))
+        ds = load_dataset(tmp_path / "data")
+        expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
+        maps = evaluated_group_average(tmp_path, monkeypatch)
+        assert len(ds.train_ids) == 5 and maps.shape == (2, *expected.shape)
+        assert all(np.array_equal(m, expected) for m in maps)
 
     def test_validation_subjects_read_only_their_first_sample(self, tmp_path, monkeypatch):
         # val_fraction 0.2 of 5 subjects -> sub004 is held out; the hook
@@ -825,27 +869,6 @@ class TestPredict:
 
 
 class TestEvaluate:
-    def test_group_average_row_averages_every_training_subject(self, tmp_path, monkeypatch):
-        # 5 training subjects, sub004 among them although `train` would hold
-        # it out for validation: the row's map is the mean of all 5 targets.
-        from brainsurf.connectome import load_dataset
-
-        cfg = write_config(tmp_path, n_train_subjects=5)
-        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
-        seen = {}
-        original = cli.ablation_report
-
-        def recording(variants, *args):
-            seen.update(variants)
-            return original(variants, *args)
-
-        monkeypatch.setattr(cli, "ablation_report", recording)
-        assert cli.main(["evaluate", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "eval")]) == 0
-        ds = load_dataset(tmp_path / "data")
-        expected = np.mean([ds.target(s) for s in ds.train_ids], axis=0)
-        assert len(ds.train_ids) == 5 and seen["group_average"].shape == (2, *expected.shape)
-        assert all(np.array_equal(m, expected) for m in seen["group_average"])
-
     def test_report_written_with_all_variants(self, tiny_run):
         cli.main([
             "predict", "--model", str(tiny_run / "run" / "checkpoint_final.bin"),
